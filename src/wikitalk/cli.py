@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from wikitalk import analytics, corpus, evalharness
-from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY, DEFAULT_STAGE_SPAN_YEARS
+from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY
 from wikitalk.pipeline import PipelineConfig, run_pipeline_cli
 
 
@@ -44,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=int(_env("max-mem-revisions", DEFAULT_MAX_IN_MEMORY)),
     )
     rec.add_argument("--spill-dir", default=_env("spill-dir"))
-    rec.add_argument(
-        "--stage-span-years",
-        type=int,
-        default=int(_env("stage-span-years", DEFAULT_STAGE_SPAN_YEARS)),
-    )
     rec.add_argument("--stats", default=_env("stats"))
 
     ev = sub.add_parser("eval", help="reconstruction-quality evaluation")
@@ -93,7 +88,6 @@ def _cmd_reconstruct(args) -> int:
         workers=args.workers,
         max_in_memory_revisions=args.max_mem_revisions,
         spill_dir=Path(args.spill_dir) if args.spill_dir else None,
-        stage_span_years=args.stage_span_years,
         stats_path=Path(args.stats) if args.stats else None,
     )
     return run_pipeline_cli(config)

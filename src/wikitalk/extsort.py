@@ -1,11 +1,13 @@
 """Temporal sorting of one page's revisions within a memory budget.
 
-Small pages sort in memory; larger ones spill sorted runs to disk and
-k-way merge them. When the run count itself exceeds a limit, records are
-first partitioned into calendar-time stages and each stage is sorted on
-its own, which bounds the number of simultaneously open run files. All
-paths produce the same sequence: ascending (timestamp, revision_id), ties
-resolved by revision id so output is reproducible.
+Small pages sort in memory; larger ones spill sorted runs of at most
+``max_in_memory_revisions`` records to disk and k-way merge them. When more
+than ``MAX_OPEN_RUNS`` runs exist, the oldest runs are first merged into
+longer ones (a cascade merge) until no more than that many remain, so the
+number of open files and resident records stays bounded however long the
+history is. Both paths produce the same sequence: ascending
+(timestamp, revision_id), ties resolved by revision id so output is
+reproducible.
 """
 
 from __future__ import annotations
@@ -15,15 +17,13 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from wikitalk.ingest import RevisionRecord
 
 DEFAULT_MAX_IN_MEMORY = 100_000
-DEFAULT_STAGE_SPAN_YEARS = 2
-DEFAULT_MAX_SPILL_RUNS = 64
+MAX_OPEN_RUNS = 64
 
 
 class SpillDirectoryError(Exception):
@@ -34,14 +34,10 @@ class SpillDirectoryError(Exception):
 class SortBudget:
     max_in_memory_revisions: int = DEFAULT_MAX_IN_MEMORY
     spill_directory: Optional[Path] = None
-    stage_span_years: int = DEFAULT_STAGE_SPAN_YEARS
-    max_spill_runs: int = DEFAULT_MAX_SPILL_RUNS
 
     def __post_init__(self):
         if self.max_in_memory_revisions < 2:
             raise ValueError("max_in_memory_revisions must be >= 2")
-        if self.stage_span_years < 1:
-            raise ValueError("stage_span_years must be >= 1")
         if self.spill_directory is not None:
             self.spill_directory = Path(self.spill_directory)
 
@@ -50,7 +46,6 @@ class SortBudget:
 class SortStats:
     records: int = 0
     runs_spilled: int = 0
-    stages: int = 0
     peak_in_memory_records: int = 0
 
     def _track(self, resident: int) -> None:
@@ -70,29 +65,27 @@ def ensure_spill_directory(budget: SortBudget) -> Path:
     return directory
 
 
-def _write_run(records: list[RevisionRecord], directory: Path) -> Path:
-    records.sort(key=lambda r: r.sort_key)
+def _write_run(records: Iterable[RevisionRecord], directory: Path) -> Path:
     fd, name = tempfile.mkstemp(dir=directory, prefix="wikitalk-run-", suffix=".bin")
     with os.fdopen(fd, "wb") as fh:
-        pickler = pickle.Pickler(fh, protocol=pickle.HIGHEST_PROTOCOL)
+        # One pickle per record, here and in _read_run: a shared Pickler or
+        # Unpickler memo would keep every record it handled alive.
         for rec in records:
-            pickler.dump(rec)
+            pickle.dump(rec, fh, protocol=pickle.HIGHEST_PROTOCOL)
     return Path(name)
 
 
 def _read_run(path: Path) -> Iterator[RevisionRecord]:
     with open(path, "rb") as fh:
-        unpickler = pickle.Unpickler(fh)
         while True:
             try:
-                yield unpickler.load()
+                yield pickle.load(fh)
             except EOFError:
                 return
 
 
-def _stage_start(ts: datetime, span_years: int) -> datetime:
-    year = ts.year - (ts.year % span_years)
-    return datetime(year, 1, 1, tzinfo=timezone.utc)
+def _merge(run_paths: list[Path]) -> Iterator[RevisionRecord]:
+    return heapq.merge(*(_read_run(p) for p in run_paths), key=lambda r: r.sort_key)
 
 
 def sort_revisions(
@@ -117,64 +110,34 @@ def sort_revisions(
             buffer.append(rec)
             stats._track(len(buffer))
             if len(buffer) >= limit:
+                buffer.sort(key=lambda r: r.sort_key)
                 run_paths.append(_write_run(buffer, directory))
                 stats.runs_spilled += 1
                 buffer = []
+        buffer.sort(key=lambda r: r.sort_key)
         if not run_paths:
-            buffer.sort(key=lambda r: r.sort_key)
             yield from buffer
             return
         if buffer:
             run_paths.append(_write_run(buffer, directory))
             stats.runs_spilled += 1
             buffer = []
-        if len(run_paths) > budget.max_spill_runs:
-            yield from _sort_in_stages(run_paths, budget, directory, stats)
-        else:
-            stats._track(len(run_paths) + 1)
-            yield from heapq.merge(
-                *(_read_run(p) for p in run_paths), key=lambda r: r.sort_key
-            )
+        # Cascade: merge the oldest not yet merged runs, a group at a time,
+        # into one run that takes the group's place. Keeping run order keeps
+        # the merge stable for records with equal sort keys, as in memory.
+        pos = 0
+        while len(run_paths) > MAX_OPEN_RUNS:
+            if pos >= len(run_paths) - 1:
+                pos = 0  # the merged runs now outnumber the limit: start again
+            size = min(len(run_paths) - MAX_OPEN_RUNS + 1, MAX_OPEN_RUNS)
+            group = run_paths[pos : pos + size]
+            stats._track(len(group))
+            run_paths[pos : pos + len(group)] = [_write_run(_merge(group), directory)]
+            for path in group:
+                path.unlink()
+            pos += 1
+        stats._track(len(run_paths) + 1)
+        yield from _merge(run_paths)
     finally:
         for path in run_paths:
-            path.unlink(missing_ok=True)
-
-
-def _sort_in_stages(
-    run_paths: list[Path],
-    budget: SortBudget,
-    directory: Path,
-    stats: SortStats,
-) -> Iterator[RevisionRecord]:
-    """Repartition spilled records into calendar windows, then sort each.
-
-    Stage boundaries respect the (timestamp, revision_id) order, so the
-    concatenated stages equal a single global sort.
-    """
-    stage_files: dict[datetime, tuple[Path, pickle.Pickler]] = {}
-    handles = {}
-    for run in run_paths:
-        for rec in _read_run(run):
-            key = _stage_start(rec.timestamp, budget.stage_span_years)
-            if key not in stage_files:
-                fd, name = tempfile.mkstemp(dir=directory, prefix="wikitalk-stage-", suffix=".bin")
-                fh = os.fdopen(fd, "wb")
-                handles[key] = fh
-                stage_files[key] = (Path(name), pickle.Pickler(fh, protocol=pickle.HIGHEST_PROTOCOL))
-            stage_files[key][1].dump(rec)
-    for fh in handles.values():
-        fh.close()
-    stats.stages = len(stage_files)
-    try:
-        for key in sorted(stage_files):
-            path = stage_files[key][0]
-            stage_budget = SortBudget(
-                max_in_memory_revisions=budget.max_in_memory_revisions,
-                spill_directory=directory,
-                stage_span_years=budget.stage_span_years,
-                max_spill_runs=10**9,
-            )
-            yield from sort_revisions(_read_run(path), stage_budget, SortStats())
-    finally:
-        for path, _ in stage_files.values():
             path.unlink(missing_ok=True)

@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 from wikitalk import corpus
 from wikitalk.extsort import (
     DEFAULT_MAX_IN_MEMORY,
-    DEFAULT_STAGE_SPAN_YEARS,
     SortBudget,
     SortStats,
     SpillDirectoryError,
@@ -40,7 +39,6 @@ class PipelineConfig:
     workers: int = 1
     max_in_memory_revisions: int = DEFAULT_MAX_IN_MEMORY
     spill_dir: Optional[Path] = None
-    stage_span_years: int = DEFAULT_STAGE_SPAN_YEARS
     stats_path: Optional[Path] = None
 
     def __post_init__(self):
@@ -67,12 +65,22 @@ def _process_page(page_revisions: Iterable[RevisionRecord], config: PipelineConf
     budget = SortBudget(
         max_in_memory_revisions=config.max_in_memory_revisions,
         spill_directory=config.spill_dir,
-        stage_span_years=config.stage_span_years,
     )
     recon = Reconstructor()
     ordered = sort_revisions(iter(page_revisions), budget, SortStats())
     actions = list(reconstruct_page(ordered, recon))
     return actions, recon.tally.skipped_revisions
+
+
+def _page_groups(records: Iterable[RevisionRecord]):
+    """Group consecutive records by page; a page id that comes back after
+    another page would otherwise be reconstructed twice from empty state."""
+    seen: set[str] = set()
+    for page_id, revs in itertools.groupby(records, key=lambda r: r.page_id):
+        if page_id in seen:
+            raise DumpFormatError(f"page {page_id} reappears after another page")
+        seen.add(page_id)
+        yield page_id, revs
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -90,12 +98,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     results: dict[str, list] = {}
     with open(config.input_path, "rb") as stream:
         records = parse_dump_stream(stream, tally=report.ingest)
-        groups = itertools.groupby(records, key=lambda r: r.page_id)
+        groups = _page_groups(records)
         if config.workers == 1:
             # stream each page group straight into the sorter
             for page_id, revs in groups:
                 actions, skipped = _process_page(revs, config)
-                results.setdefault(page_id, []).extend(actions)
+                results[page_id] = actions
                 report.skipped_revisions += skipped
                 report.pages += 1
         else:
@@ -106,7 +114,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
                 ]
                 for page_id, future in futures:
                     actions, skipped = future.result()
-                    results.setdefault(page_id, []).extend(actions)
+                    results[page_id] = actions
                     report.skipped_revisions += skipped
                     report.pages += 1
 

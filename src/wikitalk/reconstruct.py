@@ -93,6 +93,46 @@ class Segment:
     raw: str
 
 
+def _new_comment(
+    action_id: str,
+    seg: Segment,
+    cleaned: str,
+    *,
+    indentation: int,
+    conversation_id: str,
+    replyto_id: Optional[str],
+    is_heading: bool,
+) -> LiveComment:
+    return LiveComment(
+        comment_id=action_id,
+        last_action_id=action_id,
+        span=(seg.char_lo, seg.char_hi),
+        tok_range=(seg.tok_lo, seg.tok_hi),
+        indentation=indentation,
+        conversation_id=conversation_id,
+        replyto_id=replyto_id,
+        is_heading=is_heading,
+        cleaned_text=cleaned,
+    )
+
+
+def _new_action(
+    state: PageState, rev: RevisionRecord, action_id: str, a_type: ActionType, **fields
+) -> Action:
+    """An action of ``a_type`` with the page and revision provenance filled in."""
+    return Action(
+        action_id=action_id,
+        type=a_type,
+        page_id=state.page_id,
+        page_title=state.page_title,
+        revision_id=rev.revision_id,
+        timestamp=rev.timestamp,
+        user_text=rev.user_text,
+        user_id=rev.user_id,
+        **fields,
+    )
+
+
 def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
     """Split tokens [tok_lo, tok_hi) into heading/comment segments.
 
@@ -417,26 +457,15 @@ class Reconstructor:
         )
         bump = len(new_seq) + len(old_seq) + 1
 
-        def provenance(action_id, a_type, **kw):
-            return Action(
-                action_id=action_id,
-                type=a_type,
-                page_id=state.page_id,
-                page_title=state.page_title,
-                revision_id=rev.revision_id,
-                timestamp=rev.timestamp,
-                user_text=rev.user_text,
-                user_id=rev.user_id,
-                **kw,
-            )
-
         for (pos, _, _), kind, payload in pending:
             if kind == "delete":
                 e: _CommentEdit = payload
                 c = e.comment
                 action_id = self._new_action_id(state, rev.revision_id, c.tok_range[0], bump)
                 actions.append(
-                    provenance(
+                    _new_action(
+                        state,
+                        rev,
                         action_id,
                         ActionType.DELETION,
                         content=c.cleaned_text,
@@ -470,7 +499,9 @@ class Reconstructor:
                     c.indentation = _line_indentation(first_line)
                 action_id = self._new_action_id(state, rev.revision_id, c.tok_range[0], bump)
                 actions.append(
-                    provenance(
+                    _new_action(
+                        state,
+                        rev,
                         action_id,
                         ActionType.MODIFICATION,
                         content=cleaned,
@@ -486,7 +517,7 @@ class Reconstructor:
                 c.cleaned_text = cleaned
             else:
                 seg: Segment = payload
-                action = self._emit_segment(state, rev, new_seq, seg, ordered, bump, actions)
+                action = self._emit_segment(state, rev, seg, ordered, bump, actions)
                 if action is not None:
                     actions.append(action)
 
@@ -501,15 +532,11 @@ class Reconstructor:
             root_id = self._new_action_id(state, rev.revision_id, -1, 1_000_000_000)
             state.root_creation_id = root_id
             actions.append(
-                Action(
-                    action_id=root_id,
-                    type=ActionType.CREATION,
-                    page_id=state.page_id,
-                    page_title=state.page_title,
-                    revision_id=rev.revision_id,
-                    timestamp=rev.timestamp,
-                    user_text=rev.user_text,
-                    user_id=rev.user_id,
+                _new_action(
+                    state,
+                    rev,
+                    root_id,
+                    ActionType.CREATION,
                     content="",
                     raw_markup="",
                     replyto_id=None,
@@ -553,7 +580,6 @@ class Reconstructor:
         self,
         state: PageState,
         rev: RevisionRecord,
-        new_seq: TokenSequence,
         seg: Segment,
         ordered: list[LiveComment],
         bump: int,
@@ -566,7 +592,7 @@ class Reconstructor:
             if entry is not None and entry.is_heading:
                 state.store.take(cleaned)
                 return self._register_segment(
-                    state, rev, new_seq, seg, ordered, bump,
+                    state, rev, seg, ordered, bump,
                     a_type=ActionType.RESTORATION,
                     cleaned=cleaned,
                     conversation_id=entry.conversation_id,
@@ -575,43 +601,22 @@ class Reconstructor:
                     indentation=-1,
                     is_heading=True,
                 )
-            action_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, bump)
-            comment = LiveComment(
-                comment_id=action_id,
-                last_action_id=action_id,
-                span=(seg.char_lo, seg.char_hi),
-                tok_range=(seg.tok_lo, seg.tok_hi),
-                indentation=-1,
-                conversation_id=action_id,
-                replyto_id=None,
-                is_heading=True,
-                cleaned_text=cleaned,
-            )
-            state.live[action_id] = comment
-            bisect.insort(ordered, comment, key=lambda c: c.span[0])
-            return Action(
-                action_id=action_id,
-                type=ActionType.CREATION,
-                page_id=state.page_id,
-                page_title=state.page_title,
-                revision_id=rev.revision_id,
-                timestamp=rev.timestamp,
-                user_text=rev.user_text,
-                user_id=rev.user_id,
-                content=cleaned,
-                raw_markup=seg.raw,
+            return self._register_segment(
+                state, rev, seg, ordered, bump,
+                a_type=ActionType.CREATION,
+                cleaned=cleaned,
+                conversation_id=None,
                 replyto_id=None,
                 parent_id=None,
                 indentation=-1,
-                conversation_id=action_id,
-                char_span=(seg.char_lo, seg.char_hi),
+                is_heading=True,
             )
 
         entry = state.store.match(cleaned)
         if entry is not None and not entry.is_heading:
             state.store.take(cleaned)
             return self._register_segment(
-                state, rev, new_seq, seg, ordered, bump,
+                state, rev, seg, ordered, bump,
                 a_type=ActionType.RESTORATION,
                 cleaned=cleaned,
                 conversation_id=entry.conversation_id,
@@ -630,7 +635,7 @@ class Reconstructor:
         if replyto is None:
             replyto = conversation_id
         return self._register_segment(
-            state, rev, new_seq, seg, ordered, bump,
+            state, rev, seg, ordered, bump,
             a_type=ActionType.ADDITION,
             cleaned=cleaned,
             conversation_id=conversation_id,
@@ -644,42 +649,38 @@ class Reconstructor:
         self,
         state: PageState,
         rev: RevisionRecord,
-        new_seq: TokenSequence,
         seg: Segment,
         ordered: list[LiveComment],
         bump: int,
         *,
         a_type: ActionType,
         cleaned: str,
-        conversation_id: str,
+        conversation_id: Optional[str],
         replyto_id: Optional[str],
         parent_id: Optional[str],
         indentation: int,
         is_heading: bool,
     ) -> Action:
+        """Add ``seg`` as a live comment and return the action that made it.
+        A ``conversation_id`` of None opens a thread named by the new id."""
         action_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, bump)
-        comment = LiveComment(
-            comment_id=action_id,
-            last_action_id=action_id,
-            span=(seg.char_lo, seg.char_hi),
-            tok_range=(seg.tok_lo, seg.tok_hi),
+        conversation_id = conversation_id or action_id
+        comment = _new_comment(
+            action_id,
+            seg,
+            cleaned,
             indentation=indentation,
             conversation_id=conversation_id,
             replyto_id=replyto_id,
             is_heading=is_heading,
-            cleaned_text=cleaned,
         )
         state.live[action_id] = comment
         bisect.insort(ordered, comment, key=lambda c: c.span[0])
-        return Action(
-            action_id=action_id,
-            type=a_type,
-            page_id=state.page_id,
-            page_title=state.page_title,
-            revision_id=rev.revision_id,
-            timestamp=rev.timestamp,
-            user_text=rev.user_text,
-            user_id=rev.user_id,
+        return _new_action(
+            state,
+            rev,
+            action_id,
+            a_type,
             content=cleaned,
             raw_markup=seg.raw,
             replyto_id=replyto_id,
@@ -702,62 +703,29 @@ class Reconstructor:
             seg_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, len(new_seq) + 1)
             cleaned = clean_markup(seg.raw).text
             if seg.is_heading:
-                comment = LiveComment(
-                    comment_id=seg_id,
-                    last_action_id=seg_id,
-                    span=(seg.char_lo, seg.char_hi),
-                    tok_range=(seg.tok_lo, seg.tok_hi),
+                comment = _new_comment(
+                    seg_id,
+                    seg,
+                    cleaned,
                     indentation=-1,
                     conversation_id=seg_id,
                     replyto_id=None,
                     is_heading=True,
-                    cleaned_text=cleaned,
                 )
                 current_heading = comment
             else:
                 conv = current_heading.conversation_id if current_heading else seg_id
-                replyto = self._resolve_reply(ordered, seg.char_lo, seg.indentation, conv)
-                comment = LiveComment(
-                    comment_id=seg_id,
-                    last_action_id=seg_id,
-                    span=(seg.char_lo, seg.char_hi),
-                    tok_range=(seg.tok_lo, seg.tok_hi),
+                comment = _new_comment(
+                    seg_id,
+                    seg,
+                    cleaned,
                     indentation=seg.indentation,
                     conversation_id=conv,
-                    replyto_id=replyto,
+                    replyto_id=self._resolve_reply(ordered, seg.char_lo, seg.indentation, conv),
                     is_heading=False,
-                    cleaned_text=cleaned,
                 )
             state.live[seg_id] = comment
             ordered.append(comment)
-
-
-def classify_insertion(state: PageState, text: str, char_pos: int) -> ActionType:
-    """Classify one inserted segment against the current page state.
-
-    Headings open threads (unless they restore a deleted heading); exact
-    store matches are restorations; insertions strictly inside a live
-    comment's span are modifications; everything else adds a comment.
-    """
-    first_line = text.split("\n", 1)[0]
-    cleaned = clean_markup(text).text
-    if _is_heading_line(first_line):
-        entry = state.store.match(cleaned)
-        if entry is not None and entry.is_heading:
-            return ActionType.RESTORATION
-        return ActionType.CREATION
-    for c in state.live.values():
-        if c.span[0] < char_pos < c.span[1]:
-            return ActionType.MODIFICATION
-    entry = state.store.match(cleaned)
-    if entry is not None and not entry.is_heading:
-        return ActionType.RESTORATION
-    return ActionType.ADDITION
-
-
-def detect_restoration(state: PageState, cleaned_text: str) -> Optional[DeletedEntry]:
-    """Exact lookup of cleaned text among recently deleted comments."""
-    return state.store.match(cleaned_text)
 
 
 def reconstruct_page(

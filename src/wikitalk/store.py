@@ -1,4 +1,4 @@
-"""Bounded FIFO store of recently deleted comments with trie lookup.
+"""Bounded FIFO store of recently deleted comments.
 
 Restorations are detected by exact text match against this store. Only
 texts between the configured length bounds are kept: the lower bound stops
@@ -15,8 +15,6 @@ from typing import Optional
 DEFAULT_CAPACITY = 100
 DEFAULT_MIN_CHARS = 10
 DEFAULT_MAX_CHARS = 1000
-
-_LEAF = "\x00"
 
 
 @dataclass
@@ -35,7 +33,6 @@ class DeletedCommentStore:
     min_chars: int = DEFAULT_MIN_CHARS
     max_chars: int = DEFAULT_MAX_CHARS
     _entries: list[DeletedEntry] = field(default_factory=list)
-    _root: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -49,20 +46,16 @@ class DeletedCommentStore:
         if not self.accepts(entry.text):
             return False
         self._entries.append(entry)
-        self._trie_add(entry)
         while len(self._entries) > self.capacity:
             self._remove(self._entries[0])
         return True
 
     def match(self, text: str) -> Optional[DeletedEntry]:
         """Exact-match lookup; the most recently deleted entry wins."""
-        node = self._root
-        for ch in text:
-            node = node.get(ch)
-            if node is None:
-                return None
-        leaf = node.get(_LEAF)
-        return leaf[-1] if leaf else None
+        for entry in reversed(self._entries):
+            if entry.text == text:
+                return entry
+        return None
 
     def take(self, text: str) -> Optional[DeletedEntry]:
         """Match and remove, for consumption by a restoration."""
@@ -74,26 +67,5 @@ class DeletedCommentStore:
     def texts(self) -> list[str]:
         return [e.text for e in self._entries]
 
-    def _trie_add(self, entry: DeletedEntry) -> None:
-        node = self._root
-        for ch in entry.text:
-            node = node.setdefault(ch, {})
-        node.setdefault(_LEAF, []).append(entry)
-
     def _remove(self, entry: DeletedEntry) -> None:
         self._entries.remove(entry)
-        path = [(None, self._root)]
-        node = self._root
-        for ch in entry.text:
-            node = node[ch]
-            path.append((ch, node))
-        leaf = node[_LEAF]
-        leaf.remove(entry)
-        if not leaf:
-            del node[_LEAF]
-        # prune now-empty branches
-        for i in range(len(path) - 1, 0, -1):
-            ch, child = path[i]
-            if child:
-                break
-            del path[i - 1][1][ch]

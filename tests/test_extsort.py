@@ -1,14 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 
 from tests.conftest import BASE, make_revision
+from wikitalk import extsort
 from wikitalk.extsort import SortBudget, SortStats, SpillDirectoryError, sort_revisions
 
 
-def _records(n, shuffle_seed=None, minute_step=30):
+def _records(n, shuffle_seed=None):
     records = [
-        make_revision(10**6 + i, f"text {i}", minutes=minute_step * i) for i in range(n)
+        make_revision(10**6 + i, f"text {i}", minutes=30 * i) for i in range(n)
     ]
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(records)
@@ -91,26 +93,49 @@ def test_peak_memory_within_budget(tmp_path):
     assert stats.peak_in_memory_records <= limit + stats.runs_spilled + 1
 
 
-def test_staged_path_equals_global_sort(tmp_path):
-    # timestamps spanning ~11 years so the 2-year stages actually split
-    records = _records(2000, shuffle_seed=11, minute_step=3000)
+def test_cascade_merge_equals_global_sort(tmp_path, monkeypatch):
+    limit = 50
+    records = _records(1950)
+    # records sharing a sort key must keep their input order, as in memory
+    records += [make_revision(10**6 + i, f"same key {i}", minutes=30 * i) for i in range(50)]
+    random.Random(11).shuffle(records)
     reference = list(sort_revisions(iter(records), SortBudget(spill_directory=tmp_path)))
-    stats = SortStats()
-    staged = list(
-        sort_revisions(
-            iter(records),
-            SortBudget(
-                max_in_memory_revisions=50,
-                spill_directory=tmp_path,
-                max_spill_runs=8,
-                stage_span_years=2,
-            ),
-            stats,
+    # 40 runs against at most 8 open ones forces several cascade merges;
+    # against 3, merged runs are merged again
+    for max_open_runs in (8, 3):
+        monkeypatch.setattr(extsort, "MAX_OPEN_RUNS", max_open_runs)
+        stats = SortStats()
+        cascaded = list(
+            sort_revisions(
+                iter(records),
+                SortBudget(max_in_memory_revisions=limit, spill_directory=tmp_path),
+                stats,
+            )
         )
-    )
-    assert staged == reference
-    assert stats.stages >= 3
-    assert not list(tmp_path.glob("wikitalk-*"))
+        assert cascaded == reference
+        assert stats.runs_spilled == 40
+        assert not list(tmp_path.glob("wikitalk-*"))
+        assert stats.peak_in_memory_records <= max(limit, extsort.MAX_OPEN_RUNS + 1)
+
+
+def test_spilled_sort_memory_is_bounded(tmp_path):
+    records = [
+        make_revision(10**6 + i, f"{i:06d} " + "x" * 2000, minutes=i) for i in range(4000)
+    ]
+    random.Random(4).shuffle(records)
+    text_bytes = sum(len(r.wikitext) for r in records)
+    drained = 0
+    tracemalloc.start()
+    try:
+        for _ in sort_revisions(
+            iter(records), SortBudget(max_in_memory_revisions=100, spill_directory=tmp_path)
+        ):
+            drained += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drained == len(records)
+    assert peak < text_bytes / 4
 
 
 def test_streaming_parse_sort_equals_parse_all_then_sort(tmp_path):

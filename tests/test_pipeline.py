@@ -7,6 +7,7 @@ from wikitalk import cli
 from wikitalk.actions import ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
 from wikitalk.evalharness import write_gold
+from wikitalk.ingest import DumpFormatError
 from wikitalk.pipeline import PipelineConfig, run_pipeline
 from wikitalk.synth import (
     PageScript,
@@ -54,6 +55,32 @@ def test_unwritable_output_fails(tmp_path):
         ["reconstruct", "--input", str(dump), "--output", str(tmp_path / "no-dir" / "o.jsonl")]
     )
     assert rc == 1
+
+
+def _page_xml(page_id, rev_id, minute, text):
+    return (
+        f"<page><title>Talk:P{page_id}</title><ns>1</ns><id>{page_id}</id>"
+        f"<revision><id>{rev_id}</id><timestamp>2017-05-01T10:{minute:02d}:00Z</timestamp>"
+        f"<contributor><username>alice</username><id>7</id></contributor>"
+        f"<text>{text}</text></revision></page>\n"
+    )
+
+
+def test_page_split_across_dump_fails(tmp_path):
+    dump = tmp_path / "split.xml"
+    dump.write_text(
+        '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">\n'
+        + _page_xml(1, 11, 0, "== Thread ==\nfirst comment ~~~~")
+        + _page_xml(2, 21, 1, "== Other ==")
+        + _page_xml(1, 12, 2, "== Thread ==\nfirst comment ~~~~\n:a reply ~~~~")
+        + "</mediawiki>\n"
+    )
+    out = tmp_path / "corpus.jsonl"
+    with pytest.raises(DumpFormatError, match="page 1 "):
+        run_pipeline(PipelineConfig(input_path=dump, output_path=out))
+    rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_worker_count_does_not_change_output(tmp_path):

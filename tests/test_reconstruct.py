@@ -6,8 +6,6 @@ from wikitalk.diff import InsertOp, lcs_diff
 from wikitalk.reconstruct import (
     PageState,
     Reconstructor,
-    classify_insertion,
-    detect_restoration,
     reconstruct_page,
     segment_text,
 )
@@ -117,27 +115,43 @@ def test_span_extraction_matches_block_text_through_history():
 
 
 def test_classify_insertion_rules():
-    rev = make_revision(1, "== T ==\nfirst comment line here. ~~~~\n")
-    state, _ = fold([rev])
-    assert classify_insertion(state, "== New section ==", 100) is ActionType.CREATION
-    inside = state.live[
-        next(cid for cid, c in state.live.items() if not c.is_heading)
-    ].span[0] + 3
-    assert classify_insertion(state, "words", inside) is ActionType.MODIFICATION
-    assert classify_insertion(state, ":a new reply ~~~~", 100) is ActionType.ADDITION
+    base = "== T ==\nfirst comment line here. ~~~~\n"
+
+    def types_after_base(text):
+        _, actions = fold([make_revision(1, base), make_revision(2, text, minutes=5)])
+        return [a.type for a in actions[2:]]
+
+    assert types_after_base(base + "== New section ==\n") == [ActionType.CREATION]
+    assert types_after_base(base.replace("comment", "comment words")) == [
+        ActionType.MODIFICATION
+    ]
+    assert types_after_base(base + ":a new reply ~~~~\n") == [ActionType.ADDITION]
 
 
 def test_detect_restoration_roundtrip():
-    script = PageScript("88", "Talk:D")
-    t = script.new_thread("Store lookups")
-    script.commit()
-    c = script.add_comment(t, "comment text that is long enough to store")
-    script.commit(user="b")
-    script.delete_comment(c)
-    script.commit(user="m")
-    state, _ = fold(script.revision_records())
-    assert detect_restoration(state, "comment text that is long enough to store") is not None
-    assert detect_restoration(state, "unrelated text never deleted") is None
+    heading = "== Store lookups ==\n"
+    comment = "comment text that is long enough to store ~~~~\n"
+    unrelated = "unrelated text never deleted ~~~~\n"
+    revisions = [
+        make_revision(1, heading),
+        make_revision(2, heading + comment, minutes=5),
+        make_revision(3, heading, minutes=10),
+        make_revision(4, heading + comment, minutes=15),
+        make_revision(5, heading + comment + unrelated, minutes=20),
+    ]
+    _, actions = fold(revisions)
+    kinds = [a.type for a in actions]
+    assert kinds == [
+        ActionType.CREATION,
+        ActionType.ADDITION,
+        ActionType.DELETION,
+        ActionType.RESTORATION,
+        ActionType.ADDITION,
+    ]
+    _, added, deleted, restored, _ = actions
+    assert deleted.parent_id == added.action_id
+    assert restored.parent_id == added.action_id
+    assert restored.conversation_id == added.conversation_id
 
 
 def test_store_bound_invariant_through_churn():
