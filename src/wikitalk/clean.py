@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Optional
 
 _MAX_NESTING = 32
 
@@ -38,33 +39,42 @@ class CleanResult:
     stripped_constructs: dict[str, int] = field(default_factory=dict)
 
 
+def _block_end(text: str, i: int, opener: str, closer: str, max_depth: Optional[int]) -> int:
+    """End of the balanced ``opener``...``closer`` block whose opener sits
+    at ``i``, jumping between markers with ``str.find``. Markers are matched
+    left to right without overlap. Raises when the block is unclosed or
+    nests deeper than ``max_depth``."""
+    depth = 1
+    next_open = text.find(opener, i + 2)
+    close = text.find(closer, i + 2)
+    while True:
+        if close == -1:
+            raise _CleanFailure(f"unclosed {opener}")
+        if next_open != -1 and next_open < close:
+            depth += 1
+            if max_depth is not None and depth > max_depth:
+                raise _CleanFailure(f"{opener} nesting too deep")
+            next_open = text.find(opener, next_open + 2)
+        else:
+            depth -= 1
+            if not depth:
+                return close + 2
+            close = text.find(closer, close + 2)
+
+
 def _strip_templates(text: str, counts: dict[str, int]) -> str:
     """Remove {{...}} blocks, tracking nesting. Unclosed openers fail."""
+    i = text.find("{{")
+    if i == -1:
+        return text
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text.startswith("{{", i):
-            depth = 1
-            j = i + 2
-            while j < n and depth > 0:
-                if text.startswith("{{", j):
-                    depth += 1
-                    if depth > _MAX_NESTING:
-                        raise _CleanFailure("template nesting too deep")
-                    j += 2
-                elif text.startswith("}}", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    j += 1
-            if depth > 0:
-                raise _CleanFailure("unclosed template")
-            counts["templates"] = counts.get("templates", 0) + 1
-            i = j
-        else:
-            out.append(text[i])
-            i += 1
+    pos = 0
+    while i != -1:
+        out.append(text[pos:i])
+        pos = _block_end(text, i, "{{", "}}", _MAX_NESTING)
+        counts["templates"] = counts.get("templates", 0) + 1
+        i = text.find("{{", pos)
+    out.append(text[pos:])
     return "".join(out)
 
 
@@ -72,36 +82,24 @@ def _replace_internal_links(text: str, counts: dict[str, int], depth: int = 0) -
     """[[target|label]] -> label, [[target]] -> target; media links dropped."""
     if depth > _MAX_NESTING:
         raise _CleanFailure("link nesting too deep")
+    i = text.find("[[")
+    if i == -1:
+        return text
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text.startswith("[[", i):
-            j = i + 2
-            depth_brackets = 1
-            while j < n and depth_brackets > 0:
-                if text.startswith("[[", j):
-                    depth_brackets += 1
-                    j += 2
-                elif text.startswith("]]", j):
-                    depth_brackets -= 1
-                    j += 2
-                else:
-                    j += 1
-            if depth_brackets > 0:
-                raise _CleanFailure("unclosed internal link")
-            inner = text[i + 2 : j - 2]
-            counts["links"] = counts.get("links", 0) + 1
-            target, _, label = inner.partition("|")
-            if target.strip().lower().startswith(_DROPPED_LINK_PREFIXES):
-                replacement = ""
-            else:
-                replacement = label if label else target
-            out.append(_replace_internal_links(replacement, counts, depth + 1))
-            i = j
+    pos = 0
+    while i != -1:
+        out.append(text[pos:i])
+        pos = _block_end(text, i, "[[", "]]", None)
+        inner = text[i + 2 : pos - 2]
+        counts["links"] = counts.get("links", 0) + 1
+        target, _, label = inner.partition("|")
+        if target.strip().lower().startswith(_DROPPED_LINK_PREFIXES):
+            replacement = ""
         else:
-            out.append(text[i])
-            i += 1
+            replacement = label if label else target
+        out.append(_replace_internal_links(replacement, counts, depth + 1))
+        i = text.find("[[", pos)
+    out.append(text[pos:])
     return "".join(out)
 
 

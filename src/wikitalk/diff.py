@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from wikitalk.tokenizer import TokenSequence, join_fragments, tokenize
+from wikitalk.tokenizer import (
+    TokenSequence,
+    common_prefix,
+    common_suffix,
+    join_fragments,
+    tokenize,
+)
 
 # Inputs larger than this are refused outright rather than diffed slowly
 # and nondeterministically under time pressure.
@@ -97,22 +103,6 @@ class DiffScript:
         return sum(op.old_hi - op.old_lo for op in self.ops if isinstance(op, DeleteOp))
 
 
-def _common_prefix(a, alo, ahi, b, blo, bhi) -> int:
-    n = min(ahi - alo, bhi - blo)
-    k = 0
-    while k < n and a[alo + k] == b[blo + k]:
-        k += 1
-    return k
-
-
-def _common_suffix(a, alo, ahi, b, blo, bhi) -> int:
-    n = min(ahi - alo, bhi - blo)
-    k = 0
-    while k < n and a[ahi - 1 - k] == b[bhi - 1 - k]:
-        k += 1
-    return k
-
-
 def _middle_snake(a, alo, ahi, b, blo, bhi):
     """Myers bidirectional search.
 
@@ -160,12 +150,12 @@ def _middle_snake(a, alo, ahi, b, blo, bhi):
 
 def _myers(a, alo, ahi, b, blo, bhi, out):
     """Append (tag, alo, ahi, blo, bhi) tuples covering the two windows."""
-    pre = _common_prefix(a, alo, ahi, b, blo, bhi)
+    pre = common_prefix(a, alo, ahi, b, blo, bhi)
     if pre:
         out.append(("=", alo, alo + pre, blo, blo + pre))
         alo += pre
         blo += pre
-    suf = _common_suffix(a, alo, ahi, b, blo, bhi)
+    suf = common_suffix(a, alo, ahi, b, blo, bhi)
     suffix = None
     if suf:
         suffix = ("=", ahi - suf, ahi, bhi - suf, bhi)
@@ -196,7 +186,7 @@ def _myers(a, alo, ahi, b, blo, bhi, out):
                 _myers(a, alo + x1, ahi, b, blo + y1, bhi, out)
             elif n > m:
                 # exactly one deletion; place it leftmost
-                i = _common_prefix(a, alo, ahi, b, blo, bhi)
+                i = common_prefix(a, alo, ahi, b, blo, bhi)
                 if i:
                     out.append(("=", alo, alo + i, blo, blo + i))
                 out.append(("-", alo + i, alo + i + 1, blo + i, blo + i))
@@ -204,7 +194,7 @@ def _myers(a, alo, ahi, b, blo, bhi, out):
                     out.append(("=", alo + i + 1, ahi, blo + i, bhi))
             else:
                 # exactly one insertion; place it leftmost
-                i = _common_prefix(a, alo, ahi, b, blo, bhi)
+                i = common_prefix(a, alo, ahi, b, blo, bhi)
                 if i:
                     out.append(("=", alo, alo + i, blo, blo + i))
                 out.append(("+", alo + i, alo + i, blo + i, blo + i + 1))
@@ -220,22 +210,46 @@ def _diff_tokens(a: list, b: list) -> list[tuple]:
     return out
 
 
-def _line_ranges(tokens) -> list[tuple[int, int]]:
-    """Token index ranges of newline-terminated lines (newline included)."""
+def _line_ranges(tokens, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Token index ranges of the newline-terminated lines of tokens[lo:hi]
+    (newline included; the last line may lack one)."""
     ranges = []
-    lo = 0
-    for i, tok in enumerate(tokens):
-        if tok == "\n":
-            ranges.append((lo, i + 1))
-            lo = i + 1
-    if lo < len(tokens):
-        ranges.append((lo, len(tokens)))
+    while lo < hi:
+        try:
+            end = tokens.index("\n", lo, hi) + 1
+        except ValueError:
+            end = hi
+        ranges.append((lo, end))
+        lo = end
     return ranges
 
 
 def _diff_with_prepass(a: list, b: list) -> list[tuple]:
-    a_lines = _line_ranges(a)
-    b_lines = _line_ranges(b)
+    n, m = len(a), len(b)
+    pre = common_prefix(a, 0, n, b, 0, m)
+    if pre == n == m:
+        return [("=", 0, n, 0, m)] if n else []
+    # The line-level diff first strips the whole lines the two sides share
+    # at either end. Those are the lines inside the common token prefix
+    # and suffix, so they are cut off here and only the middle is split
+    # into lines. The prefix ends after its last newline: the line after
+    # it holds the first difference (or runs past the end of one side).
+    while pre and a[pre - 1] != "\n":
+        pre -= 1
+    suf = common_suffix(a, pre, n, b, pre, m)
+    # The line suffix must start at a line start on both sides. Inside the
+    # token suffix the sides agree, so only its first boundary can fail
+    # that; then the line suffix starts after the suffix's first newline.
+    a_line_start = suf == n - pre or a[n - suf - 1] == "\n"
+    b_line_start = suf == m - pre or b[m - suf - 1] == "\n"
+    if not (a_line_start and b_line_start):
+        try:
+            suf = n - a.index("\n", n - suf, n) - 1
+        except ValueError:
+            suf = 0
+    a_end, b_end = n - suf, m - suf
+    a_lines = _line_ranges(a, pre, a_end)
+    b_lines = _line_ranges(b, pre, b_end)
     interned: dict[tuple, int] = {}
     a_ids = [interned.setdefault(tuple(a[lo:hi]), len(interned)) for lo, hi in a_lines]
     b_ids = [interned.setdefault(tuple(b[lo:hi]), len(interned)) for lo, hi in b_lines]
@@ -243,17 +257,17 @@ def _diff_with_prepass(a: list, b: list) -> list[tuple]:
 
     def a_span(llo, lhi):
         if llo >= lhi:
-            pos = a_lines[llo][0] if llo < len(a_lines) else len(a)
+            pos = a_lines[llo][0] if llo < len(a_lines) else a_end
             return pos, pos
         return a_lines[llo][0], a_lines[lhi - 1][1]
 
     def b_span(llo, lhi):
         if llo >= lhi:
-            pos = b_lines[llo][0] if llo < len(b_lines) else len(b)
+            pos = b_lines[llo][0] if llo < len(b_lines) else b_end
             return pos, pos
         return b_lines[llo][0], b_lines[lhi - 1][1]
 
-    out: list[tuple] = []
+    out: list[tuple] = [("=", 0, pre, 0, pre)] if pre else []
     # Collapse each run of changed lines to one token-level subproblem.
     pend_a: tuple[int, int] | None = None
     pend_b: tuple[int, int] | None = None
@@ -277,8 +291,7 @@ def _diff_with_prepass(a: list, b: list) -> list[tuple]:
             _myers(a, alo, ahi, b, blo, bhi, out)
         pend_a = pend_b = None
 
-    a_anchor = 0
-    b_anchor = 0
+    a_anchor = b_anchor = pre
     for tag, l_alo, l_ahi, l_blo, l_bhi in line_ops:
         if tag == "=":
             flush()
@@ -293,6 +306,8 @@ def _diff_with_prepass(a: list, b: list) -> list[tuple]:
             span = b_span(l_blo, l_bhi)
             pend_b = (pend_b[0], span[1]) if pend_b else span
     flush()
+    if suf:
+        out.append(("=", a_end, n, b_end, m))
     return out
 
 

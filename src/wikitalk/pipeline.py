@@ -2,8 +2,8 @@
 
 Pages are independent units of work and may be processed by a pool of
 workers; the final corpus is always emitted in canonical order (page_id
-ascending, within-page action order), so the output is byte-identical for
-any worker count.
+ascending, numbers compared as numbers; within-page action order), so the
+output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -72,6 +73,20 @@ def _process_page(page_revisions: Iterable[RevisionRecord], config: PipelineConf
     return actions, recon.tally.skipped_revisions
 
 
+_DIGIT_RUNS_RE = re.compile(r"[0-9]+|[^0-9]+")
+
+
+def _page_order_key(page_id: str) -> tuple:
+    """Natural order of page ids: digit runs compare as integers, so page 9
+    precedes page 10 and ``tree2`` precedes ``tree10``. The id itself breaks
+    ties such as ``7`` and ``07``."""
+    runs = tuple(
+        (0, int(run), "") if "0" <= run[0] <= "9" else (1, 0, run)
+        for run in _DIGIT_RUNS_RE.findall(page_id)
+    )
+    return runs, page_id
+
+
 def _page_groups(records: Iterable[RevisionRecord]):
     """Group consecutive records by page; a page id that comes back after
     another page would otherwise be reconstructed twice from empty state."""
@@ -119,7 +134,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
                     report.pages += 1
 
     all_actions = []
-    for page_id in sorted(results):
+    for page_id in sorted(results, key=_page_order_key):
         all_actions.extend(results[page_id])
 
     with open(config.output_path, "w", encoding="utf-8") as sink:

@@ -181,7 +181,7 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
             close()
             prev_signed = False
             continue
-        first_char = seq.offsets[content[0]][0]
+        first_char = seq.starts[content[0]]
         line_start = text.rfind("\n", 0, first_char) + 1
         line_end = text.find("\n", first_char)
         if line_end == -1:
@@ -243,6 +243,42 @@ class _CommentEdit:
     first_delete_new_pos: Optional[int] = None
 
 
+class _ForwardMap:
+    """Old token index -> new token index through a diff's equal ops, by
+    bisection over their ``old_lo``; the ops are ordered on both sides."""
+
+    __slots__ = ("ops", "los")
+
+    def __init__(self, equal_ops: list[EqualOp]):
+        self.ops = equal_ops
+        self.los = [op.old_lo for op in equal_ops]
+
+    def get(self, i: int) -> Optional[int]:
+        """The new index of old token ``i``, or None when it was not kept."""
+        k = bisect.bisect_right(self.los, i) - 1
+        if k >= 0:
+            op = self.ops[k]
+            if i < op.old_hi:
+                return op.new_lo + i - op.old_lo
+        return None
+
+    def bounds(self, lo: int, hi: int) -> tuple[int, ...]:
+        """The least and greatest new index of the kept old tokens in
+        [lo, hi); empty when none was kept."""
+        ops = self.ops
+        k = max(bisect.bisect_right(self.los, lo) - 1, 0)
+        first = last = None
+        while k < len(ops) and ops[k].old_lo < hi:
+            op = ops[k]
+            s, e = max(op.old_lo, lo), min(op.old_hi, hi)
+            if s < e:
+                if first is None:
+                    first = op.new_lo + s - op.old_lo
+                last = op.new_lo + e - 1 - op.old_lo
+            k += 1
+        return () if first is None else (first, last)
+
+
 @dataclass
 class ReconstructionTally:
     revisions: int = 0
@@ -269,8 +305,8 @@ class Reconstructor:
     def process_revision(self, state: PageState, rev: RevisionRecord) -> tuple[PageState, list[Action]]:
         """Advance the page state by one revision, returning emitted actions."""
         self.tally.revisions += 1
-        new_seq = tokenize(rev.wikitext)
         old_seq = state.tokens
+        new_seq = tokenize(rev.wikitext, old_seq)
         try:
             script = lcs_diff(old_seq, new_seq)
         except DiffTokenLimitError as exc:
@@ -313,21 +349,15 @@ class Reconstructor:
                 current = None
         return regions, equals
 
-    def _forward_map(self, old_len: int, equal_ops: list[EqualOp]) -> list[Optional[int]]:
-        fwd: list[Optional[int]] = [None] * (old_len + 1)
-        for op in equal_ops:
-            for i in range(op.old_lo, op.old_hi):
-                fwd[i] = op.new_lo + (i - op.old_lo)
-        return fwd
-
     def _remap_unchanged(self, state: PageState, new_seq: TokenSequence, equal_ops) -> None:
-        fwd = self._forward_map(len(state.tokens), equal_ops)
+        fwd = _ForwardMap(equal_ops)
         for c in state.live.values():
             lo, hi = c.tok_range
-            if hi > lo and fwd[lo] is not None and fwd[hi - 1] is not None:
-                new_lo, new_hi = fwd[lo], fwd[hi - 1] + 1
-                c.tok_range = (new_lo, new_hi)
-                c.span = new_seq.char_span(new_lo, new_hi)
+            if hi > lo:
+                new_lo, new_last = fwd.get(lo), fwd.get(hi - 1)
+                if new_lo is not None and new_last is not None:
+                    c.tok_range = (new_lo, new_last + 1)
+                    c.span = new_seq.char_span(new_lo, new_last + 1)
         state.tokens = new_seq
 
     # ------------------------------------------------------------------
@@ -341,7 +371,7 @@ class Reconstructor:
         equal_ops: list[EqualOp],
     ) -> list[Action]:
         old_seq = state.tokens
-        fwd = self._forward_map(len(old_seq), equal_ops)
+        fwd = _ForwardMap(equal_ops)
         comments = state.live_in_order()
         starts = [c.tok_range[0] for c in comments]
 
@@ -417,15 +447,15 @@ class Reconstructor:
             lo, hi = c.tok_range
             e = edits.get(c.comment_id)
             if e is None:
-                new_lo = fwd[lo]
-                new_last = fwd[hi - 1]
+                new_lo = fwd.get(lo)
+                new_last = fwd.get(hi - 1)
                 if new_lo is None or new_last is None:
                     raise AssertionError(
                         f"comment {c.comment_id} lost its span without an edit record"
                     )
                 c.tok_range = (new_lo, new_last + 1)
             else:
-                positions = [fwd[i] for i in range(lo, hi) if fwd[i] is not None]
+                positions = list(fwd.bounds(lo, hi))
                 for ins_lo, ins_hi in e.insert_ranges:
                     positions.extend((ins_lo, ins_hi - 1))
                 if not positions:

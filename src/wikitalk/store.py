@@ -64,8 +64,5 @@ class DeletedCommentStore:
             self._remove(entry)
         return entry
 
-    def texts(self) -> list[str]:
-        return [e.text for e in self._entries]
-
     def _remove(self, entry: DeletedEntry) -> None:
         self._entries.remove(entry)

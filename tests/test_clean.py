@@ -1,8 +1,11 @@
 import random
+from unittest import mock
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from wikitalk import clean
 from wikitalk.clean import clean_markup
 
 MARKUP_CHARS = set("[]{}=*:#'~<>")
@@ -119,3 +122,123 @@ def test_fallback_rate_zero_on_wellformed_corpus():
         "* bullet\n# numbered\n:: deep",
     ]
     assert all(not clean_markup(w).fallback for w in wellformed)
+
+
+# The character-at-a-time scanners the find-based ones replaced; kept as
+# the reference they must agree with.
+def reference_strip_templates(text, counts):
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text.startswith("{{", i):
+            depth = 1
+            j = i + 2
+            while j < n and depth > 0:
+                if text.startswith("{{", j):
+                    depth += 1
+                    if depth > clean._MAX_NESTING:
+                        raise clean._CleanFailure("template nesting too deep")
+                    j += 2
+                elif text.startswith("}}", j):
+                    depth -= 1
+                    j += 2
+                else:
+                    j += 1
+            if depth > 0:
+                raise clean._CleanFailure("unclosed template")
+            counts["templates"] = counts.get("templates", 0) + 1
+            i = j
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+def reference_replace_internal_links(text, counts, depth=0):
+    if depth > clean._MAX_NESTING:
+        raise clean._CleanFailure("link nesting too deep")
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text.startswith("[[", i):
+            j = i + 2
+            depth_brackets = 1
+            while j < n and depth_brackets > 0:
+                if text.startswith("[[", j):
+                    depth_brackets += 1
+                    j += 2
+                elif text.startswith("]]", j):
+                    depth_brackets -= 1
+                    j += 2
+                else:
+                    j += 1
+            if depth_brackets > 0:
+                raise clean._CleanFailure("unclosed internal link")
+            inner = text[i + 2 : j - 2]
+            counts["links"] = counts.get("links", 0) + 1
+            target, _, label = inner.partition("|")
+            if target.strip().lower().startswith(clean._DROPPED_LINK_PREFIXES):
+                replacement = ""
+            else:
+                replacement = label if label else target
+            out.append(reference_replace_internal_links(replacement, counts, depth + 1))
+            i = j
+        else:
+            out.append(text[i])
+            i += 1
+    return "".join(out)
+
+
+def outcome(fn, text):
+    counts = {}
+    try:
+        return fn(text, counts), counts
+    except clean._CleanFailure:
+        return "failed"
+
+
+brackets = st.text(alphabet=st.sampled_from(list("{}[]|a: ")), max_size=120)
+DEEP = 33
+
+
+@given(brackets)
+@example("{{{x}}}")
+@example("}}{{")
+@example("}}{{x}}")
+@example("[[a|[[b]]]]")
+@example("[[[a]]]")
+@example("[[a]]]]x[[")
+@example("{{unclosed")
+@example("[[unclosed")
+@example("{{" * DEEP + "}}" * DEEP)
+@example("{{" * (DEEP - 1) + "}}" * (DEEP - 1))
+@example("[[" * DEEP + "x" + "]]" * DEEP)
+@example("[[" * (DEEP - 1) + "x" + "]]" * (DEEP - 1))
+def test_find_scanners_match_character_scanners(text):
+    assert outcome(clean._strip_templates, text) == outcome(reference_strip_templates, text)
+    assert outcome(clean._replace_internal_links, text) == outcome(
+        reference_replace_internal_links, text
+    )
+
+
+@given(messy)
+@example("{{{x}}} and [[a|[[b]]]] }}{{ y")
+def test_clean_markup_matches_character_scanners(text):
+    fast = clean_markup(text)
+    with (
+        mock.patch.object(clean, "_strip_templates", reference_strip_templates),
+        mock.patch.object(clean, "_replace_internal_links", reference_replace_internal_links),
+    ):
+        slow = clean_markup(text)
+    assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{{" * DEEP + "}}" * DEEP, "[[" * DEEP + "x" + "]]" * DEEP, "{{open", "[[open", "a {{b}} {{c"],
+)
+def test_deep_or_unclosed_markup_falls_back(text):
+    result = clean_markup(text)
+    assert result.fallback and result.text == text

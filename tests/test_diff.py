@@ -1,5 +1,8 @@
+import hashlib
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wikitalk.diff as diff_mod
@@ -13,6 +16,7 @@ from wikitalk.diff import (
     apply_diff,
     lcs_diff,
 )
+from wikitalk.synth import gold_fixture_suite
 from wikitalk.tokenizer import tokenize
 
 
@@ -147,3 +151,120 @@ def test_oversized_region_falls_back_to_replace(monkeypatch):
     script = lcs_diff(a, b)
     assert apply_diff(a, script).tokens == b.tokens
     assert script.equal_token_count() == 0
+
+
+def _op_fields(op):
+    if isinstance(op, EqualOp):
+        return ["=", op.old_lo, op.old_hi, op.new_lo, op.new_hi]
+    if isinstance(op, DeleteOp):
+        return ["-", op.old_lo, op.old_hi, op.new_pos]
+    return ["+", op.old_pos, op.new_lo, op.new_hi, op.raw]
+
+
+# sha256 of the edit scripts below as the full-page line prepass produced
+# them, before the prepass learned to split only the changed middle into
+# lines. The trim must not change a single op.
+PINNED_GOLD_SCRIPTS_SHA256 = "3ecd8c70df6400ef8dde3b6cfabd91a9aa8261a44947f9ba80db22c9dd2611d8"
+
+
+@pytest.mark.parametrize("prepass_min_tokens", [0, diff_mod._LINE_PREPASS_MIN_TOKENS])
+def test_gold_suite_scripts_are_pinned(monkeypatch, prepass_min_tokens):
+    monkeypatch.setattr(diff_mod, "_LINE_PREPASS_MIN_TOKENS", prepass_min_tokens)
+    digest = hashlib.sha256()
+    for script in gold_fixture_suite():
+        prev = tokenize("")
+        for rev in script.revision_records():
+            cur = tokenize(rev.wikitext)
+            ops = [_op_fields(op) for op in lcs_diff(prev, cur).ops]
+            digest.update(json.dumps(ops).encode() + b"\n")
+            prev = cur
+    assert digest.hexdigest() == PINNED_GOLD_SCRIPTS_SHA256
+
+
+def reference_diff_with_prepass(a, b):
+    """The line prepass as it was before the trim: every line of both sides
+    goes through the line-level diff."""
+
+    def line_ranges(tokens):
+        ranges, lo = [], 0
+        for i, tok in enumerate(tokens):
+            if tok == "\n":
+                ranges.append((lo, i + 1))
+                lo = i + 1
+        if lo < len(tokens):
+            ranges.append((lo, len(tokens)))
+        return ranges
+
+    a_lines, b_lines = line_ranges(a), line_ranges(b)
+    interned = {}
+    a_ids = [interned.setdefault(tuple(a[lo:hi]), len(interned)) for lo, hi in a_lines]
+    b_ids = [interned.setdefault(tuple(b[lo:hi]), len(interned)) for lo, hi in b_lines]
+
+    def span(lines, end, llo, lhi):
+        if llo >= lhi:
+            pos = lines[llo][0] if llo < len(lines) else end
+            return pos, pos
+        return lines[llo][0], lines[lhi - 1][1]
+
+    out, pend_a, pend_b = [], None, None
+    a_anchor = b_anchor = 0
+
+    def flush():
+        nonlocal pend_a, pend_b
+        if pend_a is None and pend_b is None:
+            return
+        alo, ahi = pend_a or (a_anchor, a_anchor)
+        blo, bhi = pend_b or (b_anchor, b_anchor)
+        if (ahi - alo) + (bhi - blo) > diff_mod._REGION_TOKEN_CAP:
+            if ahi > alo:
+                out.append(("-", alo, ahi, blo, blo))
+            if bhi > blo:
+                out.append(("+", ahi, ahi, blo, bhi))
+        else:
+            diff_mod._myers(a, alo, ahi, b, blo, bhi, out)
+        pend_a = pend_b = None
+
+    for tag, l_alo, l_ahi, l_blo, l_bhi in diff_mod._diff_tokens(a_ids, b_ids):
+        if tag == "=":
+            flush()
+            t_alo, t_ahi = span(a_lines, len(a), l_alo, l_ahi)
+            t_blo, t_bhi = span(b_lines, len(b), l_blo, l_bhi)
+            out.append(("=", t_alo, t_ahi, t_blo, t_bhi))
+            a_anchor, b_anchor = t_ahi, t_bhi
+        elif tag == "-":
+            lo, hi = span(a_lines, len(a), l_alo, l_ahi)
+            pend_a = (pend_a[0], hi) if pend_a else (lo, hi)
+        else:
+            lo, hi = span(b_lines, len(b), l_blo, l_bhi)
+            pend_b = (pend_b[0], hi) if pend_b else (lo, hi)
+    flush()
+    return out
+
+
+line_tokens = st.lists(st.sampled_from(["a", "b", "\n"]), max_size=12)
+
+
+@st.composite
+def shared_middle(draw):
+    """Token lists that share a long middle run, so the common prefix and
+    suffix end on and off line boundaries."""
+    shared = draw(st.lists(st.sampled_from(["a", "b", "\n"]), max_size=40))
+    a = draw(line_tokens) + shared + draw(line_tokens)
+    b = draw(line_tokens) + shared + draw(line_tokens)
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(a)))
+        b = a[:cut] + draw(line_tokens) + a[draw(st.integers(cut, len(a))) :]
+    return a, b
+
+
+@given(shared_middle())
+@settings(max_examples=300)
+@example((["a", "\n", "b"], ["a", "\n", "b"]))
+@example((["a", "\n"], ["a", "\n", "b"]))
+@example((["a", "b"], ["a", "b", "c"]))
+@example((["x", "\n", "a", "\n"], ["y", "a", "\n"]))
+@example((["\n", "a"], ["b", "\n", "a"]))
+@example(([], ["a", "\n"]))
+def test_prepass_trim_matches_full_line_prepass(pair):
+    a, b = pair
+    assert diff_mod._diff_with_prepass(a, b) == reference_diff_with_prepass(a, b)

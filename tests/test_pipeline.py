@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from wikitalk import cli
+from wikitalk import cli, pipeline
 from wikitalk.actions import ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
 from wikitalk.evalharness import write_gold
@@ -81,6 +81,31 @@ def test_page_split_across_dump_fails(tmp_path):
     rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
     assert rc == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pages_are_written_in_numeric_id_order(tmp_path, workers):
+    dump = tmp_path / "order.xml"
+    dump.write_text(
+        '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">\n'
+        + _page_xml(10, 101, 0, "== Ten ==\nfirst comment ~~~~")
+        + _page_xml(9, 91, 1, "== Nine ==\nfirst comment ~~~~")
+        + "</mediawiki>\n"
+    )
+    out = tmp_path / "corpus.jsonl"
+    run_pipeline(PipelineConfig(input_path=dump, output_path=out, workers=workers))
+    with open(out, encoding="utf-8") as fh:
+        page_ids = [a.page_id for a in read_actions(fh)]
+    assert page_ids[0] == "9"
+    assert page_ids == sorted(page_ids, key=int)
+    assert set(page_ids) == {"9", "10"}
+
+
+def test_page_order_key_is_natural():
+    ids = ["tree10", "10", "tree2", "9", "b", "07", "7", "a1"]
+    assert sorted(ids, key=pipeline._page_order_key) == [
+        "07", "7", "9", "10", "a1", "b", "tree2", "tree10"
+    ]
 
 
 def test_worker_count_does_not_change_output(tmp_path):

@@ -154,6 +154,10 @@ def test_detect_restoration_roundtrip():
     assert restored.conversation_id == added.conversation_id
 
 
+def store_texts(store):
+    return [e.text for e in store._entries]
+
+
 def test_store_bound_invariant_through_churn():
     script = PageScript("89", "Talk:Churn")
     t = script.new_thread("Churn with store bounds")
@@ -170,7 +174,7 @@ def test_store_bound_invariant_through_churn():
     for rev in script.revision_records():
         recon.process_revision(state, rev)
         assert len(state.store) <= 100
-        assert all(10 <= len(t_) <= 1000 for t_ in state.store.texts())
+        assert all(10 <= len(t_) <= 1000 for t_ in store_texts(state.store))
 
 
 def test_resync_on_diff_cap(monkeypatch):

@@ -1,11 +1,16 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wikitalk.tokenizer import detokenize, join_fragments, tokenize
-
-wiki_text = st.text(
-    alphabet=st.sampled_from(list("ab =:*[]{}\n\t'~é")), max_size=1000
+from wikitalk.tokenizer import (
+    common_prefix,
+    common_suffix,
+    detokenize,
+    join_fragments,
+    tokenize,
 )
+
+ALPHABET = list("ab =:*[]{}\n\t'~é")
+wiki_text = st.text(alphabet=st.sampled_from(ALPHABET), max_size=1000)
 
 
 def test_empty():
@@ -58,9 +63,121 @@ def test_join_fragments_preserves_token_streams(fragments):
     assert list(joined.tokens) == expected
 
 
+def token_range_for_span(seq, start, end):
+    """Token index range [lo, hi) of tokens fully inside chars [start, end)."""
+    lo = seq.token_at_or_after(start)
+    hi = lo
+    while hi < len(seq.tokens) and seq.offsets[hi][1] <= end:
+        hi += 1
+    return lo, hi
+
+
 def test_char_span_and_token_range():
     seq = tokenize(":see here\nmore")
-    lo, hi = seq.token_range_for_span(0, 9)
+    lo, hi = token_range_for_span(seq, 0, 9)
     assert list(seq.tokens[lo:hi]) == [":", "see", "here"]
     assert seq.char_span(lo, hi) == (0, 9)
     assert seq.char_span(2, 2) == (5, 5)
+
+
+@st.composite
+def edited(draw):
+    """A text and a copy with a few random splices: each replaces a random
+    slice (possibly empty) with random text (possibly empty)."""
+    a = draw(wiki_text)
+    b = a
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(0, len(b)))
+        hi = draw(st.integers(lo, len(b)))
+        b = b[:lo] + draw(st.text(alphabet=st.sampled_from(ALPHABET), max_size=30)) + b[hi:]
+    return a, b
+
+
+def assert_same_tokens(got, want):
+    assert got.text == want.text
+    assert got.tokens == want.tokens
+    assert got.offsets == want.offsets
+    assert got.starts == want.starts and got.ends == want.ends
+
+
+@given(edited())
+@example(("a == b", "a === b"))
+@example(("x ==", "x ==="))
+@example(("== H ==\n:c", "=== H ===\n:c"))
+@example(("a\nb\nc", "a\n\nb\nc"))
+@example(("a\nb", "ab"))
+@example(("ab cd", "ab\ncd"))
+@example(("", "[[x]] y"))
+@example(("[[x]] y", ""))
+@example(("one two\nthree", "{{wholly}} new: text"))
+@example(("aa bb", "aa bb"))
+@example(("ab", "a b"))
+@example(("::x", ":::x"))
+def test_incremental_tokenize_equals_full(pair):
+    a, b = pair
+    prev = tokenize(a)
+    assert_same_tokens(tokenize(b, prev), tokenize(b))
+    assert_same_tokens(tokenize(a, tokenize(b)), prev)
+
+
+def test_incremental_tokenize_reuses_identical_text():
+    prev = tokenize("== h ==\nbody")
+    assert tokenize("== h ==\nbody", prev) is prev
+
+
+def naive_prefix(a, alo, ahi, b, blo, bhi):
+    k = 0
+    while k < min(ahi - alo, bhi - blo) and a[alo + k] == b[blo + k]:
+        k += 1
+    return k
+
+
+def naive_suffix(a, alo, ahi, b, blo, bhi):
+    k = 0
+    while k < min(ahi - alo, bhi - blo) and a[ahi - 1 - k] == b[bhi - 1 - k]:
+        k += 1
+    return k
+
+
+@st.composite
+def windows(draw):
+    """Two token lists that share a long run, and a window into each. The
+    windows often start (or end) at the same place in the shared run, so
+    that long common prefixes and suffixes occur."""
+    tok = st.sampled_from(["a", "b", "\n"])
+    shared = draw(st.lists(tok, max_size=20)) * draw(st.integers(1, 30))
+    head_a, head_b = draw(st.lists(tok, max_size=5)), draw(st.lists(tok, max_size=5))
+    a = head_a + shared + draw(st.lists(tok, max_size=5))
+    b = head_b + shared + draw(st.lists(tok, max_size=5))
+    if draw(st.booleans()):
+        off = draw(st.integers(0, len(shared)))
+        alo, blo = len(head_a) + off, len(head_b) + off
+    else:
+        alo, blo = draw(st.integers(0, len(a))), draw(st.integers(0, len(b)))
+    if draw(st.booleans()):
+        off = draw(st.integers(0, len(shared)))
+        ahi = max(alo, len(head_a) + len(shared) - off)
+        bhi = max(blo, len(head_b) + len(shared) - off)
+    else:
+        ahi, bhi = draw(st.integers(alo, len(a))), draw(st.integers(blo, len(b)))
+    return a, alo, ahi, b, blo, bhi
+
+
+@given(windows())
+def test_common_prefix_and_suffix_match_naive_loop(w):
+    assert common_prefix(*w) == naive_prefix(*w)
+    assert common_suffix(*w) == naive_suffix(*w)
+    a, alo, ahi, b, blo, bhi = w
+    sa, sb = "".join(a), "".join(b)
+    assert common_prefix(sa, alo, ahi, sb, blo, bhi) == naive_prefix(sa, alo, ahi, sb, blo, bhi)
+    assert common_suffix(sa, alo, ahi, sb, blo, bhi) == naive_suffix(sa, alo, ahi, sb, blo, bhi)
+
+
+def test_common_prefix_long_windows():
+    a = ["x"] * 1000
+    for cut in (0, 15, 16, 17, 500, 999):
+        b = a[:cut] + ["y"] + a[cut + 1 :]
+        assert common_prefix(a, 0, 1000, b, 0, 1000) == cut
+        assert common_suffix(a, 0, 1000, b, 0, 1000) == 999 - cut
+    assert common_prefix(a, 0, 1000, a, 0, 1000) == 1000
+    assert common_suffix(a, 3, 1000, a, 0, 1000) == 997
