@@ -10,7 +10,6 @@ following parent chains back to the action that created each comment.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -279,34 +278,3 @@ def parse_horizon(text: str) -> timedelta:
     if len(text) < 2 or text[-1] not in _HORIZON_UNITS or not text[:-1].isdigit():
         raise ValueError(f"bad horizon {text!r}; use forms like 1h, 6h, 1d, 7d, 1y")
     return int(text[:-1]) * _HORIZON_UNITS[text[-1]]
-
-
-def scored_to_record(c: ScoredComment) -> dict:
-    return {
-        "action_id": c.action_id,
-        "toxicity": c.toxicity,
-        "severe_toxicity": c.severe_toxicity,
-        "author": c.author,
-        "created_at": c.created_at.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "deleted_at": c.deleted_at.strftime("%Y-%m-%dT%H:%M:%SZ") if c.deleted_at else None,
-        "deleted_by": c.deleted_by,
-    }
-
-
-def record_to_scored(record: dict) -> ScoredComment:
-    from datetime import timezone
-
-    def parse(ts):
-        if ts is None:
-            return None
-        return datetime.strptime(ts, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
-
-    return ScoredComment(
-        action_id=record["action_id"],
-        toxicity=record["toxicity"],
-        severe_toxicity=record["severe_toxicity"],
-        author=record["author"],
-        created_at=parse(record["created_at"]),
-        deleted_at=parse(record["deleted_at"]),
-        deleted_by=record["deleted_by"],
-    )

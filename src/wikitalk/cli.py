@@ -10,7 +10,7 @@ Subcommands::
     wikitalk analytics deletion-rate --scored F --horizons 1h,1d,7d --subset toxic
 
 Every flag can also be set through an environment variable: the flag name
-upper-snake-cased with a WIKITALK_ prefix (e.g. WIKITALK_WORKERS=8).
+upper-snake-cased with a WIKITALK_ prefix (e.g. WIKITALK_MAX_MEM_REVISIONS=100000).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="rebuild a conversation corpus from a dump")
     rec.add_argument("--input", required=_env("input") is None, default=_env("input"))
     rec.add_argument("--output", required=_env("output") is None, default=_env("output"))
-    rec.add_argument("--workers", type=int, default=int(_env("workers", 1)))
     rec.add_argument(
         "--max-mem-revisions",
         type=int,
@@ -85,7 +84,6 @@ def _cmd_reconstruct(args) -> int:
     config = PipelineConfig(
         input_path=Path(args.input),
         output_path=Path(args.output),
-        workers=args.workers,
         max_in_memory_revisions=args.max_mem_revisions,
         spill_dir=Path(args.spill_dir) if args.spill_dir else None,
         stats_path=Path(args.stats) if args.stats else None,

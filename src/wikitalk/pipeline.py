@@ -1,9 +1,10 @@
 """End-to-end pipeline: dump -> ingest -> sort -> reconstruct -> corpus.
 
-Pages are independent units of work and may be processed by a pool of
-workers; the final corpus is always emitted in canonical order (page_id
-ascending, numbers compared as numbers; within-page action order), so the
-output is byte-identical for any worker count.
+Pages are reconstructed one at a time, in dump order. The corpus is
+emitted in canonical order (page_id ascending, numbers compared as
+numbers; within-page action order), so the output does not depend on the
+order of pages in the dump. It is written to a temporary file beside the
+output and renamed into place only when complete.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -37,7 +39,6 @@ logger = logging.getLogger(__name__)
 class PipelineConfig:
     input_path: Path
     output_path: Path
-    workers: int = 1
     max_in_memory_revisions: int = DEFAULT_MAX_IN_MEMORY
     spill_dir: Optional[Path] = None
     stats_path: Optional[Path] = None
@@ -49,8 +50,6 @@ class PipelineConfig:
             self.spill_dir = Path(self.spill_dir)
         if self.stats_path is not None:
             self.stats_path = Path(self.stats_path)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -59,14 +58,9 @@ class PipelineReport:
     actions_written: int = 0
     ingest: IngestTally = field(default_factory=IngestTally)
     skipped_revisions: int = 0
-    incidents: list[str] = field(default_factory=list)
 
 
-def _process_page(page_revisions: Iterable[RevisionRecord], config: PipelineConfig):
-    budget = SortBudget(
-        max_in_memory_revisions=config.max_in_memory_revisions,
-        spill_directory=config.spill_dir,
-    )
+def _process_page(page_revisions: Iterable[RevisionRecord], budget: SortBudget):
     recon = Reconstructor()
     ordered = sort_revisions(iter(page_revisions), budget, SortStats())
     actions = list(reconstruct_page(ordered, recon))
@@ -98,50 +92,47 @@ def _page_groups(records: Iterable[RevisionRecord]):
         yield page_id, revs
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text sink on a new file beside ``path``, renamed over ``path`` when
+    the block completes and removed when it fails. The file is created with
+    the mode ``open(path, "w")`` would give (0o666 less the umask)."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as sink:
+            yield sink
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
     """Run the full reconstruction; raises on fatal input/output problems."""
     report = PipelineReport()
     if not config.input_path.exists():
         raise FileNotFoundError(f"input dump not found: {config.input_path}")
-    ensure_spill_directory(
-        SortBudget(
-            max_in_memory_revisions=config.max_in_memory_revisions,
-            spill_directory=config.spill_dir,
-        )
+    budget = SortBudget(
+        max_in_memory_revisions=config.max_in_memory_revisions,
+        spill_directory=config.spill_dir,
     )
+    ensure_spill_directory(budget)
 
-    results: dict[str, list] = {}
-    with open(config.input_path, "rb") as stream:
-        records = parse_dump_stream(stream, tally=report.ingest)
-        groups = _page_groups(records)
-        if config.workers == 1:
-            # stream each page group straight into the sorter
-            for page_id, revs in groups:
-                actions, skipped = _process_page(revs, config)
-                results[page_id] = actions
+    # the output is opened before the first page, so an unwritable path
+    # fails before any reconstruction work
+    with _replacing(config.output_path) as sink:
+        results: dict[str, list] = {}
+        with open(config.input_path, "rb") as stream:
+            for page_id, revs in _page_groups(parse_dump_stream(stream, tally=report.ingest)):
+                results[page_id], skipped = _process_page(revs, budget)
                 report.skipped_revisions += skipped
                 report.pages += 1
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    (page_id, pool.submit(_process_page, list(revs), config))
-                    for page_id, revs in groups
-                ]
-                for page_id, future in futures:
-                    actions, skipped = future.result()
-                    results[page_id] = actions
-                    report.skipped_revisions += skipped
-                    report.pages += 1
-
-    all_actions = []
-    for page_id in sorted(results, key=_page_order_key):
-        all_actions.extend(results[page_id])
-
-    with open(config.output_path, "w", encoding="utf-8") as sink:
-        report.actions_written = corpus.write_actions(iter(all_actions), sink)
+        pages = [results[page_id] for page_id in sorted(results, key=_page_order_key)]
+        report.actions_written = corpus.write_actions(itertools.chain.from_iterable(pages), sink)
 
     if config.stats_path is not None:
-        stats = corpus.summarize(iter(all_actions))
+        stats = corpus.summarize(itertools.chain.from_iterable(pages))
         with open(config.stats_path, "w", encoding="utf-8") as fh:
             json.dump(stats.to_dict(), fh, indent=2)
             fh.write("\n")

@@ -287,8 +287,7 @@ class ReconstructionTally:
 
 
 class Reconstructor:
-    def __init__(self, deletion_fraction: float = DELETION_TOKEN_FRACTION):
-        self.deletion_fraction = deletion_fraction
+    def __init__(self):
         self.tally = ReconstructionTally()
 
     # -- id scheme: <revision_id>.<token offset>.<page_id>, bumped
@@ -318,11 +317,6 @@ class Reconstructor:
             return state, []
 
         regions, equal_ops = self._collect_regions(script)
-        if not regions:
-            # content-identical revision (possibly with whitespace drift)
-            self._remap_unchanged(state, new_seq, equal_ops)
-            return state, []
-
         actions = self._decompose(state, rev, new_seq, regions, equal_ops)
         state.tokens = new_seq
         self.tally.actions += len(actions)
@@ -348,17 +342,6 @@ class Reconstructor:
                     regions.append(_Region(insert=op))
                 current = None
         return regions, equals
-
-    def _remap_unchanged(self, state: PageState, new_seq: TokenSequence, equal_ops) -> None:
-        fwd = _ForwardMap(equal_ops)
-        for c in state.live.values():
-            lo, hi = c.tok_range
-            if hi > lo:
-                new_lo, new_last = fwd.get(lo), fwd.get(hi - 1)
-                if new_lo is not None and new_last is not None:
-                    c.tok_range = (new_lo, new_last + 1)
-                    c.span = new_seq.char_span(new_lo, new_last + 1)
-        state.tokens = new_seq
 
     # ------------------------------------------------------------------
 
@@ -433,7 +416,7 @@ class Reconstructor:
         modifications: list[_CommentEdit] = []
         for e in edits.values():
             total = e.comment.tok_range[1] - e.comment.tok_range[0]
-            if not e.has_insert and total and e.deleted_tokens / total >= self.deletion_fraction:
+            if not e.has_insert and total and e.deleted_tokens / total >= DELETION_TOKEN_FRACTION:
                 deletions.append(e)
             else:
                 modifications.append(e)

@@ -288,9 +288,6 @@ class PageScript:
             for r in self.revisions
         ]
 
-    def gold_by_id(self) -> dict[str, GoldAnnotation]:
-        return {g.action_id: g for g in self.gold}
-
     # -- internals ---------------------------------------------------------
 
     def _render_comment(self, text: str, indent: int, sign: bool) -> list[str]:

@@ -233,15 +233,16 @@ def test_criterion_5_external_sort_equivalence(tmp_path):
     _report(5, f"{n}-revision page: external and in-memory corpora byte-identical in {elapsed:.0f}s")
 
 
-def test_criterion_6_worker_determinism(tmp_path):
+def test_criterion_6_dump_order_determinism(tmp_path):
     scripts = gold_fixture_suite()[:10]
-    dump = write_dump(scripts, tmp_path / "dump.xml", shuffle_seed=3)
-    out1 = tmp_path / "w1.jsonl"
-    out8 = tmp_path / "w8.jsonl"
-    run_pipeline(PipelineConfig(input_path=dump, output_path=out1, workers=1))
-    run_pipeline(PipelineConfig(input_path=dump, output_path=out8, workers=8))
-    assert out1.read_bytes() == out8.read_bytes()
-    _report(6, "workers=1 and workers=8 corpora byte-identical")
+    forward = write_dump(scripts, tmp_path / "forward.xml", shuffle_seed=3)
+    backward = write_dump(scripts[::-1], tmp_path / "backward.xml", shuffle_seed=29)
+    out_forward = tmp_path / "forward.jsonl"
+    out_backward = tmp_path / "backward.jsonl"
+    run_pipeline(PipelineConfig(input_path=forward, output_path=out_forward))
+    run_pipeline(PipelineConfig(input_path=backward, output_path=out_backward))
+    assert out_forward.read_bytes() == out_backward.read_bytes()
+    _report(6, "pages and revisions in two dump orders: corpora byte-identical")
 
 
 def test_criterion_7_eer_oracle():

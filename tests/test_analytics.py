@@ -18,9 +18,7 @@ from wikitalk.analytics import (
     deletion_rate,
     equal_error_threshold,
     parse_horizon,
-    record_to_scored,
     score_comments,
-    scored_to_record,
 )
 from wikitalk.reconstruct import reconstruct_page
 from wikitalk.synth import figure_walkthrough_script
@@ -229,11 +227,6 @@ def test_parse_horizon():
     assert [parse_horizon(h) for h in DEFAULT_HORIZONS] == sorted(
         parse_horizon(h) for h in DEFAULT_HORIZONS
     )
-
-
-def test_scored_record_round_trip():
-    original = _comment(5, toxicity=0.25, deleted_after=timedelta(hours=3))
-    assert record_to_scored(scored_to_record(original)) == original
 
 
 class FlakyTransport:

@@ -1,9 +1,11 @@
 import json
+import os
+import stat
 from collections import Counter
 
 import pytest
 
-from wikitalk import cli, pipeline
+from wikitalk import cli, corpus, pipeline
 from wikitalk.actions import ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
 from wikitalk.evalharness import write_gold
@@ -49,12 +51,22 @@ def test_missing_input_fails(tmp_path):
     assert rc == 1
 
 
-def test_unwritable_output_fails(tmp_path):
+def test_unwritable_output_fails(tmp_path, monkeypatch):
+    """An unwritable output fails the run before any page is reconstructed."""
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    calls = []
+    original = pipeline._process_page
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "_process_page", counting)
     rc = cli.main(
         ["reconstruct", "--input", str(dump), "--output", str(tmp_path / "no-dir" / "o.jsonl")]
     )
     assert rc == 1
+    assert calls == []
 
 
 def _page_xml(page_id, rev_id, minute, text):
@@ -83,8 +95,7 @@ def test_page_split_across_dump_fails(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pages_are_written_in_numeric_id_order(tmp_path, workers):
+def test_pages_are_written_in_numeric_id_order(tmp_path):
     dump = tmp_path / "order.xml"
     dump.write_text(
         '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">\n'
@@ -93,7 +104,7 @@ def test_pages_are_written_in_numeric_id_order(tmp_path, workers):
         + "</mediawiki>\n"
     )
     out = tmp_path / "corpus.jsonl"
-    run_pipeline(PipelineConfig(input_path=dump, output_path=out, workers=workers))
+    run_pipeline(PipelineConfig(input_path=dump, output_path=out))
     with open(out, encoding="utf-8") as fh:
         page_ids = [a.page_id for a in read_actions(fh)]
     assert page_ids[0] == "9"
@@ -108,14 +119,57 @@ def test_page_order_key_is_natural():
     ]
 
 
-def test_worker_count_does_not_change_output(tmp_path):
+def test_dump_order_does_not_change_output(tmp_path):
     scripts = gold_fixture_suite()[:8]
-    dump = write_dump(scripts, tmp_path / "dump.xml", shuffle_seed=5)
-    out1 = tmp_path / "w1.jsonl"
-    out8 = tmp_path / "w8.jsonl"
-    run_pipeline(PipelineConfig(input_path=dump, output_path=out1, workers=1))
-    run_pipeline(PipelineConfig(input_path=dump, output_path=out8, workers=8))
-    assert out1.read_bytes() == out8.read_bytes()
+    forward = write_dump(scripts, tmp_path / "forward.xml", shuffle_seed=5)
+    backward = write_dump(scripts[::-1], tmp_path / "backward.xml", shuffle_seed=17)
+    out_forward = tmp_path / "forward.jsonl"
+    out_backward = tmp_path / "backward.jsonl"
+    run_pipeline(PipelineConfig(input_path=forward, output_path=out_forward))
+    run_pipeline(PipelineConfig(input_path=backward, output_path=out_backward))
+    assert forward.read_bytes() != backward.read_bytes()
+    assert out_forward.read_bytes() == out_backward.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "owner, name, error",
+    [(pipeline, "_process_page", OSError), (corpus, "serialize_action", corpus.CorpusWriteError)],
+    ids=["second-page", "second-action"],
+)
+def test_failed_run_keeps_old_output(tmp_path, monkeypatch, owner, name, error):
+    """A run that fails reconstructing a page, or part-way through writing
+    the corpus, leaves the old output as it was and no temporary file."""
+    dump = write_dump(gold_fixture_suite()[:3], tmp_path / "dump.xml")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "corpus.jsonl"
+    out.write_bytes(b"old corpus\n")
+    calls = []
+    original = getattr(owner, name)
+
+    def fail_on_second_call(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("no space left")
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, fail_on_second_call)
+    with pytest.raises(error, match="no space left"):
+        run_pipeline(PipelineConfig(input_path=dump, output_path=out))
+    assert len(calls) == 2
+    assert out.read_bytes() == b"old corpus\n"
+    assert [p.name for p in out_dir.iterdir()] == ["corpus.jsonl"]
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    out = tmp_path / "corpus.jsonl"
+    old_umask = os.umask(0o027)
+    try:
+        run_pipeline(PipelineConfig(input_path=dump, output_path=out))
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
 
 
 def test_stats_output(tmp_path):
@@ -135,7 +189,11 @@ def test_stats_output(tmp_path):
 def test_env_var_overrides_flag_default(tmp_path, monkeypatch):
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     out = tmp_path / "corpus.jsonl"
-    monkeypatch.setenv("WIKITALK_WORKERS", "4")
+    monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "1")
+    rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "2")
     rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
     assert rc == 0
     assert out.exists()
