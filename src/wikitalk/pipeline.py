@@ -3,8 +3,9 @@
 Pages are reconstructed one at a time, in dump order. The corpus is
 emitted in canonical order (page_id ascending, numbers compared as
 numbers; within-page action order), so the output does not depend on the
-order of pages in the dump. It is written to a temporary file beside the
-output and renamed into place only when complete.
+order of pages in the dump. It and the ``--stats`` summary are written to
+temporary files beside their outputs and renamed into place only when
+complete.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import logging
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -119,9 +120,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     )
     ensure_spill_directory(budget)
 
-    # the output is opened before the first page, so an unwritable path
-    # fails before any reconstruction work
-    with _replacing(config.output_path) as sink:
+    # the output and the stats file are opened before the first page, so an
+    # unwritable path fails before any reconstruction work
+    stats_file = _replacing(config.stats_path) if config.stats_path is not None else nullcontext()
+    with _replacing(config.output_path) as sink, stats_file as stats_sink:
         results: dict[str, list] = {}
         with open(config.input_path, "rb") as stream:
             for page_id, revs in _page_groups(parse_dump_stream(stream, tally=report.ingest)):
@@ -130,12 +132,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
                 report.pages += 1
         pages = [results[page_id] for page_id in sorted(results, key=_page_order_key)]
         report.actions_written = corpus.write_actions(itertools.chain.from_iterable(pages), sink)
-
-    if config.stats_path is not None:
-        stats = corpus.summarize(itertools.chain.from_iterable(pages))
-        with open(config.stats_path, "w", encoding="utf-8") as fh:
-            json.dump(stats.to_dict(), fh, indent=2)
-            fh.write("\n")
+        if stats_sink is not None:
+            stats = corpus.summarize(itertools.chain.from_iterable(pages))
+            json.dump(stats.to_dict(), stats_sink, indent=2)
+            stats_sink.write("\n")
 
     return report
 
@@ -144,7 +144,9 @@ def run_pipeline_cli(config: PipelineConfig) -> int:
     """CLI wrapper: returns a process exit status instead of raising."""
     try:
         report = run_pipeline(config)
-    except (DumpFormatError, SpillDirectoryError, OSError, ValueError) as exc:
+    except (
+        DumpFormatError, SpillDirectoryError, corpus.CorpusWriteError, OSError, ValueError
+    ) as exc:
         logger.error("pipeline failed: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

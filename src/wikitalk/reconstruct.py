@@ -70,19 +70,26 @@ class PageState:
     page_id: str
     page_title: str
     tokens: TokenSequence = field(default_factory=lambda: tokenize(""))
-    live: dict[str, LiveComment] = field(default_factory=dict)
+    # in document order: a diff keeps the order of the tokens it keeps
+    live: list[LiveComment] = field(default_factory=list)
     store: DeletedCommentStore = field(default_factory=DeletedCommentStore)
     root_creation_id: Optional[str] = None
     incidents: list[str] = field(default_factory=list)
     _seen_action_ids: set[str] = field(default_factory=set)
 
-    def live_in_order(self) -> list[LiveComment]:
-        return sorted(self.live.values(), key=lambda c: c.span[0])
+
+def _span_start(c: LiveComment) -> int:
+    return c.span[0]
+
+
+def _tok_start(c: LiveComment) -> int:
+    return c.tok_range[0]
 
 
 @dataclass
 class Segment:
-    """One atomic piece of inserted text: a heading or one comment."""
+    """One atomic piece of inserted text: a heading (indentation -1) or one
+    comment."""
 
     tok_lo: int
     tok_hi: int
@@ -97,21 +104,18 @@ def _new_comment(
     action_id: str,
     seg: Segment,
     cleaned: str,
-    *,
-    indentation: int,
     conversation_id: str,
     replyto_id: Optional[str],
-    is_heading: bool,
 ) -> LiveComment:
     return LiveComment(
         comment_id=action_id,
         last_action_id=action_id,
         span=(seg.char_lo, seg.char_hi),
         tok_range=(seg.tok_lo, seg.tok_hi),
-        indentation=indentation,
+        indentation=seg.indentation,
         conversation_id=conversation_id,
         replyto_id=replyto_id,
-        is_heading=is_heading,
+        is_heading=seg.is_heading,
         cleaned_text=cleaned,
     )
 
@@ -140,86 +144,53 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
     not start at a line break inherits the indentation of the line it lands
     on. Blank lines separate segments and belong to none.
     """
-    text = seq.text
-
-    # Group the token range into lines: (content token indices, ends_line)
-    lines: list[list[int]] = []
-    current: list[int] = []
-    for i in range(tok_lo, tok_hi):
-        current.append(i)
-        if seq.tokens[i] == "\n":
-            lines.append(current)
-            current = []
-    if current:
-        lines.append(current)
-
+    text, tokens = seq.text, seq.tokens
     segments: list[Segment] = []
-    open_seg: Optional[dict] = None
+    open_seg: Optional[list[int]] = None  # [tok_lo, tok_hi, indent] of a comment
     prev_signed = False
 
-    def close():
+    def add(lo: int, hi: int, indent: int) -> None:
+        char_lo, char_hi = seq.char_span(lo, hi)
+        segments.append(
+            Segment(lo, hi, char_lo, char_hi, indent, indent < 0, text[char_lo:char_hi])
+        )
+
+    def close() -> None:
         nonlocal open_seg
         if open_seg is not None:
-            lo, hi = open_seg["tok_lo"], open_seg["tok_hi"]
-            char_lo, char_hi = seq.char_span(lo, hi)
-            segments.append(
-                Segment(
-                    tok_lo=lo,
-                    tok_hi=hi,
-                    char_lo=char_lo,
-                    char_hi=char_hi,
-                    indentation=open_seg["indent"],
-                    is_heading=open_seg["is_heading"],
-                    raw=text[char_lo:char_hi],
-                )
-            )
+            add(*open_seg)
             open_seg = None
 
-    for line_tokens in lines:
-        content = [i for i in line_tokens if seq.tokens[i] != "\n"]
-        if not content:
+    lo = tok_lo
+    while lo < tok_hi:
+        try:  # the line's content tokens are [lo, hi)
+            hi = tokens.index("\n", lo, tok_hi)
+        except ValueError:
+            hi = tok_hi
+        if lo == hi:
             close()
             prev_signed = False
-            continue
-        first_char = seq.starts[content[0]]
-        line_start = text.rfind("\n", 0, first_char) + 1
-        line_end = text.find("\n", first_char)
-        if line_end == -1:
-            line_end = len(text)
-        line_text = text[line_start:line_end]
-
-        if _is_heading_line(line_text):
-            close()
-            lo, hi = content[0], content[-1] + 1
-            char_lo, char_hi = seq.char_span(lo, hi)
-            segments.append(
-                Segment(
-                    tok_lo=lo,
-                    tok_hi=hi,
-                    char_lo=char_lo,
-                    char_hi=char_hi,
-                    indentation=-1,
-                    is_heading=True,
-                    raw=text[char_lo:char_hi],
-                )
-            )
-            prev_signed = False
-            continue
-
-        indent = _line_indentation(line_text)
-        signed = bool(_SIGNATURE_END_RE.search(line_text))
-        if open_seg is not None and (open_seg["indent"] != indent or prev_signed):
-            close()
-        if open_seg is None:
-            open_seg = {
-                "tok_lo": content[0],
-                "tok_hi": content[-1] + 1,
-                "indent": indent,
-                "is_heading": False,
-            }
         else:
-            open_seg["tok_hi"] = content[-1] + 1
-        prev_signed = signed
+            first_char = seq.starts[lo]
+            line_start = text.rfind("\n", 0, first_char) + 1
+            line_end = text.find("\n", first_char)
+            if line_end == -1:
+                line_end = len(text)
+            line_text = text[line_start:line_end]
+            if _is_heading_line(line_text):
+                close()
+                add(lo, hi, -1)
+                prev_signed = False
+            else:
+                indent = _line_indentation(line_text)
+                if open_seg is not None and (open_seg[2] != indent or prev_signed):
+                    close()
+                if open_seg is None:
+                    open_seg = [lo, hi, indent]
+                else:
+                    open_seg[1] = hi
+                prev_signed = bool(_SIGNATURE_END_RE.search(line_text))
+        lo = hi + 1
     close()
     return segments
 
@@ -231,7 +202,7 @@ class _Region:
 
     delete: Optional[DeleteOp] = None
     insert: Optional[InsertOp] = None
-    attach_id: Optional[str] = None  # comment the insert edits, when any
+    attach: Optional[LiveComment] = None  # comment the insert edits, when any
 
 
 @dataclass
@@ -281,8 +252,6 @@ class _ForwardMap:
 
 @dataclass
 class ReconstructionTally:
-    revisions: int = 0
-    actions: int = 0
     skipped_revisions: int = 0
 
 
@@ -303,7 +272,6 @@ class Reconstructor:
 
     def process_revision(self, state: PageState, rev: RevisionRecord) -> tuple[PageState, list[Action]]:
         """Advance the page state by one revision, returning emitted actions."""
-        self.tally.revisions += 1
         old_seq = state.tokens
         new_seq = tokenize(rev.wikitext, old_seq)
         try:
@@ -319,7 +287,6 @@ class Reconstructor:
         regions, equal_ops = self._collect_regions(script)
         actions = self._decompose(state, rev, new_seq, regions, equal_ops)
         state.tokens = new_seq
-        self.tally.actions += len(actions)
         return state, actions
 
     # ------------------------------------------------------------------
@@ -355,8 +322,7 @@ class Reconstructor:
     ) -> list[Action]:
         old_seq = state.tokens
         fwd = _ForwardMap(equal_ops)
-        comments = state.live_in_order()
-        starts = [c.tok_range[0] for c in comments]
+        live = state.live
 
         edits: dict[str, _CommentEdit] = {}
 
@@ -370,10 +336,8 @@ class Reconstructor:
             if region.delete is None:
                 continue
             dlo, dhi = region.delete.old_lo, region.delete.old_hi
-            idx = bisect.bisect_right(starts, dlo) - 1
-            if idx < 0:
-                idx = 0
-            for c in comments[idx:]:
+            idx = max(bisect.bisect_right(live, dlo, key=_tok_start) - 1, 0)
+            for c in live[idx:]:
                 clo, chi = c.tok_range
                 if clo >= dhi:
                     break
@@ -385,8 +349,8 @@ class Reconstructor:
                 if e.first_delete_new_pos is None:
                     e.first_delete_new_pos = region.delete.new_pos
                 fully_covered = dlo <= clo and dhi >= chi
-                if region.insert is not None and not fully_covered and region.attach_id is None:
-                    region.attach_id = c.comment_id
+                if region.insert is not None and not fully_covered and region.attach is None:
+                    region.attach = c
 
         # 2. attribute inserts: edits of existing comments vs new segments
         standalone: list[InsertOp] = []
@@ -394,16 +358,13 @@ class Reconstructor:
             if region.insert is None:
                 continue
             ins = region.insert
-            target: Optional[LiveComment] = None
-            if region.attach_id is not None:
-                target = state.live[region.attach_id]
-            else:
-                idx = bisect.bisect_right(starts, ins.old_pos) - 1
-                if 0 <= idx < len(comments):
-                    c = comments[idx]
-                    clo, chi = c.tok_range
+            target = region.attach
+            if target is None:
+                idx = bisect.bisect_right(live, ins.old_pos, key=_tok_start) - 1
+                if idx >= 0:
+                    clo, chi = live[idx].tok_range
                     if clo < ins.old_pos < chi:
-                        target = c
+                        target = live[idx]
             if target is not None:
                 e = edit_for(target)
                 e.has_insert = True
@@ -420,13 +381,12 @@ class Reconstructor:
                 deletions.append(e)
             else:
                 modifications.append(e)
-
-        deleted_ids = {e.comment.comment_id for e in deletions}
+        if deletions:
+            deleted_ids = {e.comment.comment_id for e in deletions}
+            live = state.live = [c for c in live if c.comment_id not in deleted_ids]
 
         # 4. recompute spans of surviving comments in the new token space
-        for c in comments:
-            if c.comment_id in deleted_ids:
-                continue
+        for c in live:
             lo, hi = c.tok_range
             e = edits.get(c.comment_id)
             if e is None:
@@ -461,13 +421,9 @@ class Reconstructor:
                 pending.append(((seg.char_lo, 1, seg.char_lo), "segment", seg))
         pending.sort(key=lambda item: item[0])
 
-        # 6. emit, maintaining an ordered view of live comments for reply
-        # resolution (surviving comments now carry new-space spans)
+        # 6. emit; new segments join the live list as they go, so later ones
+        # can reply to them
         actions: list[Action] = []
-        ordered: list[LiveComment] = sorted(
-            (c for c in state.live.values() if c.comment_id not in deleted_ids),
-            key=lambda c: c.span[0],
-        )
         bump = len(new_seq) + len(old_seq) + 1
 
         for (pos, _, _), kind, payload in pending:
@@ -500,7 +456,6 @@ class Reconstructor:
                         is_heading=c.is_heading,
                     )
                 )
-                del state.live[c.comment_id]
             elif kind == "modify":
                 e = payload
                 c = e.comment
@@ -529,10 +484,8 @@ class Reconstructor:
                 c.last_action_id = action_id
                 c.cleaned_text = cleaned
             else:
-                seg: Segment = payload
-                action = self._emit_segment(state, rev, seg, ordered, bump, actions)
-                if action is not None:
-                    actions.append(action)
+                action = self._emit_segment(state, rev, payload, bump, actions)
+                actions.append(action)
 
         return actions
 
@@ -561,9 +514,9 @@ class Reconstructor:
             )
         return state.root_creation_id
 
-    def _resolve_thread(self, ordered: list[LiveComment], char_pos: int) -> Optional[LiveComment]:
+    def _resolve_thread(self, live: list[LiveComment], char_pos: int) -> Optional[LiveComment]:
         best = None
-        for c in ordered:
+        for c in live:
             if c.span[0] >= char_pos:
                 break
             if c.is_heading:
@@ -572,13 +525,13 @@ class Reconstructor:
 
     def _resolve_reply(
         self,
-        ordered: list[LiveComment],
+        live: list[LiveComment],
         char_pos: int,
         indent: int,
         conversation_id: str,
     ) -> Optional[str]:
         fallback = None
-        for c in reversed(ordered):
+        for c in reversed(live):
             if c.span[0] >= char_pos:
                 continue
             if c.conversation_id != conversation_id:
@@ -594,101 +547,38 @@ class Reconstructor:
         state: PageState,
         rev: RevisionRecord,
         seg: Segment,
-        ordered: list[LiveComment],
         bump: int,
         actions: list[Action],
-    ) -> Optional[Action]:
-        cleaned = clean_markup(seg.raw).text
-
-        if seg.is_heading:
-            entry = state.store.match(cleaned)
-            if entry is not None and entry.is_heading:
-                state.store.take(cleaned)
-                return self._register_segment(
-                    state, rev, seg, ordered, bump,
-                    a_type=ActionType.RESTORATION,
-                    cleaned=cleaned,
-                    conversation_id=entry.conversation_id,
-                    replyto_id=None,
-                    parent_id=entry.last_action_id,
-                    indentation=-1,
-                    is_heading=True,
-                )
-            return self._register_segment(
-                state, rev, seg, ordered, bump,
-                a_type=ActionType.CREATION,
-                cleaned=cleaned,
-                conversation_id=None,
-                replyto_id=None,
-                parent_id=None,
-                indentation=-1,
-                is_heading=True,
-            )
-
-        entry = state.store.match(cleaned)
-        if entry is not None and not entry.is_heading:
-            state.store.take(cleaned)
-            return self._register_segment(
-                state, rev, seg, ordered, bump,
-                a_type=ActionType.RESTORATION,
-                cleaned=cleaned,
-                conversation_id=entry.conversation_id,
-                replyto_id=entry.replyto_id,
-                parent_id=entry.last_action_id,
-                indentation=seg.indentation,
-                is_heading=False,
-            )
-
-        thread = self._resolve_thread(ordered, seg.char_lo)
-        if thread is None:
-            conversation_id = self._ensure_root(state, rev, actions)
-        else:
-            conversation_id = thread.conversation_id
-        replyto = self._resolve_reply(ordered, seg.char_lo, seg.indentation, conversation_id)
-        if replyto is None:
-            replyto = conversation_id
-        return self._register_segment(
-            state, rev, seg, ordered, bump,
-            a_type=ActionType.ADDITION,
-            cleaned=cleaned,
-            conversation_id=conversation_id,
-            replyto_id=replyto,
-            parent_id=None,
-            indentation=seg.indentation,
-            is_heading=False,
-        )
-
-    def _register_segment(
-        self,
-        state: PageState,
-        rev: RevisionRecord,
-        seg: Segment,
-        ordered: list[LiveComment],
-        bump: int,
-        *,
-        a_type: ActionType,
-        cleaned: str,
-        conversation_id: Optional[str],
-        replyto_id: Optional[str],
-        parent_id: Optional[str],
-        indentation: int,
-        is_heading: bool,
     ) -> Action:
-        """Add ``seg`` as a live comment and return the action that made it.
-        A ``conversation_id`` of None opens a thread named by the new id."""
+        """Add ``seg`` as a live comment and return the action that made it:
+        a RESTORATION of a stored deleted comment of the same kind, else a
+        CREATION (opening a thread named by the new id) or an ADDITION."""
+        cleaned = clean_markup(seg.raw).text
+        entry = state.store.match(cleaned)
+        parent_id = None
+        if entry is not None and entry.is_heading == seg.is_heading:
+            state.store.take(cleaned)
+            a_type = ActionType.RESTORATION
+            conversation_id, replyto_id = entry.conversation_id, entry.replyto_id
+            parent_id = entry.last_action_id
+        elif seg.is_heading:
+            a_type = ActionType.CREATION
+            conversation_id = replyto_id = None
+        else:
+            a_type = ActionType.ADDITION
+            thread = self._resolve_thread(state.live, seg.char_lo)
+            if thread is None:
+                conversation_id = self._ensure_root(state, rev, actions)
+            else:
+                conversation_id = thread.conversation_id
+            replyto_id = self._resolve_reply(
+                state.live, seg.char_lo, seg.indentation, conversation_id
+            ) or conversation_id
+
         action_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, bump)
         conversation_id = conversation_id or action_id
-        comment = _new_comment(
-            action_id,
-            seg,
-            cleaned,
-            indentation=indentation,
-            conversation_id=conversation_id,
-            replyto_id=replyto_id,
-            is_heading=is_heading,
-        )
-        state.live[action_id] = comment
-        bisect.insort(ordered, comment, key=lambda c: c.span[0])
+        comment = _new_comment(action_id, seg, cleaned, conversation_id, replyto_id)
+        bisect.insort(state.live, comment, key=_span_start)
         return _new_action(
             state,
             rev,
@@ -698,7 +588,7 @@ class Reconstructor:
             raw_markup=seg.raw,
             replyto_id=replyto_id,
             parent_id=parent_id,
-            indentation=indentation,
+            indentation=seg.indentation,
             conversation_id=conversation_id,
             char_span=(seg.char_lo, seg.char_hi),
         )
@@ -708,37 +598,21 @@ class Reconstructor:
     def _resync(self, state: PageState, rev: RevisionRecord, new_seq: TokenSequence) -> None:
         """Treat the new revision as ground truth: rebuild live comments from
         its full text without emitting actions."""
-        state.live = {}
+        state.live = []
         state.tokens = new_seq
-        ordered: list[LiveComment] = []
-        current_heading: Optional[LiveComment] = None
+        thread_id: Optional[str] = None  # the id of the heading above
         for seg in segment_text(new_seq, 0, len(new_seq)):
             seg_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, len(new_seq) + 1)
             cleaned = clean_markup(seg.raw).text
             if seg.is_heading:
-                comment = _new_comment(
-                    seg_id,
-                    seg,
-                    cleaned,
-                    indentation=-1,
-                    conversation_id=seg_id,
-                    replyto_id=None,
-                    is_heading=True,
-                )
-                current_heading = comment
-            else:
-                conv = current_heading.conversation_id if current_heading else seg_id
-                comment = _new_comment(
-                    seg_id,
-                    seg,
-                    cleaned,
-                    indentation=seg.indentation,
-                    conversation_id=conv,
-                    replyto_id=self._resolve_reply(ordered, seg.char_lo, seg.indentation, conv),
-                    is_heading=False,
-                )
-            state.live[seg_id] = comment
-            ordered.append(comment)
+                thread_id = seg_id
+            conv = thread_id or seg_id
+            replyto_id = (
+                None
+                if seg.is_heading
+                else self._resolve_reply(state.live, seg.char_lo, seg.indentation, conv)
+            )
+            state.live.append(_new_comment(seg_id, seg, cleaned, conv, replyto_id))
 
 
 def reconstruct_page(

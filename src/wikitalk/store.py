@@ -1,10 +1,10 @@
 """Bounded FIFO store of recently deleted comments.
 
 Restorations are detected by exact text match against this store. Only
-texts between the configured length bounds are kept: the lower bound stops
-short boilerplate ("Thanks!") from reading as a restoration, the upper
-bound keeps very long deletions from pinning memory. Beyond the capacity
-the oldest entry is evicted first.
+texts from ``MIN_CHARS`` to ``MAX_CHARS`` long are kept: the lower bound
+stops short boilerplate ("Thanks!") from reading as a restoration, the
+upper bound keeps very long deletions from pinning memory. Beyond
+``CAPACITY`` entries the oldest is evicted first.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-DEFAULT_CAPACITY = 100
-DEFAULT_MIN_CHARS = 10
-DEFAULT_MAX_CHARS = 1000
+CAPACITY = 100
+MIN_CHARS = 10
+MAX_CHARS = 1000
 
 
 @dataclass
@@ -29,16 +29,13 @@ class DeletedEntry:
 
 @dataclass
 class DeletedCommentStore:
-    capacity: int = DEFAULT_CAPACITY
-    min_chars: int = DEFAULT_MIN_CHARS
-    max_chars: int = DEFAULT_MAX_CHARS
     _entries: list[DeletedEntry] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def accepts(self, text: str) -> bool:
-        return self.min_chars <= len(text) <= self.max_chars
+        return MIN_CHARS <= len(text) <= MAX_CHARS
 
     def push(self, entry: DeletedEntry) -> bool:
         """Store an entry if its text is within bounds; evict FIFO beyond
@@ -46,7 +43,7 @@ class DeletedCommentStore:
         if not self.accepts(entry.text):
             return False
         self._entries.append(entry)
-        while len(self._entries) > self.capacity:
+        while len(self._entries) > CAPACITY:
             self._remove(self._entries[0])
         return True
 

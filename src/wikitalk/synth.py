@@ -25,7 +25,7 @@ from wikitalk.actions import ActionType
 from wikitalk.clean import clean_markup
 from wikitalk.evalharness import GoldAnnotation
 from wikitalk.ingest import RevisionRecord
-from wikitalk.store import DEFAULT_CAPACITY, DEFAULT_MAX_CHARS, DEFAULT_MIN_CHARS
+from wikitalk.store import CAPACITY, MAX_CHARS, MIN_CHARS
 from wikitalk.tokenizer import tokenize
 
 BASE_TIME = datetime(2018, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -78,7 +78,6 @@ class PageScript:
         self.blocks: list[Block] = []
         self.revisions: list[Revision] = []
         self.gold: list[GoldAnnotation] = []
-        self.expected_types: list[tuple[str, ActionType]] = []
         self.root_creation_id: Optional[str] = None
         self._pending: list[_PendingOp] = []
         self._store_model: list[tuple[str, Block]] = []
@@ -127,11 +126,11 @@ class PageScript:
         )
         block.alive = False
         cleaned = clean_markup(block.text).text
-        if DEFAULT_MIN_CHARS <= len(cleaned) <= DEFAULT_MAX_CHARS:
+        if MIN_CHARS <= len(cleaned) <= MAX_CHARS:
             # the store keeps the last pre-deletion action: restorations
             # return to that state
             self._store_model.append((cleaned, block, block.last_id))
-            while len(self._store_model) > DEFAULT_CAPACITY:
+            while len(self._store_model) > CAPACITY:
                 self._store_model.pop(0)
         self._pending.append(op)
 
@@ -212,7 +211,6 @@ class PageScript:
                         gold_parent=op.parent_gold,
                     )
                 )
-                self.expected_types.append((action_id, ActionType.DELETION))
                 block.last_id = action_id
                 continue
 
@@ -223,7 +221,6 @@ class PageScript:
                 block.first_id = block.last_id = action_id
                 block.conversation_id = action_id
                 gold = GoldAnnotation(action_id, ActionType.CREATION, span, None, None)
-                a_type = ActionType.CREATION
             elif op.kind == "addition":
                 if op.predict_replyto:
                     block.conversation_id = self._enclosing_conversation(block)
@@ -239,21 +236,17 @@ class PageScript:
                 gold = GoldAnnotation(
                     action_id, ActionType.ADDITION, span, block.replyto_gold, None
                 )
-                a_type = ActionType.ADDITION
             elif op.kind == "modification":
                 gold = GoldAnnotation(
                     action_id, ActionType.MODIFICATION, span, block.replyto_gold, op.parent_gold
                 )
                 block.last_id = action_id
-                a_type = ActionType.MODIFICATION
             else:  # restoration
                 gold = GoldAnnotation(
                     action_id, ActionType.RESTORATION, span, block.replyto_gold, op.parent_gold
                 )
                 block.last_id = action_id
-                a_type = ActionType.RESTORATION
             self.gold.append(gold)
-            self.expected_types.append((action_id, a_type))
 
         self._pending = []
         self._last_offsets = new_offsets
@@ -349,7 +342,6 @@ class PageScript:
             root_id = f"{rev_id}.-1.{self.page_id}"
             self.root_creation_id = root_id
             self.gold.append(GoldAnnotation(root_id, ActionType.CREATION, (0, 0), None, None))
-            self.expected_types.append((root_id, ActionType.CREATION))
         return self.root_creation_id
 
     def _current_offsets(self) -> dict[int, tuple[int, int]]:

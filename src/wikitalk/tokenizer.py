@@ -167,18 +167,6 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
     return TokenSequence(text, head + tuple(mid), starts, ends)
 
 
-def detokenize(seq: TokenSequence) -> str:
-    """Rebuild the source text from tokens plus the gaps recorded in offsets."""
-    parts = []
-    pos = 0
-    for tok, start, end in zip(seq.tokens, seq.starts, seq.ends):
-        parts.append(seq.text[pos:start])
-        parts.append(tok)
-        pos = end
-    parts.append(seq.text[pos:])
-    return "".join(parts)
-
-
 def join_fragments(fragments: list[str]) -> str:
     """Concatenate text fragments, padding joins so tokens never merge.
 

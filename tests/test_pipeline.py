@@ -161,15 +161,66 @@ def test_failed_run_keeps_old_output(tmp_path, monkeypatch, owner, name, error):
     assert [p.name for p in out_dir.iterdir()] == ["corpus.jsonl"]
 
 
+def test_corpus_write_failure_exits_with_error(tmp_path, monkeypatch, capsys):
+    """A corpus write that fails part-way ends the CLI run with an error
+    line and exit status 1, the old output kept and no temporary file."""
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "corpus.jsonl"
+    out.write_bytes(b"old corpus\n")
+    calls = []
+    original = corpus.serialize_action
+
+    def fail_on_second_call(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return original(*args)
+
+    monkeypatch.setattr(corpus, "serialize_action", fail_on_second_call)
+    rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
+    assert rc == 1
+    assert "error: write failed after 1 actions" in capsys.readouterr().err
+    assert out.read_bytes() == b"old corpus\n"
+    assert [p.name for p in out_dir.iterdir()] == ["corpus.jsonl"]
+
+
+def test_unwritable_stats_fails_before_any_page(tmp_path, monkeypatch):
+    """An unwritable ``--stats`` fails the run before any page is
+    reconstructed and leaves no corpus behind."""
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    out = tmp_path / "corpus.jsonl"
+    calls = []
+    original = pipeline._process_page
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "_process_page", counting)
+    rc = cli.main(
+        [
+            "reconstruct", "--input", str(dump), "--output", str(out),
+            "--stats", str(tmp_path / "missing-dir" / "stats.json"),
+        ]
+    )
+    assert rc == 1
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["dump.xml"]
+
+
 def test_output_file_mode_follows_umask(tmp_path):
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     out = tmp_path / "corpus.jsonl"
+    stats_path = tmp_path / "stats.json"
     old_umask = os.umask(0o027)
     try:
-        run_pipeline(PipelineConfig(input_path=dump, output_path=out))
+        run_pipeline(PipelineConfig(input_path=dump, output_path=out, stats_path=stats_path))
     finally:
         os.umask(old_umask)
     assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert stat.S_IMODE(stats_path.stat().st_mode) == 0o640
 
 
 def test_stats_output(tmp_path):

@@ -13,12 +13,22 @@ from wikitalk.synth import PageScript, figure_walkthrough_script, gold_fixture_s
 from wikitalk.tokenizer import tokenize
 
 
+def assert_live_in_document_order(state):
+    """The live comments are listed by position, and no two overlap, in
+    both characters and tokens."""
+    for key in ("span", "tok_range"):
+        ranges = [getattr(c, key) for c in state.live]
+        for (lo, hi), (next_lo, next_hi) in zip(ranges, ranges[1:]):
+            assert lo < hi <= next_lo < next_hi, (key, ranges)
+
+
 def fold(revisions, recon=None):
     recon = recon or Reconstructor()
     state = PageState(page_id=revisions[0].page_id, page_title=revisions[0].page_title)
     actions = []
     for rev in revisions:
         _, acts = recon.process_revision(state, rev)
+        assert_live_in_document_order(state)
         actions.extend(acts)
     return state, actions
 
@@ -48,7 +58,7 @@ def test_whitespace_only_change_no_actions_but_spans_remap():
     second = "==  Topic  ==\nFirst comment.  ~~~~\n"
     state, actions = fold([make_revision(1, first), make_revision(2, second, minutes=5)])
     assert len(actions) == 2
-    for comment in state.live.values():
+    for comment in state.live:
         lo, hi = comment.span
         assert second[lo:hi] == second[lo:hi].strip("\n")
 
@@ -95,11 +105,11 @@ def test_offsets_shift_with_prefix_insertion():
     state, actions = fold(
         [make_revision(1, base), make_revision(2, intro + base, minutes=5)]
     )
-    spans = sorted(c.span for c in state.live.values())
+    spans = sorted(c.span for c in state.live)
     text = intro + base
     # heading and comment shifted by the intro length exactly
     assert (len(intro), len(intro) + len("== Topic ==")) in spans
-    for comment in state.live.values():
+    for comment in state.live:
         lo, hi = comment.span
         extracted = text[lo:hi]
         assert extracted and not extracted.startswith("\n") and not extracted.endswith("\n")
@@ -109,7 +119,7 @@ def test_span_extraction_matches_block_text_through_history():
     for script in gold_fixture_suite()[:8]:
         state, _ = fold(script.revision_records())
         final = script.revisions[-1].text
-        live_texts = sorted(final[c.span[0] : c.span[1]] for c in state.live.values())
+        live_texts = sorted(final[c.span[0] : c.span[1]] for c in state.live)
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected
 
@@ -186,12 +196,13 @@ def test_resync_on_diff_cap(monkeypatch):
     emitted = []
     for rev in revisions:
         _, acts = recon.process_revision(state, rev)
+        assert_live_in_document_order(state)
         emitted.extend(acts)
     assert recon.tally.skipped_revisions >= 1
     assert state.incidents
     # state still tracks the final text faithfully
     final = revisions[-1].wikitext
-    for comment in state.live.values():
+    for comment in state.live:
         lo, hi = comment.span
         assert final[lo:hi]
 
@@ -226,7 +237,7 @@ def test_replay_reproduces_final_live_comments():
                 live.pop(root, None)
                 last_to_root[a.action_id] = root
         state, _ = fold(records)
-        reconstructed = sorted(c.cleaned_text for c in state.live.values())
+        reconstructed = sorted(c.cleaned_text for c in state.live)
         replayed = sorted(live.values())
         assert replayed == reconstructed
 
@@ -241,6 +252,7 @@ def test_insert_partition_covered_by_action_spans():
             new_seq = tokenize(rev.wikitext)
             script_ops = lcs_diff(prev, new_seq)
             _, actions = recon.process_revision(state, rev)
+            assert_live_in_document_order(state)
             spans = [a.char_span for a in actions]
             for op in script_ops.ops:
                 if not isinstance(op, InsertOp):
@@ -320,7 +332,7 @@ def test_randomized_edit_sequences_spans_and_gold():
 
         state, actions = fold(script.revision_records())
         final = script.revisions[-1].text
-        live_texts = sorted(final[c.span[0] : c.span[1]] for c in state.live.values())
+        live_texts = sorted(final[c.span[0] : c.span[1]] for c in state.live)
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected, f"seed {seed}"
         table = score_against_gold(actions, script.gold)

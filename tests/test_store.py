@@ -1,5 +1,6 @@
 import random
 
+from wikitalk import store as store_mod
 from wikitalk.store import DeletedCommentStore, DeletedEntry
 
 
@@ -40,7 +41,7 @@ def test_length_bounds():
 
 
 def test_fifo_eviction_beyond_capacity():
-    store = DeletedCommentStore(capacity=100)
+    store = DeletedCommentStore()
     for i in range(150):
         store.push(entry(f"stored comment number {i:04d}"))
     assert len(store) == 100
@@ -59,9 +60,10 @@ def test_most_recent_duplicate_wins():
     assert store.match("identical deleted text").last_action_id == "old"
 
 
-def test_trie_membership_tracks_entries():
+def test_trie_membership_tracks_entries(monkeypatch):
+    monkeypatch.setattr(store_mod, "CAPACITY", 30)
     rng = random.Random(1)
-    store = DeletedCommentStore(capacity=30)
+    store = DeletedCommentStore()
     alive: list[str] = []
     for step in range(400):
         if alive and rng.random() < 0.4:

