@@ -11,7 +11,7 @@ exception.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 _MAX_NESTING = 32
@@ -36,7 +36,6 @@ class _CleanFailure(Exception):
 class CleanResult:
     text: str
     fallback: bool = False
-    stripped_constructs: dict[str, int] = field(default_factory=dict)
 
 
 def _block_end(text: str, i: int, opener: str, closer: str, max_depth: Optional[int]) -> int:
@@ -62,7 +61,7 @@ def _block_end(text: str, i: int, opener: str, closer: str, max_depth: Optional[
             close = text.find(closer, close + 2)
 
 
-def _strip_templates(text: str, counts: dict[str, int]) -> str:
+def _strip_templates(text: str) -> str:
     """Remove {{...}} blocks, tracking nesting. Unclosed openers fail."""
     i = text.find("{{")
     if i == -1:
@@ -72,13 +71,12 @@ def _strip_templates(text: str, counts: dict[str, int]) -> str:
     while i != -1:
         out.append(text[pos:i])
         pos = _block_end(text, i, "{{", "}}", _MAX_NESTING)
-        counts["templates"] = counts.get("templates", 0) + 1
         i = text.find("{{", pos)
     out.append(text[pos:])
     return "".join(out)
 
 
-def _replace_internal_links(text: str, counts: dict[str, int], depth: int = 0) -> str:
+def _replace_internal_links(text: str, depth: int = 0) -> str:
     """[[target|label]] -> label, [[target]] -> target; media links dropped."""
     if depth > _MAX_NESTING:
         raise _CleanFailure("link nesting too deep")
@@ -91,60 +89,45 @@ def _replace_internal_links(text: str, counts: dict[str, int], depth: int = 0) -
         out.append(text[pos:i])
         pos = _block_end(text, i, "[[", "]]", None)
         inner = text[i + 2 : pos - 2]
-        counts["links"] = counts.get("links", 0) + 1
         target, _, label = inner.partition("|")
         if target.strip().lower().startswith(_DROPPED_LINK_PREFIXES):
             replacement = ""
         else:
             replacement = label if label else target
-        out.append(_replace_internal_links(replacement, counts, depth + 1))
+        out.append(_replace_internal_links(replacement, depth + 1))
         i = text.find("[[", pos)
     out.append(text[pos:])
     return "".join(out)
 
 
-def _replace_external_links(text: str, counts: dict[str, int]) -> str:
+def _replace_external_links(text: str) -> str:
     def repl(m: re.Match) -> str:
-        counts["links"] = counts.get("links", 0) + 1
         label = m.group("label")
         return label if label else m.group("url")
 
     return _EXTERNAL_LINK_RE.sub(repl, text)
 
 
-def _clean_line(line: str, counts: dict[str, int]) -> str:
+def _clean_line(line: str) -> str:
     m = _HEADING_RE.match(line)
     if m:
-        counts["formatting"] = counts.get("formatting", 0) + 1
         return m.group(2)
-    stripped, n = _INDENT_RE.subn("", line)
-    if n:
-        counts["formatting"] = counts.get("formatting", 0) + n
-    return stripped
+    return _INDENT_RE.sub("", line)
 
 
 def clean_markup(wikitext: str) -> CleanResult:
-    counts: dict[str, int] = {}
     try:
-        text, n = _HTML_COMMENT_RE.subn("", wikitext)
-        if n:
-            counts["html"] = counts.get("html", 0) + n
+        text = _HTML_COMMENT_RE.sub("", wikitext)
         if "<!--" in text:
             raise _CleanFailure("unclosed html comment")
-        text = _strip_templates(text, counts)
-        text = _replace_internal_links(text, counts)
-        text = _replace_external_links(text, counts)
-        text, n = _HTML_TAG_RE.subn("", text)
-        if n:
-            counts["html"] = counts.get("html", 0) + n
-        text, n = _SIGNATURE_RE.subn("", text)
-        if n:
-            counts["formatting"] = counts.get("formatting", 0) + n
-        text, n = _QUOTES_RE.subn("", text)
-        if n:
-            counts["formatting"] = counts.get("formatting", 0) + n
-        lines = [_clean_line(line.rstrip(), counts) for line in text.split("\n")]
+        text = _strip_templates(text)
+        text = _replace_internal_links(text)
+        text = _replace_external_links(text)
+        text = _HTML_TAG_RE.sub("", text)
+        text = _SIGNATURE_RE.sub("", text)
+        text = _QUOTES_RE.sub("", text)
+        lines = [_clean_line(line.rstrip()) for line in text.split("\n")]
         cleaned = "\n".join(line.rstrip() for line in lines).strip()
-        return CleanResult(text=cleaned, fallback=False, stripped_constructs=counts)
+        return CleanResult(text=cleaned, fallback=False)
     except (_CleanFailure, RecursionError):
-        return CleanResult(text=wikitext, fallback=True, stripped_constructs={})
+        return CleanResult(text=wikitext, fallback=True)

@@ -93,9 +93,6 @@ class DiffScript:
     old_len: int
     new_len: int
 
-    def equal_token_count(self) -> int:
-        return sum(op.old_hi - op.old_lo for op in self.ops if isinstance(op, EqualOp))
-
     def inserted_token_count(self) -> int:
         return sum(op.new_hi - op.new_lo for op in self.ops if isinstance(op, InsertOp))
 

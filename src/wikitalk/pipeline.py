@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import os
 import re
 import sys
@@ -32,8 +31,6 @@ from wikitalk.extsort import (
 )
 from wikitalk.ingest import DumpFormatError, IngestTally, RevisionRecord, parse_dump_stream
 from wikitalk.reconstruct import Reconstructor, reconstruct_page
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -147,7 +144,6 @@ def run_pipeline_cli(config: PipelineConfig) -> int:
     except (
         DumpFormatError, SpillDirectoryError, corpus.CorpusWriteError, OSError, ValueError
     ) as exc:
-        logger.error("pipeline failed: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if report.ingest.skipped or report.skipped_revisions:

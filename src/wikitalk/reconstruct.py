@@ -2,9 +2,10 @@
 
 Each revision is diffed against its predecessor at token level; the edit
 script is decomposed into typed actions attributed to the revision's
-contributor. Sequential state tracks every live comment's character span
+contributor. Sequential state tracks every live comment's token range
 (distinguishing in-place modifications from additions) and a bounded store
 of recently deleted comments (detecting restorations by exact match).
+Character offsets are computed only for the actions emitted.
 
 Comment boundaries are interpretive: inserted text is split at heading
 lines and at indentation changes at line starts, and consecutive
@@ -29,7 +30,7 @@ from wikitalk.diff import (
     lcs_diff,
 )
 from wikitalk.ingest import RevisionRecord
-from wikitalk.store import DeletedCommentStore, DeletedEntry
+from wikitalk.store import DeletedCommentStore
 from wikitalk.tokenizer import TokenSequence, tokenize
 
 _HEADING_LINE_RE = re.compile(r"^(=+)\s*(.*?)\s*(=+)\s*\r?$")
@@ -56,7 +57,6 @@ def _line_indentation(line: str) -> int:
 class LiveComment:
     comment_id: str
     last_action_id: str
-    span: tuple[int, int]
     tok_range: tuple[int, int]
     indentation: int
     conversation_id: str
@@ -76,10 +76,6 @@ class PageState:
     root_creation_id: Optional[str] = None
     incidents: list[str] = field(default_factory=list)
     _seen_action_ids: set[str] = field(default_factory=set)
-
-
-def _span_start(c: LiveComment) -> int:
-    return c.span[0]
 
 
 def _tok_start(c: LiveComment) -> int:
@@ -110,7 +106,6 @@ def _new_comment(
     return LiveComment(
         comment_id=action_id,
         last_action_id=action_id,
-        span=(seg.char_lo, seg.char_hi),
         tok_range=(seg.tok_lo, seg.tok_hi),
         indentation=seg.indentation,
         conversation_id=conversation_id,
@@ -209,45 +204,8 @@ class _Region:
 class _CommentEdit:
     comment: LiveComment
     deleted_tokens: int = 0
-    has_insert: bool = False
     insert_ranges: list[tuple[int, int]] = field(default_factory=list)
     first_delete_new_pos: Optional[int] = None
-
-
-class _ForwardMap:
-    """Old token index -> new token index through a diff's equal ops, by
-    bisection over their ``old_lo``; the ops are ordered on both sides."""
-
-    __slots__ = ("ops", "los")
-
-    def __init__(self, equal_ops: list[EqualOp]):
-        self.ops = equal_ops
-        self.los = [op.old_lo for op in equal_ops]
-
-    def get(self, i: int) -> Optional[int]:
-        """The new index of old token ``i``, or None when it was not kept."""
-        k = bisect.bisect_right(self.los, i) - 1
-        if k >= 0:
-            op = self.ops[k]
-            if i < op.old_hi:
-                return op.new_lo + i - op.old_lo
-        return None
-
-    def bounds(self, lo: int, hi: int) -> tuple[int, ...]:
-        """The least and greatest new index of the kept old tokens in
-        [lo, hi); empty when none was kept."""
-        ops = self.ops
-        k = max(bisect.bisect_right(self.los, lo) - 1, 0)
-        first = last = None
-        while k < len(ops) and ops[k].old_lo < hi:
-            op = ops[k]
-            s, e = max(op.old_lo, lo), min(op.old_hi, hi)
-            if s < e:
-                if first is None:
-                    first = op.new_lo + s - op.old_lo
-                last = op.new_lo + e - 1 - op.old_lo
-            k += 1
-        return () if first is None else (first, last)
 
 
 @dataclass
@@ -321,7 +279,6 @@ class Reconstructor:
         equal_ops: list[EqualOp],
     ) -> list[Action]:
         old_seq = state.tokens
-        fwd = _ForwardMap(equal_ops)
         live = state.live
 
         edits: dict[str, _CommentEdit] = {}
@@ -366,9 +323,7 @@ class Reconstructor:
                     if clo < ins.old_pos < chi:
                         target = live[idx]
             if target is not None:
-                e = edit_for(target)
-                e.has_insert = True
-                e.insert_ranges.append((ins.new_lo, ins.new_hi))
+                edit_for(target).insert_ranges.append((ins.new_lo, ins.new_hi))
             else:
                 standalone.append(ins)
 
@@ -377,7 +332,7 @@ class Reconstructor:
         modifications: list[_CommentEdit] = []
         for e in edits.values():
             total = e.comment.tok_range[1] - e.comment.tok_range[0]
-            if not e.has_insert and total and e.deleted_tokens / total >= DELETION_TOKEN_FRACTION:
+            if not e.insert_ranges and total and e.deleted_tokens / total >= DELETION_TOKEN_FRACTION:
                 deletions.append(e)
             else:
                 modifications.append(e)
@@ -385,40 +340,47 @@ class Reconstructor:
             deleted_ids = {e.comment.comment_id for e in deletions}
             live = state.live = [c for c in live if c.comment_id not in deleted_ids]
 
-        # 4. recompute spans of surviving comments in the new token space
+        # 4. move surviving comments into the new token space, walking the
+        # equal ops alongside the live list (both are in document order)
+        k = 0
         for c in live:
             lo, hi = c.tok_range
+            while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
+                k += 1
             e = edits.get(c.comment_id)
-            if e is None:
-                new_lo = fwd.get(lo)
-                new_last = fwd.get(hi - 1)
-                if new_lo is None or new_last is None:
+            if e is None:  # kept whole, so inside one equal op
+                op = equal_ops[k] if k < len(equal_ops) else None
+                if op is None or op.old_lo > lo or op.old_hi < hi:
                     raise AssertionError(
                         f"comment {c.comment_id} lost its span without an edit record"
                     )
-                c.tok_range = (new_lo, new_last + 1)
-            else:
-                positions = list(fwd.bounds(lo, hi))
-                for ins_lo, ins_hi in e.insert_ranges:
-                    positions.extend((ins_lo, ins_hi - 1))
-                if not positions:
-                    raise AssertionError(
-                        f"modified comment {c.comment_id} has no surviving tokens"
-                    )
-                c.tok_range = (min(positions), max(positions) + 1)
-            c.span = new_seq.char_span(*c.tok_range)
+                shift = op.new_lo - op.old_lo
+                c.tok_range = (lo + shift, hi + shift)
+                continue
+            positions = [p for ins_lo, ins_hi in e.insert_ranges for p in (ins_lo, ins_hi - 1)]
+            j = k
+            while j < len(equal_ops) and equal_ops[j].old_lo < hi:
+                j += 1
+            if j > k:  # equal_ops[k:j] keep tokens of [lo, hi)
+                first, last = equal_ops[k], equal_ops[j - 1]
+                positions.append(first.new_lo + max(first.old_lo, lo) - first.old_lo)
+                positions.append(last.new_lo + min(last.old_hi, hi) - 1 - last.old_lo)
+            if not positions:
+                raise AssertionError(f"modified comment {c.comment_id} has no surviving tokens")
+            c.tok_range = (min(positions), max(positions) + 1)
 
-        # 5. order emissions by document position
+        # 5. order emissions by document position, in new tokens; a deletion
+        # sits at its anchor, ties broken by its old token start
         pending: list[tuple[tuple, str, object]] = []
         for e in deletions:
             anchor_new = e.first_delete_new_pos if e.first_delete_new_pos is not None else 0
-            pos = new_seq.char_span(anchor_new, anchor_new)[0]
-            pending.append(((pos, 0, e.comment.span[0]), "delete", e))
+            pending.append(((anchor_new, 0, e.comment.tok_range[0]), "delete", e))
         for e in modifications:
-            pending.append(((e.comment.span[0], 1, e.comment.span[0]), "modify", e))
+            tok_lo = e.comment.tok_range[0]
+            pending.append(((tok_lo, 1, tok_lo), "modify", e))
         for ins in standalone:
             for seg in segment_text(new_seq, ins.new_lo, ins.new_hi):
-                pending.append(((seg.char_lo, 1, seg.char_lo), "segment", seg))
+                pending.append(((seg.tok_lo, 1, seg.tok_lo), "segment", seg))
         pending.sort(key=lambda item: item[0])
 
         # 6. emit; new segments join the live list as they go, so later ones
@@ -426,10 +388,11 @@ class Reconstructor:
         actions: list[Action] = []
         bump = len(new_seq) + len(old_seq) + 1
 
-        for (pos, _, _), kind, payload in pending:
+        for (tok_pos, _, _), kind, payload in pending:
             if kind == "delete":
                 e: _CommentEdit = payload
                 c = e.comment
+                pos = new_seq.char_span(tok_pos, tok_pos)[0]
                 action_id = self._new_action_id(state, rev.revision_id, c.tok_range[0], bump)
                 actions.append(
                     _new_action(
@@ -438,7 +401,7 @@ class Reconstructor:
                         action_id,
                         ActionType.DELETION,
                         content=c.cleaned_text,
-                        raw_markup=old_seq.text[c.span[0] : c.span[1]],
+                        raw_markup=old_seq.slice_text(*c.tok_range),
                         replyto_id=None if c.is_heading else c.replyto_id,
                         parent_id=c.last_action_id,
                         indentation=c.indentation,
@@ -446,20 +409,12 @@ class Reconstructor:
                         char_span=(pos, pos),
                     )
                 )
-                state.store.push(
-                    DeletedEntry(
-                        text=c.cleaned_text,
-                        last_action_id=c.last_action_id,
-                        conversation_id=c.conversation_id,
-                        replyto_id=c.replyto_id,
-                        indentation=c.indentation,
-                        is_heading=c.is_heading,
-                    )
-                )
+                state.store.push(c)
             elif kind == "modify":
                 e = payload
                 c = e.comment
-                raw = new_seq.text[c.span[0] : c.span[1]]
+                span = new_seq.char_span(*c.tok_range)
+                raw = new_seq.text[span[0] : span[1]]
                 cleaned = clean_markup(raw).text
                 if not c.is_heading:
                     first_line_end = raw.find("\n")
@@ -478,7 +433,7 @@ class Reconstructor:
                         parent_id=c.last_action_id,
                         indentation=c.indentation,
                         conversation_id=c.conversation_id,
-                        char_span=c.span,
+                        char_span=span,
                     )
                 )
                 c.last_action_id = action_id
@@ -514,26 +469,25 @@ class Reconstructor:
             )
         return state.root_creation_id
 
-    def _resolve_thread(self, live: list[LiveComment], char_pos: int) -> Optional[LiveComment]:
-        best = None
-        for c in live:
-            if c.span[0] >= char_pos:
-                break
-            if c.is_heading:
-                best = c
-        return best
+    def _resolve_thread(self, live: list[LiveComment], tok_pos: int) -> Optional[LiveComment]:
+        """The nearest heading starting before token ``tok_pos``."""
+        for k in range(bisect.bisect_left(live, tok_pos, key=_tok_start) - 1, -1, -1):
+            if live[k].is_heading:
+                return live[k]
+        return None
 
     def _resolve_reply(
         self,
         live: list[LiveComment],
-        char_pos: int,
+        tok_pos: int,
         indent: int,
         conversation_id: str,
     ) -> Optional[str]:
+        """The nearest comment of the conversation before token ``tok_pos``
+        one level shallower than ``indent``, else the nearest shallower one."""
         fallback = None
-        for c in reversed(live):
-            if c.span[0] >= char_pos:
-                continue
+        for k in range(bisect.bisect_left(live, tok_pos, key=_tok_start) - 1, -1, -1):
+            c = live[k]
             if c.conversation_id != conversation_id:
                 continue
             if c.indentation == indent - 1:
@@ -566,19 +520,19 @@ class Reconstructor:
             conversation_id = replyto_id = None
         else:
             a_type = ActionType.ADDITION
-            thread = self._resolve_thread(state.live, seg.char_lo)
+            thread = self._resolve_thread(state.live, seg.tok_lo)
             if thread is None:
                 conversation_id = self._ensure_root(state, rev, actions)
             else:
                 conversation_id = thread.conversation_id
             replyto_id = self._resolve_reply(
-                state.live, seg.char_lo, seg.indentation, conversation_id
+                state.live, seg.tok_lo, seg.indentation, conversation_id
             ) or conversation_id
 
         action_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, bump)
         conversation_id = conversation_id or action_id
         comment = _new_comment(action_id, seg, cleaned, conversation_id, replyto_id)
-        bisect.insort(state.live, comment, key=_span_start)
+        bisect.insort(state.live, comment, key=_tok_start)
         return _new_action(
             state,
             rev,
@@ -610,7 +564,7 @@ class Reconstructor:
             replyto_id = (
                 None
                 if seg.is_heading
-                else self._resolve_reply(state.live, seg.char_lo, seg.indentation, conv)
+                else self._resolve_reply(state.live, seg.tok_lo, seg.indentation, conv)
             )
             state.live.append(_new_comment(seg_id, seg, cleaned, conv, replyto_id))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 # One alternative per significant punctuation run, newline on its own,
@@ -101,11 +100,6 @@ class TokenSequence:
     tokens: tuple[str, ...]
     starts: list[int]
     ends: list[int]
-
-    @cached_property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        """``(start, end)`` character offsets per token."""
-        return tuple(zip(self.starts, self.ends))
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from wikitalk.actions import Action, ActionType
+from wikitalk.diff import EqualOp
 from wikitalk.ingest import RevisionRecord
 
 BASE = datetime(2016, 3, 1, 9, 0, 0, tzinfo=timezone.utc)
@@ -19,6 +20,16 @@ def make_revision(rev_id, text, page_id="1", minutes=0, user="alice", user_id=1)
         user_id=user_id,
         wikitext=text,
     )
+
+
+def offsets(seq):
+    """``(start, end)`` character offsets per token of a ``TokenSequence``."""
+    return tuple(zip(seq.starts, seq.ends))
+
+
+def equal_token_count(script):
+    """Tokens a ``DiffScript`` keeps: the length of its common subsequence."""
+    return sum(op.old_hi - op.old_lo for op in script.ops if isinstance(op, EqualOp))
 
 
 def random_action(rng: random.Random, i: int) -> Action:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import equal_token_count
 from wikitalk.actions import ActionType
 from wikitalk.analytics import ScoredComment, deletion_rate, equal_error_threshold
 from wikitalk.clean import clean_markup
@@ -123,7 +124,7 @@ def test_criterion_3_diff_round_trip_and_dp_oracle():
         if len(sa) <= 12 and len(sb) <= 12:
             script = lcs_diff(sa, sb)
             assert apply_diff(sa, script).tokens == sb.tokens
-            assert script.equal_token_count() == dp_lcs_len(sa.tokens, sb.tokens)
+            assert equal_token_count(script) == dp_lcs_len(sa.tokens, sb.tokens)
             checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

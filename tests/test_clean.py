@@ -19,7 +19,6 @@ def test_link_and_quotes_example():
     result = clean_markup("[[Foo|bar]] is ''great''")
     assert result.text == "bar is great"
     assert not result.fallback
-    assert result.stripped_constructs["links"] == 1
 
 
 def test_empty():
@@ -126,7 +125,7 @@ def test_fallback_rate_zero_on_wellformed_corpus():
 
 # The character-at-a-time scanners the find-based ones replaced; kept as
 # the reference they must agree with.
-def reference_strip_templates(text, counts):
+def reference_strip_templates(text):
     out = []
     i = 0
     n = len(text)
@@ -147,7 +146,6 @@ def reference_strip_templates(text, counts):
                     j += 1
             if depth > 0:
                 raise clean._CleanFailure("unclosed template")
-            counts["templates"] = counts.get("templates", 0) + 1
             i = j
         else:
             out.append(text[i])
@@ -155,7 +153,7 @@ def reference_strip_templates(text, counts):
     return "".join(out)
 
 
-def reference_replace_internal_links(text, counts, depth=0):
+def reference_replace_internal_links(text, depth=0):
     if depth > clean._MAX_NESTING:
         raise clean._CleanFailure("link nesting too deep")
     out = []
@@ -177,13 +175,12 @@ def reference_replace_internal_links(text, counts, depth=0):
             if depth_brackets > 0:
                 raise clean._CleanFailure("unclosed internal link")
             inner = text[i + 2 : j - 2]
-            counts["links"] = counts.get("links", 0) + 1
             target, _, label = inner.partition("|")
             if target.strip().lower().startswith(clean._DROPPED_LINK_PREFIXES):
                 replacement = ""
             else:
                 replacement = label if label else target
-            out.append(reference_replace_internal_links(replacement, counts, depth + 1))
+            out.append(reference_replace_internal_links(replacement, depth + 1))
             i = j
         else:
             out.append(text[i])
@@ -192,9 +189,8 @@ def reference_replace_internal_links(text, counts, depth=0):
 
 
 def outcome(fn, text):
-    counts = {}
     try:
-        return fn(text, counts), counts
+        return fn(text)
     except clean._CleanFailure:
         return "failed"
 

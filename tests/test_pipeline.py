@@ -1,10 +1,15 @@
+import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import wikitalk
 from wikitalk import cli, corpus, pipeline
 from wikitalk.actions import ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
@@ -15,6 +20,7 @@ from wikitalk.synth import (
     PageScript,
     figure_walkthrough_script,
     gold_fixture_suite,
+    random_tree_script,
     write_dump,
 )
 
@@ -49,6 +55,21 @@ def test_missing_input_fails(tmp_path):
         ["reconstruct", "--input", str(tmp_path / "nope.xml"), "--output", str(tmp_path / "o")]
     )
     assert rc == 1
+
+
+def test_failed_run_prints_one_error_line(tmp_path):
+    """A failed run reports its error once on stderr. Run as a subprocess:
+    in-process, pytest's log capture would hide a second report."""
+    missing = tmp_path / "nope.xml"
+    path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wikitalk.cli", "reconstruct",
+         "--input", str(missing), "--output", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [f"error: input dump not found: {missing}"]
 
 
 def test_unwritable_output_fails(tmp_path, monkeypatch):
@@ -117,6 +138,30 @@ def test_page_order_key_is_natural():
     assert sorted(ids, key=pipeline._page_order_key) == [
         "07", "7", "9", "10", "a1", "b", "tree2", "tree10"
     ]
+
+
+# sha256 of the corpus for each input, at the default budget and at a
+# three-revision budget that spills; a change to these bytes is a change to
+# the output format or to reconstruction, and must be stated as such.
+PINNED_CORPORA = {
+    "gold-suite": "7508d5a131ad0d566a2f515653af91e55469aee6ce201c8109a2ebbeb26bb9b9",
+    "walkthrough": "73b0776a58c539b709e90dd253de8034a8796dfeef92e34bead0deb20ecce32e",
+    "trees-120": "0a20aad710e3af8c6cb113809bb1b033d509c8704c67228786f3d33ce637e728",
+}
+
+
+def test_corpus_bytes_are_pinned(tmp_path):
+    inputs = {
+        "gold-suite": (gold_fixture_suite(), 7),
+        "walkthrough": ([figure_walkthrough_script()], None),
+        "trees-120": ([random_tree_script(seed, n_comments=120)[0] for seed in range(3)], 11),
+    }
+    for name, (scripts, shuffle_seed) in inputs.items():
+        dump = write_dump(scripts, tmp_path / f"{name}.xml", shuffle_seed=shuffle_seed)
+        for budget in ({}, {"max_in_memory_revisions": 3}):
+            out = tmp_path / f"{name}.jsonl"
+            run_pipeline(PipelineConfig(input_path=dump, output_path=out, spill_dir=tmp_path, **budget))
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CORPORA[name], (name, budget)
 
 
 def test_dump_order_does_not_change_output(tmp_path):

@@ -1,5 +1,7 @@
+from types import SimpleNamespace
+
 import wikitalk.diff as diff_mod
-from tests.conftest import make_revision
+from tests.conftest import make_revision, offsets
 from wikitalk.actions import ActionType
 from wikitalk.corpus import serialize_action
 from wikitalk.diff import InsertOp, lcs_diff
@@ -9,17 +11,20 @@ from wikitalk.reconstruct import (
     reconstruct_page,
     segment_text,
 )
-from wikitalk.synth import PageScript, figure_walkthrough_script, gold_fixture_suite
+from wikitalk.synth import (
+    PageScript,
+    figure_walkthrough_script,
+    gold_fixture_suite,
+    random_tree_script,
+)
 from wikitalk.tokenizer import tokenize
 
 
 def assert_live_in_document_order(state):
-    """The live comments are listed by position, and no two overlap, in
-    both characters and tokens."""
-    for key in ("span", "tok_range"):
-        ranges = [getattr(c, key) for c in state.live]
-        for (lo, hi), (next_lo, next_hi) in zip(ranges, ranges[1:]):
-            assert lo < hi <= next_lo < next_hi, (key, ranges)
+    """The live comments are listed by token range, and no two overlap."""
+    ranges = [c.tok_range for c in state.live]
+    for (lo, hi), (next_lo, next_hi) in zip(ranges, ranges[1:]):
+        assert lo < hi <= next_lo < next_hi, ranges
 
 
 def fold(revisions, recon=None):
@@ -59,7 +64,7 @@ def test_whitespace_only_change_no_actions_but_spans_remap():
     state, actions = fold([make_revision(1, first), make_revision(2, second, minutes=5)])
     assert len(actions) == 2
     for comment in state.live:
-        lo, hi = comment.span
+        lo, hi = state.tokens.char_span(*comment.tok_range)
         assert second[lo:hi] == second[lo:hi].strip("\n")
 
 
@@ -105,12 +110,12 @@ def test_offsets_shift_with_prefix_insertion():
     state, actions = fold(
         [make_revision(1, base), make_revision(2, intro + base, minutes=5)]
     )
-    spans = sorted(c.span for c in state.live)
+    spans = sorted(state.tokens.char_span(*c.tok_range) for c in state.live)
     text = intro + base
     # heading and comment shifted by the intro length exactly
     assert (len(intro), len(intro) + len("== Topic ==")) in spans
     for comment in state.live:
-        lo, hi = comment.span
+        lo, hi = state.tokens.char_span(*comment.tok_range)
         extracted = text[lo:hi]
         assert extracted and not extracted.startswith("\n") and not extracted.endswith("\n")
 
@@ -119,7 +124,7 @@ def test_span_extraction_matches_block_text_through_history():
     for script in gold_fixture_suite()[:8]:
         state, _ = fold(script.revision_records())
         final = script.revisions[-1].text
-        live_texts = sorted(final[c.span[0] : c.span[1]] for c in state.live)
+        live_texts = sorted(final[slice(*state.tokens.char_span(*c.tok_range))] for c in state.live)
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected
 
@@ -165,7 +170,7 @@ def test_detect_restoration_roundtrip():
 
 
 def store_texts(store):
-    return [e.text for e in store._entries]
+    return [e.cleaned_text for e in store._entries]
 
 
 def test_store_bound_invariant_through_churn():
@@ -203,7 +208,7 @@ def test_resync_on_diff_cap(monkeypatch):
     # state still tracks the final text faithfully
     final = revisions[-1].wikitext
     for comment in state.live:
-        lo, hi = comment.span
+        lo, hi = state.tokens.char_span(*comment.tok_range)
         assert final[lo:hi]
 
 
@@ -254,13 +259,14 @@ def test_insert_partition_covered_by_action_spans():
             _, actions = recon.process_revision(state, rev)
             assert_live_in_document_order(state)
             spans = [a.char_span for a in actions]
+            new_offsets = offsets(new_seq)
             for op in script_ops.ops:
                 if not isinstance(op, InsertOp):
                     continue
                 for tok_idx in range(op.new_lo, op.new_hi):
                     if new_seq.tokens[tok_idx] == "\n":
                         continue
-                    lo, hi = new_seq.offsets[tok_idx]
+                    lo, hi = new_offsets[tok_idx]
                     assert any(s <= lo and hi <= e for s, e in spans), (
                         rev.revision_id,
                         new_seq.tokens[tok_idx],
@@ -332,12 +338,67 @@ def test_randomized_edit_sequences_spans_and_gold():
 
         state, actions = fold(script.revision_records())
         final = script.revisions[-1].text
-        live_texts = sorted(final[c.span[0] : c.span[1]] for c in state.live)
+        live_texts = sorted(final[slice(*state.tokens.char_span(*c.tok_range))] for c in state.live)
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected, f"seed {seed}"
         table = score_against_gold(actions, script.gold)
         for dim in DIMENSIONS:
             assert table.accuracy(None, dim) == 1.0, (seed, table.render())
+
+
+# The linear scans over character spans that the bisecting resolvers
+# replaced; kept as the reference they must agree with.
+def reference_resolve_thread(live, char_pos):
+    best = None
+    for c in live:
+        if c.span[0] >= char_pos:
+            break
+        if c.is_heading:
+            best = c
+    return best
+
+
+def reference_resolve_reply(live, char_pos, indent, conversation_id):
+    fallback = None
+    for c in reversed(live):
+        if c.span[0] >= char_pos:
+            continue
+        if c.conversation_id != conversation_id:
+            continue
+        if c.indentation == indent - 1:
+            return c.last_action_id
+        if fallback is None and c.indentation < indent:
+            fallback = c.last_action_id
+    return fallback
+
+
+def test_resolvers_match_linear_scans(monkeypatch):
+    """At every segment emitted, the bisecting resolvers on token positions
+    give what the linear scans on character spans give."""
+    recon = Reconstructor()
+    original = Reconstructor._emit_segment
+    checked = []
+
+    def checking(self, state, rev, seg, *args):
+        new_seq = tokenize(rev.wikitext)
+        spanned = [
+            SimpleNamespace(**vars(c), span=new_seq.char_span(*c.tok_range)) for c in state.live
+        ]
+        thread = recon._resolve_thread(state.live, seg.tok_lo)
+        want = reference_resolve_thread(spanned, seg.char_lo)
+        assert (thread and thread.comment_id) == (want and want.comment_id)
+        for conversation_id in {c.conversation_id for c in state.live}:
+            for indent in range(seg.indentation + 2):
+                got = recon._resolve_reply(state.live, seg.tok_lo, indent, conversation_id)
+                assert got == reference_resolve_reply(spanned, seg.char_lo, indent, conversation_id)
+        checked.append(thread is not None)
+        return original(self, state, rev, seg, *args)
+
+    monkeypatch.setattr(Reconstructor, "_emit_segment", checking)
+    scripts = gold_fixture_suite() + [random_tree_script(seed)[0] for seed in range(10)]
+    for script in scripts:
+        fold(script.revision_records(), recon)
+    assert len(checked) > 200 and any(checked) and not all(checked)
 
 
 def test_segment_text_blank_lines_separate():

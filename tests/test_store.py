@@ -1,17 +1,20 @@
 import random
 
 from wikitalk import store as store_mod
-from wikitalk.store import DeletedCommentStore, DeletedEntry
+from wikitalk.reconstruct import LiveComment
+from wikitalk.store import DeletedCommentStore
 
 
 def entry(text, last="a1", conv="c1"):
-    return DeletedEntry(
-        text=text,
+    return LiveComment(
+        comment_id=last,
         last_action_id=last,
+        tok_range=(0, 0),
+        indentation=0,
         conversation_id=conv,
         replyto_id=None,
-        indentation=0,
         is_heading=False,
+        cleaned_text=text,
     )
 
 
