@@ -11,6 +11,8 @@ Subcommands::
 
 Every flag can also be set through an environment variable: the flag name
 upper-snake-cased with a WIKITALK_ prefix (e.g. WIKITALK_MAX_MEM_REVISIONS=100000).
+argparse converts the variable's string like a flag value, so a malformed
+one is a usage error of the subcommand that reads it, and of no other.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument(
         "--max-mem-revisions",
         type=int,
-        default=int(_env("max-mem-revisions", DEFAULT_MAX_IN_MEMORY)),
+        default=_env("max-mem-revisions", DEFAULT_MAX_IN_MEMORY),
     )
     rec.add_argument("--spill-dir", default=_env("spill-dir"))
     rec.add_argument("--stats", default=_env("stats"))
@@ -49,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev_sub = ev.add_subparsers(dest="eval_command", required=True)
     ev_sample = ev_sub.add_parser("sample", help="draw a review sample per action type")
     ev_sample.add_argument("--corpus", required=True)
-    ev_sample.add_argument("--per-type", type=int, default=int(_env("per-type", 100)))
-    ev_sample.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    ev_sample.add_argument("--per-type", type=int, default=_env("per-type", 100))
+    ev_sample.add_argument("--seed", type=int, default=_env("seed", 0))
     ev_sample.add_argument("--output", default=_env("output"))
     ev_score = ev_sub.add_parser("score", help="score a corpus against gold annotations")
     ev_score.add_argument("--corpus", required=True)
@@ -65,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     an_score.add_argument("--scorer", choices=["stub", "http"], default=_env("scorer", "stub"))
     an_score.add_argument("--endpoint", default=_env("endpoint"))
     an_score.add_argument("--api-key", default=_env("api-key"))
-    an_score.add_argument("--rate-limit", type=float, default=float(_env("rate-limit", 10.0)))
-    an_score.add_argument("--timeout", type=float, default=float(_env("timeout", 10.0)))
-    an_score.add_argument("--max-attempts", type=int, default=int(_env("max-attempts", 3)))
+    an_score.add_argument("--rate-limit", type=float, default=_env("rate-limit", 10.0))
+    an_score.add_argument("--timeout", type=float, default=_env("timeout", 10.0))
+    an_score.add_argument("--max-attempts", type=int, default=_env("max-attempts", 3))
     an_eer = an_sub.add_parser("eer", help="equal-error-rate threshold from labeled scores")
     an_eer.add_argument("--labeled", required=True)
     an_rate = an_sub.add_parser("deletion-rate", help="deletion rate per time horizon")
@@ -181,7 +183,8 @@ def _cmd_analytics_eer(args) -> int:
 
 
 def _cmd_analytics_deletion_rate(args) -> int:
-    horizons = [analytics.parse_horizon(h) for h in args.horizons.split(",") if h.strip()]
+    labels = [h.strip() for h in args.horizons.split(",") if h.strip()]
+    horizons = [analytics.parse_horizon(h) for h in labels]
     with open(args.scored, encoding="utf-8") as fh:
         actions = []
         extras = {}
@@ -205,10 +208,7 @@ def _cmd_analytics_deletion_rate(args) -> int:
         toxicity_threshold=args.toxicity_threshold,
         severe_threshold=args.severe_threshold,
     )
-    rows = [
-        {"horizon": label.strip(), "rate": rate}
-        for label, rate in zip(args.horizons.split(","), rates)
-    ]
+    rows = [{"horizon": label, "rate": rate} for label, rate in zip(labels, rates)]
     payload = json.dumps({"subset": args.subset, "rates": rows}, indent=2)
     if args.output:
         Path(args.output).write_text(payload + "\n", encoding="utf-8")

@@ -5,12 +5,15 @@ O(ND) divide-and-conquer strategy. Long inputs go through a line-level
 prepass (lines are atoms, split at newline tokens) and only the changed
 line regions are refined at token level. Output is deterministic: equal
 tokens are matched leftmost-first in the old sequence, and every maximal
-changed region is normalized to one Delete followed by one Insert.
+changed region is normalized to one ChangeOp, which replaces an old token
+span with a new one (either may be empty, never both).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from wikitalk.tokenizer import (
     TokenSequence,
@@ -58,46 +61,37 @@ class EqualOp:
     new_lo: int
     new_hi: int
 
-    kind = "equal"
-
 
 @dataclass(frozen=True)
-class DeleteOp:
+class ChangeOp:
+    """Old tokens [old_lo, old_hi) replaced by new tokens [new_lo, new_hi),
+    whose text is ``raw``. A pure delete has new_lo == new_hi and a pure
+    insert old_lo == old_hi."""
+
     old_lo: int
     old_hi: int
-    new_pos: int
-
-    kind = "delete"
-
-
-@dataclass(frozen=True)
-class InsertOp:
-    old_pos: int
     new_lo: int
     new_hi: int
-    tokens: tuple[str, ...]
     raw: str
 
-    kind = "insert"
 
-
-DiffOp = EqualOp | DeleteOp | InsertOp
+DiffOp = EqualOp | ChangeOp
 
 
 @dataclass(frozen=True)
 class DiffScript:
-    """Normalized edit script: no two adjacent ops of the same kind, and
-    each changed region is at most one Delete followed by one Insert."""
+    """Normalized edit script: EqualOps and ChangeOps alternate, and the
+    ops tile both token ranges in order."""
 
     ops: tuple[DiffOp, ...]
     old_len: int
     new_len: int
 
     def inserted_token_count(self) -> int:
-        return sum(op.new_hi - op.new_lo for op in self.ops if isinstance(op, InsertOp))
+        return sum(op.new_hi - op.new_lo for op in self.ops if isinstance(op, ChangeOp))
 
     def deleted_token_count(self) -> int:
-        return sum(op.old_hi - op.old_lo for op in self.ops if isinstance(op, DeleteOp))
+        return sum(op.old_hi - op.old_lo for op in self.ops if isinstance(op, ChangeOp))
 
 
 def _middle_snake(a, alo, ahi, b, blo, bhi):
@@ -201,7 +195,7 @@ def _myers(a, alo, ahi, b, blo, bhi, out):
         out.append(suffix)
 
 
-def _diff_tokens(a: list, b: list) -> list[tuple]:
+def _diff_tokens(a: Sequence, b: Sequence) -> list[tuple]:
     out: list[tuple] = []
     _myers(a, 0, len(a), b, 0, len(b), out)
     return out
@@ -221,7 +215,7 @@ def _line_ranges(tokens, lo: int, hi: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _diff_with_prepass(a: list, b: list) -> list[tuple]:
+def _diff_with_prepass(a: Sequence, b: Sequence) -> list[tuple]:
     n, m = len(a), len(b)
     pre = common_prefix(a, 0, n, b, 0, m)
     if pre == n == m:
@@ -308,52 +302,20 @@ def _diff_with_prepass(a: list, b: list) -> list[tuple]:
     return out
 
 
-def _normalize(raw_ops: list[tuple], old: TokenSequence, new: TokenSequence) -> DiffScript:
-    """Merge adjacent same-kind ops and order each changed region as
-    Delete-then-Insert anchored at the same position."""
+def _normalize(raw_ops: list[tuple], new: TokenSequence) -> list[DiffOp]:
+    """One EqualOp per run of equal raw ops and one ChangeOp per run of
+    changed ones, so the two kinds alternate. Raw ops tile both sequences
+    in order, so a run spans from its first op's start to its last op's
+    end."""
     ops: list[DiffOp] = []
-    i = 0
-    old_cursor = 0
-    new_cursor = 0
-    while i < len(raw_ops):
-        tag = raw_ops[i][0]
-        if tag == "=":
-            alo, ahi, blo, bhi = raw_ops[i][1:]
-            j = i + 1
-            while j < len(raw_ops) and raw_ops[j][0] == "=":
-                ahi = raw_ops[j][2]
-                bhi = raw_ops[j][4]
-                j += 1
+    for is_equal, run in itertools.groupby(raw_ops, key=lambda op: op[0] == "="):
+        run = list(run)
+        alo, blo, ahi, bhi = run[0][1], run[0][3], run[-1][2], run[-1][4]
+        if is_equal:
             ops.append(EqualOp(alo, ahi, blo, bhi))
-            old_cursor, new_cursor = ahi, bhi
-            i = j
         else:
-            del_lo = del_hi = old_cursor
-            ins_lo = ins_hi = new_cursor
-            j = i
-            while j < len(raw_ops) and raw_ops[j][0] != "=":
-                tag2, alo, ahi, blo, bhi = raw_ops[j]
-                if tag2 == "-":
-                    del_hi = ahi
-                else:
-                    ins_hi = bhi
-                j += 1
-            if del_hi > del_lo:
-                ops.append(DeleteOp(del_lo, del_hi, ins_lo))
-            if ins_hi > ins_lo:
-                start, end = new.char_span(ins_lo, ins_hi)
-                ops.append(
-                    InsertOp(
-                        old_pos=del_hi,
-                        new_lo=ins_lo,
-                        new_hi=ins_hi,
-                        tokens=new.tokens[ins_lo:ins_hi],
-                        raw=new.text[start:end],
-                    )
-                )
-            old_cursor, new_cursor = del_hi, ins_hi
-            i = j
-    return DiffScript(ops=tuple(ops), old_len=len(old), new_len=len(new))
+            ops.append(ChangeOp(alo, ahi, blo, bhi, new.slice_text(blo, bhi)))
+    return ops
 
 
 def _slide_pure_runs(ops: list[DiffOp], a: tuple, b: tuple, new: TokenSequence) -> list[DiffOp]:
@@ -370,82 +332,59 @@ def _slide_pure_runs(ops: list[DiffOp], a: tuple, b: tuple, new: TokenSequence) 
     def line_aligned(tokens, start: int) -> bool:
         return start == 0 or tokens[start - 1] == "\n"
 
-    for i, op in enumerate(ops):
-        prev_op = ops[i - 1] if i > 0 else None
-        next_op = ops[i + 1] if i + 1 < len(ops) else None
-        prev_eq = prev_op if isinstance(prev_op, EqualOp) else None
-        next_eq = next_op if isinstance(next_op, EqualOp) else None
-
-        if isinstance(op, InsertOp):
-            if isinstance(prev_op, DeleteOp):
-                continue  # mixed region: context-anchored, leave alone
+    # A slide donates matched pairs from the equal run on one side and
+    # hands them to the other, so only a change with an equal op on each
+    # side can move: one at index 1..len-2, as the kinds alternate.
+    for i in range(1, len(ops) - 1):
+        op = ops[i]
+        if isinstance(op, EqualOp):
+            continue
+        if op.old_lo == op.old_hi:
             tokens, lo, hi = b, op.new_lo, op.new_hi
-        elif isinstance(op, DeleteOp):
-            if isinstance(next_op, InsertOp):
-                continue
+        elif op.new_lo == op.new_hi:
             tokens, lo, hi = a, op.old_lo, op.old_hi
         else:
-            continue
-        if lo >= hi or line_aligned(tokens, lo):
+            continue  # mixed region: context-anchored, leave alone
+        if line_aligned(tokens, lo):
             continue
 
-        # A slide donates matched pairs from the equal run on one side and
-        # hands them to the other, so both flanking equal runs must exist.
+        prev_eq, next_eq = ops[i - 1], ops[i + 1]
+        # an equal run may be used up only at either end of the script
         max_left = 0
-        if prev_eq is not None and next_eq is not None:
-            prev_len = prev_eq.old_hi - prev_eq.old_lo
-            keep = 0 if i - 1 == 0 else 1
-            while (
-                max_left < prev_len - keep
-                and tokens[lo - max_left - 1] == tokens[hi - max_left - 1]
-            ):
-                max_left += 1
+        prev_len = prev_eq.old_hi - prev_eq.old_lo
+        keep = 0 if i == 1 else 1
+        while (
+            max_left < prev_len - keep
+            and tokens[lo - max_left - 1] == tokens[hi - max_left - 1]
+        ):
+            max_left += 1
         max_right = 0
-        if next_eq is not None and prev_eq is not None:
-            next_len = next_eq.old_hi - next_eq.old_lo
-            keep = 0 if i + 1 == len(ops) - 1 else 1
-            while (
-                max_right < next_len - keep
-                and hi + max_right < len(tokens)
-                and tokens[hi + max_right] == tokens[lo + max_right]
-            ):
-                max_right += 1
+        next_len = next_eq.old_hi - next_eq.old_lo
+        keep = 0 if i + 2 == len(ops) else 1
+        while (
+            max_right < next_len - keep
+            and hi + max_right < len(tokens)
+            and tokens[hi + max_right] == tokens[lo + max_right]
+        ):
+            max_right += 1
 
-        shift = None
-        for k in range(-max_left, max_right + 1):
-            if line_aligned(tokens, lo + k):
-                shift = k
-                break
-        if shift is None or shift == 0:
+        shift = next(
+            (k for k in range(-max_left, max_right + 1) if line_aligned(tokens, lo + k)), 0
+        )
+        if shift == 0:
             continue
-
-        if isinstance(op, InsertOp):
-            n_lo, n_hi = op.new_lo + shift, op.new_hi + shift
-            start, end = new.char_span(n_lo, n_hi)
-            ops[i] = InsertOp(
-                old_pos=op.old_pos + shift,
-                new_lo=n_lo,
-                new_hi=n_hi,
-                tokens=new.tokens[n_lo:n_hi],
-                raw=new.text[start:end],
-            )
-        else:
-            ops[i] = DeleteOp(
-                old_lo=op.old_lo + shift, old_hi=op.old_hi + shift, new_pos=op.new_pos + shift
-            )
-        if prev_eq is not None:
-            ops[i - 1] = EqualOp(
-                prev_eq.old_lo, prev_eq.old_hi + shift, prev_eq.new_lo, prev_eq.new_hi + shift
-            )
-            if ops[i - 1].old_hi == ops[i - 1].old_lo:
-                ops[i - 1] = None
-        if next_eq is not None:
-            ops[i + 1] = EqualOp(
-                next_eq.old_lo + shift, next_eq.old_hi, next_eq.new_lo + shift, next_eq.new_hi
-            )
-            if ops[i + 1].old_hi == ops[i + 1].old_lo:
-                ops[i + 1] = None
-    return [op for op in ops if op is not None]
+        # whichever side is empty, the region moves by shift on both
+        n_lo, n_hi = op.new_lo + shift, op.new_hi + shift
+        ops[i] = ChangeOp(
+            op.old_lo + shift, op.old_hi + shift, n_lo, n_hi, new.slice_text(n_lo, n_hi)
+        )
+        ops[i - 1] = EqualOp(
+            prev_eq.old_lo, prev_eq.old_hi + shift, prev_eq.new_lo, prev_eq.new_hi + shift
+        )
+        ops[i + 1] = EqualOp(
+            next_eq.old_lo + shift, next_eq.old_hi, next_eq.new_lo + shift, next_eq.new_hi
+        )
+    return [op for op in ops if op.old_hi > op.old_lo or op.new_hi > op.new_lo]
 
 
 def lcs_diff(old: TokenSequence, new: TokenSequence) -> DiffScript:
@@ -453,15 +392,13 @@ def lcs_diff(old: TokenSequence, new: TokenSequence) -> DiffScript:
         raise DiffTokenLimitError(
             f"input exceeds {MAX_DIFF_TOKENS} tokens ({len(old)} old, {len(new)} new)"
         )
-    a = list(old.tokens)
-    b = list(new.tokens)
+    a, b = old.tokens, new.tokens
     if max(len(a), len(b)) > _LINE_PREPASS_MIN_TOKENS:
         raw = _diff_with_prepass(a, b)
     else:
         raw = _diff_tokens(a, b)
-    script = _normalize(raw, old, new)
-    ops = _slide_pure_runs(list(script.ops), old.tokens, new.tokens, new)
-    return DiffScript(ops=tuple(ops), old_len=len(old), new_len=len(new))
+    ops = _slide_pure_runs(_normalize(raw, new), a, b, new)
+    return DiffScript(ops=tuple(ops), old_len=len(a), new_len=len(b))
 
 
 def apply_diff(old: TokenSequence, script: DiffScript) -> TokenSequence:
@@ -475,16 +412,15 @@ def apply_diff(old: TokenSequence, script: DiffScript) -> TokenSequence:
     fragments: list[str] = []
     cursor = 0
     for idx, op in enumerate(script.ops):
-        if isinstance(op, (EqualOp, DeleteOp)):
-            if op.old_lo != cursor:
-                raise DiffApplyError(idx, f"old span starts at {op.old_lo}, expected {cursor}")
-            if op.old_hi > len(old) or op.old_hi < op.old_lo:
-                raise DiffApplyError(idx, f"old span [{op.old_lo},{op.old_hi}) out of bounds")
-            if isinstance(op, EqualOp):
-                fragments.append(old.slice_text(op.old_lo, op.old_hi))
-            cursor = op.old_hi
+        if op.old_lo != cursor:
+            raise DiffApplyError(idx, f"old span starts at {op.old_lo}, expected {cursor}")
+        if op.old_hi > len(old) or op.old_hi < op.old_lo:
+            raise DiffApplyError(idx, f"old span [{op.old_lo},{op.old_hi}) out of bounds")
+        if isinstance(op, EqualOp):
+            fragments.append(old.slice_text(op.old_lo, op.old_hi))
         else:
             fragments.append(op.raw)
+        cursor = op.old_hi
     if cursor != len(old):
         raise DiffApplyError(len(script.ops) - 1, f"script covers {cursor} of {len(old)} old tokens")
     return tokenize(join_fragments(fragments))

@@ -32,14 +32,24 @@ class SpillDirectoryError(Exception):
 
 @dataclass
 class SortBudget:
+    """The sort's memory limit and spill directory. The directory (the
+    system temporary directory by default) is created and probed once,
+    here; an unwritable one is fatal before any input is read."""
+
     max_in_memory_revisions: int = DEFAULT_MAX_IN_MEMORY
     spill_directory: Optional[Path] = None
 
     def __post_init__(self):
         if self.max_in_memory_revisions < 2:
             raise ValueError("max_in_memory_revisions must be >= 2")
-        if self.spill_directory is not None:
-            self.spill_directory = Path(self.spill_directory)
+        directory = Path(self.spill_directory or tempfile.gettempdir())
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            probe = tempfile.NamedTemporaryFile(dir=directory, prefix="wikitalk-probe-", delete=True)
+            probe.close()
+        except OSError as exc:
+            raise SpillDirectoryError(f"spill directory {directory} is not writable: {exc}") from exc
+        self.spill_directory = directory
 
 
 @dataclass
@@ -51,18 +61,6 @@ class SortStats:
     def _track(self, resident: int) -> None:
         if resident > self.peak_in_memory_records:
             self.peak_in_memory_records = resident
-
-
-def ensure_spill_directory(budget: SortBudget) -> Path:
-    """Validate (and create) the spill directory; fatal if unwritable."""
-    directory = budget.spill_directory or Path(tempfile.gettempdir())
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        probe = tempfile.NamedTemporaryFile(dir=directory, prefix="wikitalk-probe-", delete=True)
-        probe.close()
-    except OSError as exc:
-        raise SpillDirectoryError(f"spill directory {directory} is not writable: {exc}") from exc
-    return directory
 
 
 def _write_run(records: Iterable[RevisionRecord], directory: Path) -> Path:
@@ -96,10 +94,9 @@ def sort_revisions(
     """Yield one page's revisions in ascending (timestamp, revision_id) order.
 
     Spill files are private to this call and removed once fully merged.
-    The spill directory is validated before any input is consumed.
     """
     stats = stats if stats is not None else SortStats()
-    directory = ensure_spill_directory(budget)
+    directory = budget.spill_directory
     limit = budget.max_in_memory_revisions
 
     buffer: list[RevisionRecord] = []

@@ -26,7 +26,6 @@ from wikitalk.extsort import (
     SortBudget,
     SortStats,
     SpillDirectoryError,
-    ensure_spill_directory,
     sort_revisions,
 )
 from wikitalk.ingest import DumpFormatError, IngestTally, RevisionRecord, parse_dump_stream
@@ -115,7 +114,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         max_in_memory_revisions=config.max_in_memory_revisions,
         spill_directory=config.spill_dir,
     )
-    ensure_spill_directory(budget)
 
     # the output and the stats file are opened before the first page, so an
     # unwritable path fails before any reconstruction work

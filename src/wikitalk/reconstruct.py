@@ -22,13 +22,7 @@ from typing import Iterable, Iterator, Optional
 
 from wikitalk.actions import Action, ActionType
 from wikitalk.clean import clean_markup
-from wikitalk.diff import (
-    DeleteOp,
-    DiffTokenLimitError,
-    EqualOp,
-    InsertOp,
-    lcs_diff,
-)
+from wikitalk.diff import ChangeOp, DiffOp, DiffTokenLimitError, EqualOp, lcs_diff
 from wikitalk.ingest import RevisionRecord
 from wikitalk.store import DeletedCommentStore
 from wikitalk.tokenizer import TokenSequence, tokenize
@@ -191,16 +185,6 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
 
 
 @dataclass
-class _Region:
-    """One normalized changed region of a diff: a delete, an insert, or a
-    delete-then-insert pair anchored at the same spot."""
-
-    delete: Optional[DeleteOp] = None
-    insert: Optional[InsertOp] = None
-    attach: Optional[LiveComment] = None  # comment the insert edits, when any
-
-
-@dataclass
 class _CommentEdit:
     comment: LiveComment
     deleted_tokens: int = 0
@@ -242,31 +226,9 @@ class Reconstructor:
             self._resync(state, rev, new_seq)
             return state, []
 
-        regions, equal_ops = self._collect_regions(script)
-        actions = self._decompose(state, rev, new_seq, regions, equal_ops)
+        actions = self._decompose(state, rev, new_seq, script.ops)
         state.tokens = new_seq
         return state, actions
-
-    # ------------------------------------------------------------------
-
-    def _collect_regions(self, script) -> tuple[list[_Region], list[EqualOp]]:
-        regions: list[_Region] = []
-        equals: list[EqualOp] = []
-        current: Optional[_Region] = None
-        for op in script.ops:
-            if isinstance(op, EqualOp):
-                equals.append(op)
-                current = None
-            elif isinstance(op, DeleteOp):
-                current = _Region(delete=op)
-                regions.append(current)
-            else:
-                if current is not None and current.insert is None:
-                    current.insert = op
-                else:
-                    regions.append(_Region(insert=op))
-                current = None
-        return regions, equals
 
     # ------------------------------------------------------------------
 
@@ -275,11 +237,14 @@ class Reconstructor:
         state: PageState,
         rev: RevisionRecord,
         new_seq: TokenSequence,
-        regions: list[_Region],
-        equal_ops: list[EqualOp],
+        ops: tuple[DiffOp, ...],
     ) -> list[Action]:
         old_seq = state.tokens
         live = state.live
+        changes = [op for op in ops if isinstance(op, ChangeOp)]
+        equal_ops = [op for op in ops if isinstance(op, EqualOp)]
+        # the comment each change's inserted text edits, when any
+        attach: list[Optional[LiveComment]] = [None] * len(changes)
 
         edits: dict[str, _CommentEdit] = {}
 
@@ -289,10 +254,10 @@ class Reconstructor:
             return edits[c.comment_id]
 
         # 1. attribute deleted tokens to the comments they overlap
-        for region in regions:
-            if region.delete is None:
+        for i, ch in enumerate(changes):
+            dlo, dhi = ch.old_lo, ch.old_hi
+            if dlo == dhi:
                 continue
-            dlo, dhi = region.delete.old_lo, region.delete.old_hi
             idx = max(bisect.bisect_right(live, dlo, key=_tok_start) - 1, 0)
             for c in live[idx:]:
                 clo, chi = c.tok_range
@@ -304,28 +269,26 @@ class Reconstructor:
                 e = edit_for(c)
                 e.deleted_tokens += overlap
                 if e.first_delete_new_pos is None:
-                    e.first_delete_new_pos = region.delete.new_pos
+                    e.first_delete_new_pos = ch.new_lo
                 fully_covered = dlo <= clo and dhi >= chi
-                if region.insert is not None and not fully_covered and region.attach is None:
-                    region.attach = c
+                if ch.new_hi > ch.new_lo and not fully_covered and attach[i] is None:
+                    attach[i] = c
 
         # 2. attribute inserts: edits of existing comments vs new segments
-        standalone: list[InsertOp] = []
-        for region in regions:
-            if region.insert is None:
+        standalone: list[ChangeOp] = []
+        for ch, target in zip(changes, attach):
+            if ch.new_lo == ch.new_hi:
                 continue
-            ins = region.insert
-            target = region.attach
             if target is None:
-                idx = bisect.bisect_right(live, ins.old_pos, key=_tok_start) - 1
+                idx = bisect.bisect_right(live, ch.old_hi, key=_tok_start) - 1
                 if idx >= 0:
                     clo, chi = live[idx].tok_range
-                    if clo < ins.old_pos < chi:
+                    if clo < ch.old_hi < chi:
                         target = live[idx]
             if target is not None:
-                edit_for(target).insert_ranges.append((ins.new_lo, ins.new_hi))
+                edit_for(target).insert_ranges.append((ch.new_lo, ch.new_hi))
             else:
-                standalone.append(ins)
+                standalone.append(ch)
 
         # 3. classify touched comments as deletions or modifications
         deletions: list[_CommentEdit] = []
@@ -378,8 +341,8 @@ class Reconstructor:
         for e in modifications:
             tok_lo = e.comment.tok_range[0]
             pending.append(((tok_lo, 1, tok_lo), "modify", e))
-        for ins in standalone:
-            for seg in segment_text(new_seq, ins.new_lo, ins.new_hi):
+        for ch in standalone:
+            for seg in segment_text(new_seq, ch.new_lo, ch.new_hi):
                 pending.append(((seg.tok_lo, 1, seg.tok_lo), "segment", seg))
         pending.sort(key=lambda item: item[0])
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 import wikitalk.diff as diff_mod
 from tests.conftest import equal_token_count
 from wikitalk.diff import (
-    DeleteOp,
+    ChangeOp,
     DiffApplyError,
     DiffScript,
     DiffTokenLimitError,
     EqualOp,
-    InsertOp,
     apply_diff,
     lcs_diff,
 )
-from wikitalk.synth import gold_fixture_suite
+from wikitalk.synth import gold_fixture_suite, random_tree_script
 from wikitalk.tokenizer import tokenize
 
 
@@ -48,16 +48,17 @@ def test_identical_sequences_single_equal():
 
 
 def test_empty_old_single_insert():
-    script = lcs_diff(tokenize(""), tokenize("a b"))
+    new = tokenize("a b")
+    script = lcs_diff(tokenize(""), new)
     assert len(script.ops) == 1
     op = script.ops[0]
-    assert isinstance(op, InsertOp)
-    assert list(op.tokens) == ["a", "b"]
+    assert isinstance(op, ChangeOp)
+    assert list(new.tokens[op.new_lo : op.new_hi]) == ["a", "b"]
 
 
 def test_empty_new_single_delete():
     script = lcs_diff(tokenize("a b"), tokenize(""))
-    assert [type(op) for op in script.ops] == [DeleteOp]
+    assert [type(op) for op in script.ops] == [ChangeOp]
 
 
 @given(small_seq, small_seq)
@@ -89,12 +90,18 @@ def test_insert_delete_symmetry(a, b):
 @settings(max_examples=100)
 def test_normalized_form(a, b):
     script = lcs_diff(tokenize(a), tokenize(b))
-    kinds = [op.kind for op in script.ops]
+    kinds = [type(op) for op in script.ops]
     for k1, k2 in zip(kinds, kinds[1:]):
-        assert (k1, k2) != (k1, k1), "adjacent ops of the same kind"
-    # within a changed region deletes precede inserts
-    for k1, k2 in zip(kinds, kinds[1:]):
-        assert (k1, k2) != ("insert", "delete")
+        assert k1 != k2, "adjacent ops of the same kind"
+    # every op is non-empty, and the ops tile both token ranges in order
+    old_cursor = new_cursor = 0
+    for op in script.ops:
+        assert op.old_hi > op.old_lo or op.new_hi > op.new_lo
+        if isinstance(op, EqualOp):
+            assert op.old_hi - op.old_lo == op.new_hi - op.new_lo
+        assert (op.old_lo, op.new_lo) == (old_cursor, new_cursor)
+        old_cursor, new_cursor = op.old_hi, op.new_hi
+    assert (old_cursor, new_cursor) == (script.old_len, script.new_len)
 
 
 def test_determinism():
@@ -109,7 +116,7 @@ def test_line_boundary_slide_keeps_sibling_comments_whole():
     old = tokenize(": first remark ~~~~\n: third remark ~~~~\n")
     new = tokenize(": first remark ~~~~\n: second remark ~~~~\n: third remark ~~~~\n")
     script = lcs_diff(old, new)
-    inserts = [op for op in script.ops if isinstance(op, InsertOp)]
+    inserts = [op for op in script.ops if isinstance(op, ChangeOp)]
     assert len(inserts) == 1
     assert new.text[new.char_span(inserts[0].new_lo, inserts[0].new_hi)[0] :].startswith(
         ": second remark"
@@ -130,7 +137,7 @@ def test_apply_diff_empty_on_empty():
 def test_apply_diff_mismatch_names_op_index():
     old = tokenize("a b c")
     script = DiffScript(
-        ops=(EqualOp(0, 2, 0, 2), DeleteOp(4, 9, 2)), old_len=3, new_len=2
+        ops=(EqualOp(0, 2, 0, 2), ChangeOp(4, 9, 2, 2, "")), old_len=3, new_len=2
     )
     with pytest.raises(DiffApplyError) as err:
         apply_diff(old, script)
@@ -155,11 +162,21 @@ def test_oversized_region_falls_back_to_replace(monkeypatch):
 
 
 def _op_fields(op):
+    """The op as the field lists of the Equal/Delete/Insert form it had
+    when the hash below was pinned: a ChangeOp is a delete anchored at its
+    new start followed by an insert anchored at its old end."""
     if isinstance(op, EqualOp):
-        return ["=", op.old_lo, op.old_hi, op.new_lo, op.new_hi]
-    if isinstance(op, DeleteOp):
-        return ["-", op.old_lo, op.old_hi, op.new_pos]
-    return ["+", op.old_pos, op.new_lo, op.new_hi, op.raw]
+        return [["=", op.old_lo, op.old_hi, op.new_lo, op.new_hi]]
+    fields = []
+    if op.old_hi > op.old_lo:
+        fields.append(["-", op.old_lo, op.old_hi, op.new_lo])
+    if op.new_hi > op.new_lo:
+        fields.append(["+", op.old_hi, op.new_lo, op.new_hi, op.raw])
+    return fields
+
+
+def _script_fields(script):
+    return [fields for op in script.ops for fields in _op_fields(op)]
 
 
 # sha256 of the edit scripts below as the full-page line prepass produced
@@ -176,7 +193,7 @@ def test_gold_suite_scripts_are_pinned(monkeypatch, prepass_min_tokens):
         prev = tokenize("")
         for rev in script.revision_records():
             cur = tokenize(rev.wikitext)
-            ops = [_op_fields(op) for op in lcs_diff(prev, cur).ops]
+            ops = _script_fields(lcs_diff(prev, cur))
             digest.update(json.dumps(ops).encode() + b"\n")
             prev = cur
     assert digest.hexdigest() == PINNED_GOLD_SCRIPTS_SHA256
@@ -269,3 +286,190 @@ def shared_middle(draw):
 def test_prepass_trim_matches_full_line_prepass(pair):
     a, b = pair
     assert diff_mod._diff_with_prepass(a, b) == reference_diff_with_prepass(a, b)
+
+
+# The normal form as it was before each changed region became one ChangeOp:
+# a region was a DeleteOp followed by an InsertOp. reference_normalize and
+# reference_slide_pure_runs are that code, kept as the oracle for ChangeOp.
+@dataclass(frozen=True)
+class RefDeleteOp:
+    old_lo: int
+    old_hi: int
+    new_pos: int
+
+
+@dataclass(frozen=True)
+class RefInsertOp:
+    old_pos: int
+    new_lo: int
+    new_hi: int
+    tokens: tuple
+    raw: str
+
+
+def reference_normalize(raw_ops, new):
+    ops = []
+    i = 0
+    old_cursor = 0
+    new_cursor = 0
+    while i < len(raw_ops):
+        tag = raw_ops[i][0]
+        if tag == "=":
+            alo, ahi, blo, bhi = raw_ops[i][1:]
+            j = i + 1
+            while j < len(raw_ops) and raw_ops[j][0] == "=":
+                ahi = raw_ops[j][2]
+                bhi = raw_ops[j][4]
+                j += 1
+            ops.append(EqualOp(alo, ahi, blo, bhi))
+            old_cursor, new_cursor = ahi, bhi
+            i = j
+        else:
+            del_lo = del_hi = old_cursor
+            ins_lo = ins_hi = new_cursor
+            j = i
+            while j < len(raw_ops) and raw_ops[j][0] != "=":
+                tag2, alo, ahi, blo, bhi = raw_ops[j]
+                if tag2 == "-":
+                    del_hi = ahi
+                else:
+                    ins_hi = bhi
+                j += 1
+            if del_hi > del_lo:
+                ops.append(RefDeleteOp(del_lo, del_hi, ins_lo))
+            if ins_hi > ins_lo:
+                start, end = new.char_span(ins_lo, ins_hi)
+                ops.append(
+                    RefInsertOp(del_hi, ins_lo, ins_hi, new.tokens[ins_lo:ins_hi], new.text[start:end])
+                )
+            old_cursor, new_cursor = del_hi, ins_hi
+            i = j
+    return ops
+
+
+def reference_slide_pure_runs(ops, a, b, new):
+    def line_aligned(tokens, start):
+        return start == 0 or tokens[start - 1] == "\n"
+
+    for i, op in enumerate(ops):
+        prev_op = ops[i - 1] if i > 0 else None
+        next_op = ops[i + 1] if i + 1 < len(ops) else None
+        prev_eq = prev_op if isinstance(prev_op, EqualOp) else None
+        next_eq = next_op if isinstance(next_op, EqualOp) else None
+
+        if isinstance(op, RefInsertOp):
+            if isinstance(prev_op, RefDeleteOp):
+                continue
+            tokens, lo, hi = b, op.new_lo, op.new_hi
+        elif isinstance(op, RefDeleteOp):
+            if isinstance(next_op, RefInsertOp):
+                continue
+            tokens, lo, hi = a, op.old_lo, op.old_hi
+        else:
+            continue
+        if lo >= hi or line_aligned(tokens, lo):
+            continue
+
+        max_left = 0
+        if prev_eq is not None and next_eq is not None:
+            prev_len = prev_eq.old_hi - prev_eq.old_lo
+            keep = 0 if i - 1 == 0 else 1
+            while (
+                max_left < prev_len - keep
+                and tokens[lo - max_left - 1] == tokens[hi - max_left - 1]
+            ):
+                max_left += 1
+        max_right = 0
+        if next_eq is not None and prev_eq is not None:
+            next_len = next_eq.old_hi - next_eq.old_lo
+            keep = 0 if i + 1 == len(ops) - 1 else 1
+            while (
+                max_right < next_len - keep
+                and hi + max_right < len(tokens)
+                and tokens[hi + max_right] == tokens[lo + max_right]
+            ):
+                max_right += 1
+
+        shift = None
+        for k in range(-max_left, max_right + 1):
+            if line_aligned(tokens, lo + k):
+                shift = k
+                break
+        if shift is None or shift == 0:
+            continue
+
+        if isinstance(op, RefInsertOp):
+            n_lo, n_hi = op.new_lo + shift, op.new_hi + shift
+            start, end = new.char_span(n_lo, n_hi)
+            ops[i] = RefInsertOp(
+                op.old_pos + shift, n_lo, n_hi, new.tokens[n_lo:n_hi], new.text[start:end]
+            )
+        else:
+            ops[i] = RefDeleteOp(op.old_lo + shift, op.old_hi + shift, op.new_pos + shift)
+        if prev_eq is not None:
+            ops[i - 1] = EqualOp(
+                prev_eq.old_lo, prev_eq.old_hi + shift, prev_eq.new_lo, prev_eq.new_hi + shift
+            )
+            if ops[i - 1].old_hi == ops[i - 1].old_lo:
+                ops[i - 1] = None
+        if next_eq is not None:
+            ops[i + 1] = EqualOp(
+                next_eq.old_lo + shift, next_eq.old_hi, next_eq.new_lo + shift, next_eq.new_hi
+            )
+            if ops[i + 1].old_hi == ops[i + 1].old_lo:
+                ops[i + 1] = None
+    return [op for op in ops if op is not None]
+
+
+def reference_fields(old, new):
+    a, b = list(old.tokens), list(new.tokens)
+    if max(len(a), len(b)) > diff_mod._LINE_PREPASS_MIN_TOKENS:
+        raw = diff_mod._diff_with_prepass(a, b)
+    else:
+        raw = diff_mod._diff_tokens(a, b)
+    ops = reference_slide_pure_runs(reference_normalize(raw, new), old.tokens, new.tokens, new)
+    fields = []
+    for op in ops:
+        if isinstance(op, EqualOp):
+            fields.append(["=", op.old_lo, op.old_hi, op.new_lo, op.new_hi])
+        elif isinstance(op, RefDeleteOp):
+            fields.append(["-", op.old_lo, op.old_hi, op.new_pos])
+        else:
+            fields.append(["+", op.old_pos, op.new_lo, op.new_hi, op.raw])
+    return fields
+
+
+def assert_matches_reference(old, new, prepass_min_tokens):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diff_mod, "_LINE_PREPASS_MIN_TOKENS", prepass_min_tokens)
+        assert _script_fields(lcs_diff(old, new)) == reference_fields(old, new)
+
+
+prepass_settings = pytest.mark.parametrize(
+    "prepass_min_tokens", [0, diff_mod._LINE_PREPASS_MIN_TOKENS]
+)
+
+
+@prepass_settings
+@given(doc, doc)
+@settings(max_examples=150)
+def test_change_ops_match_reference_on_docs(prepass_min_tokens, a, b):
+    assert_matches_reference(tokenize(a), tokenize(b), prepass_min_tokens)
+
+
+@prepass_settings
+@given(shared_middle())
+@settings(max_examples=150)
+def test_change_ops_match_reference_on_shared_middle(prepass_min_tokens, pair):
+    a, b = ("".join(tok if tok == "\n" else f" {tok}" for tok in side) for side in pair)
+    assert_matches_reference(tokenize(a), tokenize(b), prepass_min_tokens)
+
+
+@prepass_settings
+def test_change_ops_match_reference_on_tree_pages(prepass_min_tokens):
+    for seed in range(10):
+        prev = tokenize("")
+        for rev in random_tree_script(seed)[0].revision_records():
+            cur = tokenize(rev.wikitext)
+            assert_matches_reference(prev, cur, prepass_min_tokens)
+            prev = cur

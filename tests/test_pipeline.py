@@ -295,6 +295,18 @@ def test_env_var_overrides_flag_default(tmp_path, monkeypatch):
     assert out.exists()
 
 
+def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypatch, capsys):
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    argv = ["reconstruct", "--input", str(dump), "--output", str(tmp_path / "corpus.jsonl")]
+    monkeypatch.setenv("WIKITALK_RATE_LIMIT", "fast")  # only analytics score reads it
+    assert cli.main(argv) == 0
+    monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_spill_budget_flags(tmp_path):
     script = PageScript("55", "Talk:Spill")
     t = script.new_thread("Spill test thread")
@@ -386,3 +398,21 @@ def test_analytics_cli_flow(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rates"][0]["rate"] == pytest.approx(0.25)
+
+
+def test_deletion_rate_labels_skip_empty_horizons(tmp_path, capsys):
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    corpus_path = tmp_path / "corpus.jsonl"
+    scored_path = tmp_path / "scored.jsonl"
+    cli.main(["reconstruct", "--input", str(dump), "--output", str(corpus_path)])
+    cli.main(["analytics", "score", "--corpus", str(corpus_path), "--output", str(scored_path)])
+    capsys.readouterr()
+
+    def rates(horizons):
+        argv = ["analytics", "deletion-rate", "--scored", str(scored_path), "--horizons", horizons]
+        assert cli.main(argv) == 0
+        return json.loads(capsys.readouterr().out)["rates"]
+
+    padded = rates("1h,,7d")
+    assert [row["horizon"] for row in padded] == ["1h", "7d"]
+    assert padded == rates("1h,7d")

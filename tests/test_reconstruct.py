@@ -4,7 +4,7 @@ import wikitalk.diff as diff_mod
 from tests.conftest import make_revision, offsets
 from wikitalk.actions import ActionType
 from wikitalk.corpus import serialize_action
-from wikitalk.diff import InsertOp, lcs_diff
+from wikitalk.diff import ChangeOp, lcs_diff
 from wikitalk.reconstruct import (
     PageState,
     Reconstructor,
@@ -261,7 +261,7 @@ def test_insert_partition_covered_by_action_spans():
             spans = [a.char_span for a in actions]
             new_offsets = offsets(new_seq)
             for op in script_ops.ops:
-                if not isinstance(op, InsertOp):
+                if not isinstance(op, ChangeOp):
                     continue
                 for tok_idx in range(op.new_lo, op.new_hi):
                     if new_seq.tokens[tok_idx] == "\n":
