@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from wikitalk.actions import Action, ActionType
 
 _SCORE_ATTRIBUTES = ("toxicity", "severe_toxicity")
@@ -195,6 +193,9 @@ def equal_error_threshold(scores: Iterable[float], labels: Iterable[bool]) -> fl
     Candidates are the observed score values; ties break toward the larger
     threshold. Requires both classes to be present.
     """
+    # imported here so that reconstructing a corpus does not load numpy
+    import numpy as np
+
     s = np.asarray(list(scores), dtype=float)
     y = np.asarray(list(labels), dtype=bool)
     if s.shape != y.shape or s.size == 0:

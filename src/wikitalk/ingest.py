@@ -3,8 +3,10 @@
 Consumes decompressed export XML (the pages-meta-history shape) and yields
 one record per ``<revision>`` element in document order, holding at most a
 single revision in memory at a time. Records missing a revision id or a
-parseable timestamp are skipped and tallied; suppressed contributors are
-kept with a sentinel name so their deletions stay attributable.
+parseable timestamp are skipped and tallied, and so are revisions whose
+text an administrator hid (``<text deleted="deleted">``): their text is
+unknown, not empty. Suppressed contributors are kept with a sentinel name
+so their deletions stay attributable.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class _RevisionAccumulator:
         self.user_id: list[str] = []
         self.text: list[str] = []
         self.contributor_deleted = False
+        self.text_deleted = False
 
 
 class _DumpHandler:
@@ -97,6 +100,7 @@ class _DumpHandler:
                 self.capture = self.rev.timestamp
             elif name == "text":
                 self.capture = self.rev.text
+                self.rev.text_deleted = attrs.get("deleted") == "deleted"
         elif self.rev is not None and parent == "contributor":
             if name == "username":
                 self.capture = self.rev.username
@@ -135,6 +139,9 @@ class _DumpHandler:
             timestamp = parse_timestamp(ts_raw)
         except ValueError:
             self.tally.record_skip("bad_timestamp")
+            return
+        if rev.text_deleted:
+            self.tally.record_skip("text_deleted")
             return
         username = "".join(rev.username).strip()
         ip = "".join(rev.ip).strip()

@@ -51,6 +51,7 @@ def _line_indentation(line: str) -> int:
 class LiveComment:
     comment_id: str
     last_action_id: str
+    # token range, relative to its block's delta while the comment is live
     tok_range: tuple[int, int]
     indentation: int
     conversation_id: str
@@ -59,21 +60,110 @@ class LiveComment:
     cleaned_text: str
 
 
+# Live comments are kept in blocks of about this many (at most twice as
+# many), so an edit moves the comments of the blocks it touches and only
+# one delta for each other block.
+BLOCK_SIZE = 64
+
+
+def _tok_start(c: LiveComment) -> int:
+    return c.tok_range[0]
+
+
+def _tok_end(c: LiveComment) -> int:
+    return c.tok_range[1]
+
+
+class _Block:
+    """Consecutive live comments; each one's token range is its
+    ``tok_range`` plus ``delta``, and ``has_heading`` says whether any of
+    them is a heading."""
+
+    __slots__ = ("comments", "delta", "has_heading")
+
+    def __init__(self, comments: list[LiveComment], delta: int = 0):
+        self.comments = comments
+        self.delta = delta
+        self.has_heading = any(c.is_heading for c in comments)
+
+    def start(self) -> int:
+        return self.comments[0].tok_range[0] + self.delta
+
+
+class LiveComments:
+    """The live comments of a page in document order, as a list of blocks
+    (a sorted list of lists). The order holds without sorting because a
+    diff keeps the order of the tokens it keeps. No block is empty."""
+
+    def __init__(self):
+        self.blocks: list[_Block] = []
+
+    def with_ranges(self) -> Iterator[tuple[LiveComment, tuple[int, int]]]:
+        """Every live comment with its token range, in document order."""
+        for block in self.blocks:
+            d = block.delta
+            for c in block.comments:
+                yield c, (c.tok_range[0] + d, c.tok_range[1] + d)
+
+    def locate(self, pos: int, side=bisect.bisect_right) -> tuple[int, int]:
+        """The place ``(block index, index in block)`` that ``side`` would
+        give for token ``pos`` in the list of comment starts. The index in
+        the block is 0 only in the first block."""
+        blocks = self.blocks
+        if not blocks:
+            return 0, 0
+        bi = max(side(blocks, pos, key=_Block.start) - 1, 0) if len(blocks) > 1 else 0
+        block = blocks[bi]
+        return bi, side(block.comments, pos - block.delta, key=_tok_start)
+
+    def scan(self, bi: int, j: int) -> Iterator[tuple[_Block, LiveComment, int, int]]:
+        """``(block, comment, lo, hi)`` from place ``(bi, j)`` on."""
+        for block in self.blocks[bi:]:
+            d = block.delta
+            for c in block.comments[j:]:
+                lo, hi = c.tok_range
+                yield block, c, lo + d, hi + d
+            j = 0
+
+    def insert(self, c: LiveComment) -> None:
+        """Add ``c``, whose ``tok_range`` is absolute, at its place."""
+        if not self.blocks:
+            self.blocks.append(_Block([c]))
+            return
+        bi, j = self.locate(c.tok_range[0])
+        block = self.blocks[bi]
+        c.tok_range = (c.tok_range[0] - block.delta, c.tok_range[1] - block.delta)
+        block.comments.insert(j, c)
+        block.has_heading = block.has_heading or c.is_heading
+        if len(block.comments) > 2 * BLOCK_SIZE:
+            half = len(block.comments) // 2
+            self.blocks[bi : bi + 1] = [
+                _Block(block.comments[:half], block.delta),
+                _Block(block.comments[half:], block.delta),
+            ]
+
+    def remove(self, block: _Block, c: LiveComment) -> None:
+        """Take ``c`` out of ``block``, leaving its ``tok_range`` absolute;
+        a block left empty is dropped."""
+        lo, hi = c.tok_range
+        del block.comments[bisect.bisect_left(block.comments, lo, key=_tok_start)]
+        c.tok_range = (lo + block.delta, hi + block.delta)
+        if not block.comments:
+            self.blocks.remove(block)
+        elif c.is_heading:
+            block.has_heading = any(x.is_heading for x in block.comments)
+
+
 @dataclass
 class PageState:
     page_id: str
     page_title: str
     tokens: TokenSequence = field(default_factory=lambda: tokenize(""))
-    # in document order: a diff keeps the order of the tokens it keeps
-    live: list[LiveComment] = field(default_factory=list)
+    live: LiveComments = field(default_factory=LiveComments)
     store: DeletedCommentStore = field(default_factory=DeletedCommentStore)
     root_creation_id: Optional[str] = None
     incidents: list[str] = field(default_factory=list)
     _seen_action_ids: set[str] = field(default_factory=set)
-
-
-def _tok_start(c: LiveComment) -> int:
-    return c.tok_range[0]
 
 
 @dataclass
@@ -160,7 +250,7 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
             close()
             prev_signed = False
         else:
-            first_char = seq.starts[lo]
+            first_char = seq.start(lo)
             line_start = text.rfind("\n", 0, first_char) + 1
             line_end = text.find("\n", first_char)
             if line_end == -1:
@@ -187,9 +277,11 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
 @dataclass
 class _CommentEdit:
     comment: LiveComment
+    block: _Block
     deleted_tokens: int = 0
     insert_ranges: list[tuple[int, int]] = field(default_factory=list)
     first_delete_new_pos: Optional[int] = None
+    new_range: tuple[int, int] = (0, 0)  # of a surviving comment, set in step 4
 
 
 @dataclass
@@ -243,14 +335,14 @@ class Reconstructor:
         live = state.live
         changes = [op for op in ops if isinstance(op, ChangeOp)]
         equal_ops = [op for op in ops if isinstance(op, EqualOp)]
-        # the comment each change's inserted text edits, when any
-        attach: list[Optional[LiveComment]] = [None] * len(changes)
+        # the edit of the comment each change's inserted text edits, when any
+        attach: list[Optional[_CommentEdit]] = [None] * len(changes)
 
         edits: dict[str, _CommentEdit] = {}
 
-        def edit_for(c: LiveComment) -> _CommentEdit:
+        def edit_for(c: LiveComment, block: _Block) -> _CommentEdit:
             if c.comment_id not in edits:
-                edits[c.comment_id] = _CommentEdit(comment=c)
+                edits[c.comment_id] = _CommentEdit(comment=c, block=block)
             return edits[c.comment_id]
 
         # 1. attribute deleted tokens to the comments they overlap
@@ -258,21 +350,20 @@ class Reconstructor:
             dlo, dhi = ch.old_lo, ch.old_hi
             if dlo == dhi:
                 continue
-            idx = max(bisect.bisect_right(live, dlo, key=_tok_start) - 1, 0)
-            for c in live[idx:]:
-                clo, chi = c.tok_range
+            bi, j = live.locate(dlo)
+            for block, c, clo, chi in live.scan(bi, max(j - 1, 0)):
                 if clo >= dhi:
                     break
                 overlap = min(chi, dhi) - max(clo, dlo)
                 if overlap <= 0:
                     continue
-                e = edit_for(c)
+                e = edit_for(c, block)
                 e.deleted_tokens += overlap
                 if e.first_delete_new_pos is None:
                     e.first_delete_new_pos = ch.new_lo
                 fully_covered = dlo <= clo and dhi >= chi
                 if ch.new_hi > ch.new_lo and not fully_covered and attach[i] is None:
-                    attach[i] = c
+                    attach[i] = e
 
         # 2. attribute inserts: edits of existing comments vs new segments
         standalone: list[ChangeOp] = []
@@ -280,13 +371,15 @@ class Reconstructor:
             if ch.new_lo == ch.new_hi:
                 continue
             if target is None:
-                idx = bisect.bisect_right(live, ch.old_hi, key=_tok_start) - 1
-                if idx >= 0:
-                    clo, chi = live[idx].tok_range
-                    if clo < ch.old_hi < chi:
-                        target = live[idx]
+                bi, j = live.locate(ch.old_hi)
+                if j > 0:
+                    block = live.blocks[bi]
+                    c = block.comments[j - 1]
+                    clo, chi = c.tok_range
+                    if clo < ch.old_hi - block.delta < chi:
+                        target = edit_for(c, block)
             if target is not None:
-                edit_for(target).insert_ranges.append((ch.new_lo, ch.new_hi))
+                target.insert_ranges.append((ch.new_lo, ch.new_hi))
             else:
                 standalone.append(ch)
 
@@ -299,38 +392,59 @@ class Reconstructor:
                 deletions.append(e)
             else:
                 modifications.append(e)
-        if deletions:
-            deleted_ids = {e.comment.comment_id for e in deletions}
-            live = state.live = [c for c in live if c.comment_id not in deleted_ids]
+        for e in deletions:
+            live.remove(e.block, e.comment)
 
         # 4. move surviving comments into the new token space, walking the
-        # equal ops alongside the live list (both are in document order)
+        # equal ops alongside the blocks (both are in document order). A
+        # block's delta takes the shift of the first equal op it meets, so
+        # only its comments that other equal ops keep are rewritten, a run
+        # at a time. An edited comment is never inside one equal op; its
+        # range spans the tokens it kept and the tokens inserted into it.
         k = 0
-        for c in live:
-            lo, hi = c.tok_range
+        for block in live.blocks:
+            comments, d = block.comments, block.delta
+            lo = comments[0].tok_range[0] + d
             while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
                 k += 1
-            e = edits.get(c.comment_id)
-            if e is None:  # kept whole, so inside one equal op
+            op = equal_ops[k] if k < len(equal_ops) else None
+            ref = op.new_lo - op.old_lo if op is not None else 0
+            block.delta = d + ref
+            if op is not None and op.old_lo <= lo and comments[-1].tok_range[1] + d <= op.old_hi:
+                continue
+            i = 0
+            while i < len(comments):
+                c = comments[i]
+                lo, hi = c.tok_range[0] + d, c.tok_range[1] + d
+                while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
+                    k += 1
                 op = equal_ops[k] if k < len(equal_ops) else None
-                if op is None or op.old_lo > lo or op.old_hi < hi:
+                if op is not None and op.old_lo <= lo and hi <= op.old_hi:
+                    end = bisect.bisect_right(comments, op.old_hi - d, i, key=_tok_end)
+                    shift = op.new_lo - op.old_lo - ref
+                    if shift:
+                        for c in comments[i:end]:
+                            c.tok_range = (c.tok_range[0] + shift, c.tok_range[1] + shift)
+                    i = end
+                    continue
+                e = edits.get(c.comment_id)
+                if e is None:
                     raise AssertionError(
                         f"comment {c.comment_id} lost its span without an edit record"
                     )
-                shift = op.new_lo - op.old_lo
-                c.tok_range = (lo + shift, hi + shift)
-                continue
-            positions = [p for ins_lo, ins_hi in e.insert_ranges for p in (ins_lo, ins_hi - 1)]
-            j = k
-            while j < len(equal_ops) and equal_ops[j].old_lo < hi:
-                j += 1
-            if j > k:  # equal_ops[k:j] keep tokens of [lo, hi)
-                first, last = equal_ops[k], equal_ops[j - 1]
-                positions.append(first.new_lo + max(first.old_lo, lo) - first.old_lo)
-                positions.append(last.new_lo + min(last.old_hi, hi) - 1 - last.old_lo)
-            if not positions:
-                raise AssertionError(f"modified comment {c.comment_id} has no surviving tokens")
-            c.tok_range = (min(positions), max(positions) + 1)
+                positions = [p for ins_lo, ins_hi in e.insert_ranges for p in (ins_lo, ins_hi - 1)]
+                j = k
+                while j < len(equal_ops) and equal_ops[j].old_lo < hi:
+                    j += 1
+                if j > k:  # equal_ops[k:j] keep tokens of [lo, hi)
+                    first, last = equal_ops[k], equal_ops[j - 1]
+                    positions.append(first.new_lo + max(first.old_lo, lo) - first.old_lo)
+                    positions.append(last.new_lo + min(last.old_hi, hi) - 1 - last.old_lo)
+                if not positions:
+                    raise AssertionError(f"modified comment {c.comment_id} has no surviving tokens")
+                e.new_range = (min(positions), max(positions) + 1)
+                c.tok_range = (e.new_range[0] - block.delta, e.new_range[1] - block.delta)
+                i += 1
 
         # 5. order emissions by document position, in new tokens; a deletion
         # sits at its anchor, ties broken by its old token start
@@ -339,7 +453,7 @@ class Reconstructor:
             anchor_new = e.first_delete_new_pos if e.first_delete_new_pos is not None else 0
             pending.append(((anchor_new, 0, e.comment.tok_range[0]), "delete", e))
         for e in modifications:
-            tok_lo = e.comment.tok_range[0]
+            tok_lo = e.new_range[0]
             pending.append(((tok_lo, 1, tok_lo), "modify", e))
         for ch in standalone:
             for seg in segment_text(new_seq, ch.new_lo, ch.new_hi):
@@ -376,14 +490,14 @@ class Reconstructor:
             elif kind == "modify":
                 e = payload
                 c = e.comment
-                span = new_seq.char_span(*c.tok_range)
+                span = new_seq.char_span(*e.new_range)
                 raw = new_seq.text[span[0] : span[1]]
                 cleaned = clean_markup(raw).text
                 if not c.is_heading:
                     first_line_end = raw.find("\n")
                     first_line = raw if first_line_end == -1 else raw[:first_line_end]
                     c.indentation = _line_indentation(first_line)
-                action_id = self._new_action_id(state, rev.revision_id, c.tok_range[0], bump)
+                action_id = self._new_action_id(state, rev.revision_id, e.new_range[0], bump)
                 actions.append(
                     _new_action(
                         state,
@@ -432,16 +546,21 @@ class Reconstructor:
             )
         return state.root_creation_id
 
-    def _resolve_thread(self, live: list[LiveComment], tok_pos: int) -> Optional[LiveComment]:
-        """The nearest heading starting before token ``tok_pos``."""
-        for k in range(bisect.bisect_left(live, tok_pos, key=_tok_start) - 1, -1, -1):
-            if live[k].is_heading:
-                return live[k]
+    def _resolve_thread(self, live: LiveComments, tok_pos: int) -> Optional[LiveComment]:
+        """The nearest heading starting before token ``tok_pos``; blocks
+        without a heading are skipped."""
+        bi, j = live.locate(tok_pos, bisect.bisect_left)
+        for block in live.blocks[bi::-1]:
+            if block.has_heading:
+                for c in reversed(block.comments[:j]):
+                    if c.is_heading:
+                        return c
+            j = None
         return None
 
     def _resolve_reply(
         self,
-        live: list[LiveComment],
+        live: LiveComments,
         tok_pos: int,
         indent: int,
         conversation_id: str,
@@ -449,14 +568,16 @@ class Reconstructor:
         """The nearest comment of the conversation before token ``tok_pos``
         one level shallower than ``indent``, else the nearest shallower one."""
         fallback = None
-        for k in range(bisect.bisect_left(live, tok_pos, key=_tok_start) - 1, -1, -1):
-            c = live[k]
-            if c.conversation_id != conversation_id:
-                continue
-            if c.indentation == indent - 1:
-                return c.last_action_id
-            if fallback is None and c.indentation < indent:
-                fallback = c.last_action_id
+        bi, j = live.locate(tok_pos, bisect.bisect_left)
+        for block in live.blocks[bi::-1]:
+            for c in reversed(block.comments[:j]):
+                if c.conversation_id != conversation_id:
+                    continue
+                if c.indentation == indent - 1:
+                    return c.last_action_id
+                if fallback is None and c.indentation < indent:
+                    fallback = c.last_action_id
+            j = None
         return fallback
 
     def _emit_segment(
@@ -494,8 +615,7 @@ class Reconstructor:
 
         action_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, bump)
         conversation_id = conversation_id or action_id
-        comment = _new_comment(action_id, seg, cleaned, conversation_id, replyto_id)
-        bisect.insort(state.live, comment, key=_tok_start)
+        state.live.insert(_new_comment(action_id, seg, cleaned, conversation_id, replyto_id))
         return _new_action(
             state,
             rev,
@@ -515,7 +635,7 @@ class Reconstructor:
     def _resync(self, state: PageState, rev: RevisionRecord, new_seq: TokenSequence) -> None:
         """Treat the new revision as ground truth: rebuild live comments from
         its full text without emitting actions."""
-        state.live = []
+        state.live = LiveComments()
         state.tokens = new_seq
         thread_id: Optional[str] = None  # the id of the heading above
         for seg in segment_text(new_seq, 0, len(new_seq)):
@@ -529,7 +649,7 @@ class Reconstructor:
                 if seg.is_heading
                 else self._resolve_reply(state.live, seg.tok_lo, seg.indentation, conv)
             )
-            state.live.append(_new_comment(seg_id, seg, cleaned, conv, replyto_id))
+            state.live.insert(_new_comment(seg_id, seg, cleaned, conv, replyto_id))
 
 
 def reconstruct_page(

@@ -86,30 +86,52 @@ def common_suffix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
+# Token offsets are stored in chunks of at least this many tokens (fewer
+# only in a text's last chunk), each with one base offset, so an edit
+# re-bases the chunks after it instead of shifting every later offset.
+CHUNK_SIZE = 128
+
+
+@dataclass(slots=True)
 class TokenSequence:
     """A tokenized text with per-token character offsets.
 
-    ``starts[i]`` and ``ends[i]`` delimit token ``i`` in ``text``. Invariant:
+    :meth:`start` and :meth:`end` delimit token ``i`` in ``text``. Invariant:
     joining ``tokens`` with the inter-token gaps of ``text`` reproduces
     ``text`` exactly; offsets are strictly increasing and non-overlapping.
-    The lists are shared between revisions and must not be mutated.
+
+    The offsets are held in chunks: chunk ``c`` holds tokens from
+    ``firsts[c]`` on, and token ``firsts[c] + k`` spans ``bases[c] +
+    chunk_starts[c][k]`` to ``bases[c] + chunk_ends[c][k]``. No chunk is
+    empty. A sequence and its offset lists are shared between revisions
+    and must not be mutated. (The class is not frozen because a frozen
+    dataclass takes four times as long to build, once per revision.)
     """
 
     text: str
     tokens: tuple[str, ...]
-    starts: list[int]
-    ends: list[int]
+    firsts: list[int]
+    bases: list[int]
+    chunk_starts: list[list[int]]
+    chunk_ends: list[list[int]]
 
     def __len__(self) -> int:
         return len(self.tokens)
 
+    def start(self, i: int) -> int:
+        c = bisect.bisect_right(self.firsts, i) - 1
+        return self.bases[c] + self.chunk_starts[c][i - self.firsts[c]]
+
+    def end(self, i: int) -> int:
+        c = bisect.bisect_right(self.firsts, i) - 1
+        return self.bases[c] + self.chunk_ends[c][i - self.firsts[c]]
+
     def char_span(self, lo: int, hi: int) -> tuple[int, int]:
         """Character span covering tokens [lo, hi); zero-width at lo when empty."""
         if lo >= hi:
-            pos = self.starts[lo] if lo < len(self.tokens) else len(self.text)
+            pos = self.start(lo) if lo < len(self.tokens) else len(self.text)
             return pos, pos
-        return self.starts[lo], self.ends[hi - 1]
+        return self.start(lo), self.end(hi - 1)
 
     def slice_text(self, lo: int, hi: int) -> str:
         start, end = self.char_span(lo, hi)
@@ -117,31 +139,56 @@ class TokenSequence:
 
     def token_at_or_after(self, char_pos: int) -> int:
         """Index of the first token starting at or after char_pos."""
-        return bisect.bisect_left(self.starts, char_pos)
+        return self._count_below(char_pos, self.chunk_starts)
+
+    def _count_below(self, char_pos: int, chunks: list[list[int]]) -> int:
+        """How many tokens have their offset in ``chunks`` (``chunk_starts``
+        or ``chunk_ends``) below char_pos."""
+        bases = self.bases
+        if len(bases) < 2:
+            if not bases:
+                return 0
+            c = 0
+        else:  # the last chunk whose first offset is below char_pos, else the first
+            c = bisect.bisect_left(range(len(bases)), char_pos, key=lambda k: bases[k] + chunks[k][0])
+            c = max(c - 1, 0)
+        return self.firsts[c] + bisect.bisect_left(chunks[c], char_pos - bases[c])
 
 
 def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
     """Tokenize ``text``, reusing ``prev`` (the tokens of an earlier text)
-    outside the changed window. The result equals ``tokenize(text)``."""
-    if prev is None:
-        head, starts, ends = (), [], []
+    outside the changed window. The result equals ``tokenize(text)``.
+
+    The chunks before the one the window starts in are reused as they are,
+    and the chunks after the one it ends in get a new base. The offsets in
+    between are chunked anew, relative to the base of the first of them,
+    together with the next chunk when they are too few to fill one.
+    """
+    if prev is not None and text == prev.text:
+        return prev
+    if prev is None or not prev.firsts:
+        prev = _EMPTY
+        keep = h = base = 0
+        starts: list[int] = []
+        ends: list[int] = []
         pos = 0
         tail_from = len(text) + 1  # no shared suffix: scan to the end
     else:
         old = prev.text
-        if text == old:
-            return prev
         p = common_prefix(old, 0, len(old), text, 0, len(text))
         s = common_suffix(old, p, len(old), text, p, len(text))
         # A kept token's next character lies in the shared prefix, so the
         # maximal-run rule ends it in the same place in the new text.
-        keep = bisect.bisect_left(prev.ends, p)
-        head, starts, ends = prev.tokens[:keep], prev.starts[:keep], prev.ends[:keep]
-        pos = ends[-1] if keep else 0
+        keep = prev._count_below(p, prev.chunk_ends)
+        h = bisect.bisect_right(prev.firsts, keep) - 1
+        base = prev.bases[h]
+        starts = prev.chunk_starts[h][: keep - prev.firsts[h]]
+        ends = prev.chunk_ends[h][: keep - prev.firsts[h]]
+        pos = base + ends[-1] if ends else prev.end(keep - 1) if keep else 0
         tail_from = len(text) - s
         delta = len(text) - len(old)
-        old_starts = prev.starts
-        j = bisect.bisect_left(old_starts, tail_from - delta)
+        n_old = len(prev.tokens)
+        j = prev._count_below(tail_from - delta, prev.chunk_starts)
     mid: list[str] = []
     for m in _TOKEN_RE.finditer(text, pos):
         start, end = m.span()
@@ -149,16 +196,69 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
             # Inside the shared suffix, a match at the shifted start of an
             # old token begins the same scan as the old text's from there.
             target = start - delta
-            while j < len(old_starts) and old_starts[j] < target:
+            while j < n_old and (old_start := prev.start(j)) < target:
                 j += 1
-            if j < len(old_starts) and old_starts[j] == target:
-                starts.extend(map(delta.__add__, old_starts[j:]))
-                ends.extend(map(delta.__add__, prev.ends[j:]))
-                return TokenSequence(text, head + tuple(mid) + prev.tokens[j:], starts, ends)
+            if j < n_old and old_start == target:
+                break
         mid.append(m.group())
-        starts.append(start)
-        ends.append(end)
-    return TokenSequence(text, head + tuple(mid), starts, ends)
+        starts.append(start - base)
+        ends.append(end - base)
+    else:  # no shared tail
+        tokens = prev.tokens[:keep] + tuple(mid)
+        return _join(text, tokens, prev, h, base, starts, ends, len(prev.firsts), 0)
+    # The old tokens from j on follow, moved by delta characters; the rest
+    # of j's chunk, and more chunks up to a full one, join the window's.
+    c = bisect.bisect_right(prev.firsts, j) - 1
+    lo = j - prev.firsts[c]
+    while True:
+        shift = prev.bases[c] + delta - base
+        starts += [x + shift for x in prev.chunk_starts[c][lo:]]
+        ends += [x + shift for x in prev.chunk_ends[c][lo:]]
+        c, lo = c + 1, 0
+        if len(starts) >= CHUNK_SIZE or c == len(prev.firsts):
+            break
+    tokens = prev.tokens[:keep] + (tuple(mid) + prev.tokens[j:])
+    return _join(text, tokens, prev, h, base, starts, ends, c, delta)
+
+
+def _join(
+    text: str,
+    tokens: tuple[str, ...],
+    prev: TokenSequence,
+    h: int,
+    base: int,
+    starts: list[int],
+    ends: list[int],
+    c: int,
+    delta: int,
+) -> TokenSequence:
+    """The sequence whose offsets are ``prev``'s chunks before ``h``, then
+    ``starts``/``ends`` (relative to ``base``) cut into chunks, then
+    ``prev``'s chunks from ``c`` on moved by ``delta`` characters."""
+    n = len(starts)
+    if h == 0 and c == len(prev.firsts) and 0 < n < 2 * CHUNK_SIZE:  # one chunk in all
+        return TokenSequence(text, tokens, [0], [base], [starts], [ends])
+    first = prev.firsts[h] if h < len(prev.firsts) else 0
+    firsts, bases = prev.firsts[:h], prev.bases[:h]
+    chunk_starts, chunk_ends = prev.chunk_starts[:h], prev.chunk_ends[:h]
+    # chunks of CHUNK_SIZE, the last one with the remainder; one chunk of
+    # fewer when there are fewer in all, and the lists themselves when one
+    for a in range(0, n - CHUNK_SIZE + 1, CHUNK_SIZE) or range(min(n, 1)):
+        b = a + CHUNK_SIZE if a + 2 * CHUNK_SIZE <= n else n
+        firsts.append(first + a)
+        bases.append(base)
+        chunk_starts.append(starts[a:b] if a or b < n else starts)
+        chunk_ends.append(ends[a:b] if a or b < n else ends)
+    if c < len(prev.firsts):
+        shift = first + n - prev.firsts[c]
+        firsts += [f + shift for f in prev.firsts[c:]]
+        bases += [b + delta for b in prev.bases[c:]]
+        chunk_starts += prev.chunk_starts[c:]
+        chunk_ends += prev.chunk_ends[c:]
+    return TokenSequence(text, tokens, firsts, bases, chunk_starts, chunk_ends)
+
+
+_EMPTY = TokenSequence("", (), [], [], [], [])
 
 
 def join_fragments(fragments: list[str]) -> str:

@@ -24,7 +24,7 @@ def make_revision(rev_id, text, page_id="1", minutes=0, user="alice", user_id=1)
 
 def offsets(seq):
     """``(start, end)`` character offsets per token of a ``TokenSequence``."""
-    return tuple(zip(seq.starts, seq.ends))
+    return tuple(seq.char_span(i, i + 1) for i in range(len(seq)))
 
 
 def equal_token_count(script):

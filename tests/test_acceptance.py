@@ -75,8 +75,68 @@ def test_criterion_1_figure_scenario(tmp_path):
     _report(1, f"figure scenario reconstructed exactly in {elapsed:.2f}s")
 
 
+def chinese_talk_script() -> PageScript:
+    """A zhwiki-style page: CJK headings and comments, each signed the way
+    zhwiki signatures render, ending in ``(UTC)``; it has additions,
+    modifications, deletions, a thread deletion and restorations."""
+    script = PageScript("86", "Talk:长城")
+    users = ["张三", "李四", "王五", "赵六"]
+    revisions = 0
+
+    def say(text):
+        user = users[revisions % len(users)]
+        return (
+            f"{text}——[[User:{user}|{user}]]（[[User talk:{user}|留言]]）"
+            f"2018年3月{revisions + 1}日 (四) {revisions:02d}:{revisions:02d} (UTC)"
+        )
+
+    def reply(target, text):
+        return script.add_comment(target, say(text), sign=False)
+
+    def commit():
+        nonlocal revisions
+        script.commit(user=users[revisions % len(users)], user_id=revisions % len(users) + 1)
+        revisions += 1
+
+    sources = script.new_thread("关于条目来源的讨论")
+    commit()
+    a = reply(sources, "我认为应该补充明代修筑长城的史料来源。")
+    commit()
+    b = reply(a, "同意，可以引用《明史》中的相关记载。")
+    c = reply(a, "建议同时参考近年的考古发掘报告。")
+    commit()
+    script.modify_comment(a, say("我认为应该补充明代和秦代修筑长城的史料来源。"), sign=False)
+    commit()
+    names = script.new_thread("条目名称")
+    commit()
+    d = reply(names, "是否应该改名为“万里长城”？请大家讨论。")
+    commit()
+    e = reply(d, "反对，“长城”是更常用的名称。")
+    commit()
+    spam = reply(e, "这里全是废话，没有人在乎这个条目！！！")
+    commit()
+    script.delete_comment(spam)
+    commit()
+    f = reply(b, "《明史·兵志》第三卷有详细的描述，可以作为来源。")
+    commit()
+    script.delete_comment(c)
+    commit()
+    script.reinsert_comment(c)
+    commit()
+    script.modify_comment(e, say("反对，“长城”是更常用、更简洁的名称。"), sign=False)
+    commit()
+    script.reinsert_comment(spam)
+    commit()
+    for i in range(6):
+        reply(f if i % 2 else d, f"第{i + 1}条补充意见：相关段落需要重新整理。")
+        commit()
+    script.delete_thread(names)
+    commit()
+    return script
+
+
 def test_criterion_2_gold_fixture_suite():
-    suite = gold_fixture_suite()
+    suite = gold_fixture_suite() + [chinese_talk_script()]
     assert len(suite) >= 20
     all_actions, all_gold = [], []
     for script in suite:

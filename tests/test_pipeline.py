@@ -21,6 +21,7 @@ from wikitalk.synth import (
     figure_walkthrough_script,
     gold_fixture_suite,
     random_tree_script,
+    render_dump,
     write_dump,
 )
 
@@ -70,6 +71,19 @@ def test_failed_run_prints_one_error_line(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [f"error: input dump not found: {missing}"]
+
+
+def test_cli_import_does_not_load_numpy():
+    """numpy is needed only by ``analytics eer``; the command's start-up
+    (and so every ``reconstruct`` run) does without it."""
+    path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, wikitalk.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unwritable_output_fails(tmp_path, monkeypatch):
@@ -162,6 +176,32 @@ def test_corpus_bytes_are_pinned(tmp_path):
             out = tmp_path / f"{name}.jsonl"
             run_pipeline(PipelineConfig(input_path=dump, output_path=out, spill_dir=tmp_path, **budget))
             assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CORPORA[name], (name, budget)
+
+
+def test_revision_with_hidden_text_is_skipped(tmp_path):
+    """A revision whose text an administrator hid is not an observation of
+    the page: the corpus is the one of the dump without that revision, and
+    the run counts one ``text_deleted`` skip."""
+    script, _ = random_tree_script(0, n_comments=120)
+    plain = render_dump([script])
+    rev = script.revisions[60]
+    hidden = (
+        "    <revision>\n      <id>999999</id>\n"
+        f"      <timestamp>{rev.timestamp.strftime('%Y-%m-%dT%H:%M:%SZ')}</timestamp>\n"
+        "      <contributor><username>admin</username></contributor>\n"
+        '      <text deleted="deleted" />\n    </revision>\n'
+    )
+    at = plain.index(f"<id>{script.revisions[61].revision_id}</id>")
+    at = plain.rindex("    <revision>", 0, at)
+    corpora, skips = [], []
+    for name, xml in (("plain", plain), ("hidden", plain[:at] + hidden + plain[at:])):
+        dump = tmp_path / f"{name}.xml"
+        dump.write_text(xml, encoding="utf-8")
+        report = run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / f"{name}.jsonl"))
+        corpora.append((tmp_path / f"{name}.jsonl").read_bytes())
+        skips.append(report.ingest.skip_reasons)
+    assert corpora[0] == corpora[1]
+    assert skips == [{}, {"text_deleted": 1}]
 
 
 def test_dump_order_does_not_change_output(tmp_path):

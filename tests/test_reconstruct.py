@@ -1,7 +1,11 @@
+import random
 from types import SimpleNamespace
+
+import pytest
 
 import wikitalk.diff as diff_mod
 from tests.conftest import make_revision, offsets
+from wikitalk import reconstruct, tokenizer
 from wikitalk.actions import ActionType
 from wikitalk.corpus import serialize_action
 from wikitalk.diff import ChangeOp, lcs_diff
@@ -22,7 +26,7 @@ from wikitalk.tokenizer import tokenize
 
 def assert_live_in_document_order(state):
     """The live comments are listed by token range, and no two overlap."""
-    ranges = [c.tok_range for c in state.live]
+    ranges = [tok_range for _, tok_range in state.live.with_ranges()]
     for (lo, hi), (next_lo, next_hi) in zip(ranges, ranges[1:]):
         assert lo < hi <= next_lo < next_hi, ranges
 
@@ -63,8 +67,8 @@ def test_whitespace_only_change_no_actions_but_spans_remap():
     second = "==  Topic  ==\nFirst comment.  ~~~~\n"
     state, actions = fold([make_revision(1, first), make_revision(2, second, minutes=5)])
     assert len(actions) == 2
-    for comment in state.live:
-        lo, hi = state.tokens.char_span(*comment.tok_range)
+    for _, tok_range in state.live.with_ranges():
+        lo, hi = state.tokens.char_span(*tok_range)
         assert second[lo:hi] == second[lo:hi].strip("\n")
 
 
@@ -110,12 +114,12 @@ def test_offsets_shift_with_prefix_insertion():
     state, actions = fold(
         [make_revision(1, base), make_revision(2, intro + base, minutes=5)]
     )
-    spans = sorted(state.tokens.char_span(*c.tok_range) for c in state.live)
+    spans = sorted(state.tokens.char_span(*tok_range) for _, tok_range in state.live.with_ranges())
     text = intro + base
     # heading and comment shifted by the intro length exactly
     assert (len(intro), len(intro) + len("== Topic ==")) in spans
-    for comment in state.live:
-        lo, hi = state.tokens.char_span(*comment.tok_range)
+    for _, tok_range in state.live.with_ranges():
+        lo, hi = state.tokens.char_span(*tok_range)
         extracted = text[lo:hi]
         assert extracted and not extracted.startswith("\n") and not extracted.endswith("\n")
 
@@ -124,7 +128,9 @@ def test_span_extraction_matches_block_text_through_history():
     for script in gold_fixture_suite()[:8]:
         state, _ = fold(script.revision_records())
         final = script.revisions[-1].text
-        live_texts = sorted(final[slice(*state.tokens.char_span(*c.tok_range))] for c in state.live)
+        live_texts = sorted(
+            final[slice(*state.tokens.char_span(*tok_range))] for _, tok_range in state.live.with_ranges()
+        )
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected
 
@@ -193,23 +199,30 @@ def test_store_bound_invariant_through_churn():
 
 
 def test_resync_on_diff_cap(monkeypatch):
+    """A revision over the diff cap rebuilds the live comments from its
+    text, in blocks of the default size and of two comments alike."""
     script = figure_walkthrough_script()
     revisions = script.revision_records()
     monkeypatch.setattr(diff_mod, "MAX_DIFF_TOKENS", 25)
-    recon = Reconstructor()
-    state = PageState(page_id="101", page_title="Talk:Example")
-    emitted = []
-    for rev in revisions:
-        _, acts = recon.process_revision(state, rev)
-        assert_live_in_document_order(state)
-        emitted.extend(acts)
-    assert recon.tally.skipped_revisions >= 1
-    assert state.incidents
-    # state still tracks the final text faithfully
-    final = revisions[-1].wikitext
-    for comment in state.live:
-        lo, hi = state.tokens.char_span(*comment.tok_range)
-        assert final[lo:hi]
+    observed = []
+    for block_size in (reconstruct.BLOCK_SIZE, 2):
+        monkeypatch.setattr(reconstruct, "BLOCK_SIZE", block_size)
+        recon = Reconstructor()
+        state = PageState(page_id="101", page_title="Talk:Example")
+        emitted = []
+        for rev in revisions:
+            _, acts = recon.process_revision(state, rev)
+            assert_live_in_document_order(state)
+            emitted.extend(serialize_action(a) for a in acts)
+        assert recon.tally.skipped_revisions >= 1
+        assert state.incidents
+        # state still tracks the final text faithfully
+        final = revisions[-1].wikitext
+        for _, tok_range in state.live.with_ranges():
+            lo, hi = state.tokens.char_span(*tok_range)
+            assert final[lo:hi]
+        observed.append((emitted, [(c.comment_id, r) for c, r in state.live.with_ranges()]))
+    assert observed[0] == observed[1]
 
 
 def test_determinism_byte_for_byte():
@@ -242,7 +255,7 @@ def test_replay_reproduces_final_live_comments():
                 live.pop(root, None)
                 last_to_root[a.action_id] = root
         state, _ = fold(records)
-        reconstructed = sorted(c.cleaned_text for c in state.live)
+        reconstructed = sorted(c.cleaned_text for c, _ in state.live.with_ranges())
         replayed = sorted(live.values())
         assert replayed == reconstructed
 
@@ -299,46 +312,52 @@ def test_parent_chains_terminate_at_creation_or_addition():
             assert node.type in (ActionType.CREATION, ActionType.ADDITION)
 
 
-def test_randomized_edit_sequences_spans_and_gold():
-    import random
+def random_edit_script(seed):
+    """A page of 40 revisions, each adding, revising, deleting or restoring
+    a comment or opening a thread at random."""
+    rng = random.Random(seed)
+    script = PageScript(f"rr{seed}", "Talk:Randomized")
+    threads = [script.new_thread(f"Random thread {seed}")]
+    script.commit()
+    comments: list = []
+    deleted: list = []
+    for step in range(40):
+        roll = rng.random()
+        if roll < 0.45 or not comments:
+            target = rng.choice(threads + comments)
+            comments.append(
+                script.add_comment(
+                    target, f"random remark {step} with filler {rng.randrange(100)}"
+                )
+            )
+        elif roll < 0.65:
+            script.modify_comment(
+                rng.choice(comments),
+                f"revised remark {step} with filler {rng.randrange(100)}",
+            )
+        elif roll < 0.80 and len(comments) > 1:
+            victim = comments.pop(rng.randrange(len(comments)))
+            script.delete_comment(victim)
+            deleted.append(victim)
+        elif deleted and roll < 0.90:
+            block, _ = script.reinsert_comment(deleted.pop())
+            comments.append(block)
+        else:
+            threads.append(script.new_thread(f"Another thread {step}"))
+        script.commit(user=f"u{rng.randrange(6)}")
+    return script
 
+
+def test_randomized_edit_sequences_spans_and_gold():
     from wikitalk.evalharness import DIMENSIONS, score_against_gold
 
     for seed in range(6):
-        rng = random.Random(seed)
-        script = PageScript(f"rr{seed}", "Talk:Randomized")
-        threads = [script.new_thread(f"Random thread {seed}")]
-        script.commit()
-        comments: list = []
-        deleted: list = []
-        for step in range(40):
-            roll = rng.random()
-            if roll < 0.45 or not comments:
-                target = rng.choice(threads + comments)
-                comments.append(
-                    script.add_comment(
-                        target, f"random remark {step} with filler {rng.randrange(100)}"
-                    )
-                )
-            elif roll < 0.65:
-                script.modify_comment(
-                    rng.choice(comments),
-                    f"revised remark {step} with filler {rng.randrange(100)}",
-                )
-            elif roll < 0.80 and len(comments) > 1:
-                victim = comments.pop(rng.randrange(len(comments)))
-                script.delete_comment(victim)
-                deleted.append(victim)
-            elif deleted and roll < 0.90:
-                block, _ = script.reinsert_comment(deleted.pop())
-                comments.append(block)
-            else:
-                threads.append(script.new_thread(f"Another thread {step}"))
-            script.commit(user=f"u{rng.randrange(6)}")
-
+        script = random_edit_script(seed)
         state, actions = fold(script.revision_records())
         final = script.revisions[-1].text
-        live_texts = sorted(final[slice(*state.tokens.char_span(*c.tok_range))] for c in state.live)
+        live_texts = sorted(
+            final[slice(*state.tokens.char_span(*tok_range))] for _, tok_range in state.live.with_ranges()
+        )
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected, f"seed {seed}"
         table = score_against_gold(actions, script.gold)
@@ -374,7 +393,8 @@ def reference_resolve_reply(live, char_pos, indent, conversation_id):
 
 def test_resolvers_match_linear_scans(monkeypatch):
     """At every segment emitted, the bisecting resolvers on token positions
-    give what the linear scans on character spans give."""
+    give what the linear scans on character spans give, with live-comment
+    blocks of the default size and of two comments."""
     recon = Reconstructor()
     original = Reconstructor._emit_segment
     checked = []
@@ -382,12 +402,13 @@ def test_resolvers_match_linear_scans(monkeypatch):
     def checking(self, state, rev, seg, *args):
         new_seq = tokenize(rev.wikitext)
         spanned = [
-            SimpleNamespace(**vars(c), span=new_seq.char_span(*c.tok_range)) for c in state.live
+            SimpleNamespace(**vars(c), span=new_seq.char_span(*tok_range))
+            for c, tok_range in state.live.with_ranges()
         ]
         thread = recon._resolve_thread(state.live, seg.tok_lo)
         want = reference_resolve_thread(spanned, seg.char_lo)
         assert (thread and thread.comment_id) == (want and want.comment_id)
-        for conversation_id in {c.conversation_id for c in state.live}:
+        for conversation_id in {c.conversation_id for c, _ in state.live.with_ranges()}:
             for indent in range(seg.indentation + 2):
                 got = recon._resolve_reply(state.live, seg.tok_lo, indent, conversation_id)
                 assert got == reference_resolve_reply(spanned, seg.char_lo, indent, conversation_id)
@@ -396,9 +417,43 @@ def test_resolvers_match_linear_scans(monkeypatch):
 
     monkeypatch.setattr(Reconstructor, "_emit_segment", checking)
     scripts = gold_fixture_suite() + [random_tree_script(seed)[0] for seed in range(10)]
-    for script in scripts:
-        fold(script.revision_records(), recon)
-    assert len(checked) > 200 and any(checked) and not all(checked)
+    for block_size in (reconstruct.BLOCK_SIZE, 2):
+        monkeypatch.setattr(reconstruct, "BLOCK_SIZE", block_size)
+        checked.clear()
+        for script in scripts:
+            fold(script.revision_records(), recon)
+        assert len(checked) > 200 and any(checked) and not all(checked)
+
+
+def fold_observed(records):
+    """Every action serialized, and every live comment's id and token range
+    after each revision."""
+    recon = Reconstructor()
+    state = PageState(page_id=records[0].page_id, page_title=records[0].page_title)
+    lines, ranges = [], []
+    for rev in records:
+        _, actions = recon.process_revision(state, rev)
+        lines.extend(serialize_action(a) for a in actions)
+        ranges.append([(c.comment_id, tok_range) for c, tok_range in state.live.with_ranges()])
+    return lines, ranges
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_block_and_chunk_sizes_do_not_change_output(monkeypatch, size):
+    """Live-comment blocks and token-offset chunks are storage only: tiny
+    ones give the same actions and the same live ranges as the defaults.
+    Every third revision of the random edit pages makes revisions with
+    several changes each."""
+    scripts = gold_fixture_suite() + [random_tree_script(0, n_comments=200)[0]]
+    pages = [script.revision_records() for script in scripts]
+    for seed in range(6):
+        records = random_edit_script(seed).revision_records()
+        pages += [records, records[::3]]
+    want = [fold_observed(records) for records in pages]
+    monkeypatch.setattr(reconstruct, "BLOCK_SIZE", size)
+    monkeypatch.setattr(tokenizer, "CHUNK_SIZE", size)
+    for records, expected in zip(pages, want):
+        assert fold_observed(records) == expected, records[0].page_id
 
 
 def test_segment_text_blank_lines_separate():

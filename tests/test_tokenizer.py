@@ -1,7 +1,10 @@
+from unittest import mock
+
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tests.conftest import offsets
+from wikitalk import tokenizer
 from wikitalk.tokenizer import (
     common_prefix,
     common_suffix,
@@ -43,7 +46,7 @@ def detokenize(seq):
     """Rebuild the source text from tokens plus the gaps recorded in offsets."""
     parts = []
     pos = 0
-    for tok, start, end in zip(seq.tokens, seq.starts, seq.ends):
+    for tok, (start, end) in zip(seq.tokens, offsets(seq)):
         parts.append(seq.text[pos:start])
         parts.append(tok)
         pos = end
@@ -110,7 +113,18 @@ def assert_same_tokens(got, want):
     assert got.text == want.text
     assert got.tokens == want.tokens
     assert offsets(got) == offsets(want)
-    assert got.starts == want.starts and got.ends == want.ends
+    assert [got.start(i) for i in range(len(got))] == [want.start(i) for i in range(len(want))]
+    assert [got.end(i) for i in range(len(got))] == [want.end(i) for i in range(len(want))]
+    assert_chunked(got)
+
+
+def assert_chunked(seq):
+    """The chunks tile the tokens in order, and only the last one holds
+    fewer than CHUNK_SIZE offsets."""
+    sizes = [len(c) for c in seq.chunk_starts]
+    assert seq.firsts == [sum(sizes[:k]) for k in range(len(sizes))]
+    assert sum(sizes) == len(seq) and all(sizes)
+    assert all(n >= tokenizer.CHUNK_SIZE for n in sizes[:-1]), sizes
 
 
 @given(edited())
@@ -126,11 +140,14 @@ def assert_same_tokens(got, want):
 @example(("aa bb", "aa bb"))
 @example(("ab", "a b"))
 @example(("::x", ":::x"))
+@example(("a b c d e f g h", "a b d e f g h"))
 def test_incremental_tokenize_equals_full(pair):
     a, b = pair
-    prev = tokenize(a)
-    assert_same_tokens(tokenize(b, prev), tokenize(b))
-    assert_same_tokens(tokenize(a, tokenize(b)), prev)
+    for chunk_size in (tokenizer.CHUNK_SIZE, 2):
+        with mock.patch.object(tokenizer, "CHUNK_SIZE", chunk_size):
+            prev = tokenize(a)
+            assert_same_tokens(tokenize(b, prev), tokenize(b))
+            assert_same_tokens(tokenize(a, tokenize(b)), prev)
 
 
 def test_incremental_tokenize_reuses_identical_text():
