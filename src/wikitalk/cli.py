@@ -21,15 +21,37 @@ import argparse
 import json
 import os
 import sys
+from datetime import timedelta
 from pathlib import Path
 
-from wikitalk import analytics, corpus, evalharness
+from wikitalk import corpus
 from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY
 from wikitalk.pipeline import PipelineConfig, run_pipeline_cli
 
 
 def _env(flag: str, default=None):
     return os.environ.get("WIKITALK_" + flag.replace("-", "_").upper(), default)
+
+
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return number
+
+
+def _horizons(value: str) -> list[tuple[str, timedelta]]:
+    """Comma-separated horizons such as ``1h,1d,7d``, shortest first, as
+    (label, horizon) pairs; empty items are skipped."""
+    from wikitalk.analytics import parse_horizon
+
+    try:
+        pairs = [(h.strip(), parse_horizon(h)) for h in value.split(",") if h.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if pairs != sorted(pairs, key=lambda pair: pair[1]):
+        raise argparse.ArgumentTypeError(f"horizons must be sorted ascending: {value}")
+    return pairs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev_sub = ev.add_subparsers(dest="eval_command", required=True)
     ev_sample = ev_sub.add_parser("sample", help="draw a review sample per action type")
     ev_sample.add_argument("--corpus", required=True)
-    ev_sample.add_argument("--per-type", type=int, default=_env("per-type", 100))
+    ev_sample.add_argument("--per-type", type=_non_negative_int, default=_env("per-type", 100))
     ev_sample.add_argument("--seed", type=int, default=_env("seed", 0))
     ev_sample.add_argument("--output", default=_env("output"))
     ev_score = ev_sub.add_parser("score", help="score a corpus against gold annotations")
@@ -74,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     an_eer.add_argument("--labeled", required=True)
     an_rate = an_sub.add_parser("deletion-rate", help="deletion rate per time horizon")
     an_rate.add_argument("--scored", required=True)
-    an_rate.add_argument("--horizons", default=_env("horizons", ",".join(analytics.DEFAULT_HORIZONS)))
+    an_rate.add_argument("--horizons", type=_horizons, default=_env("horizons"))
     an_rate.add_argument("--subset", choices=["all", "toxic", "severe"], default="all")
     an_rate.add_argument("--toxicity-threshold", type=float, default=None)
     an_rate.add_argument("--severe-threshold", type=float, default=None)
@@ -95,6 +117,8 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_eval_sample(args) -> int:
     from collections import Counter
+
+    from wikitalk import evalharness
 
     with open(args.corpus, encoding="utf-8") as fh:
         actions = list(corpus.read_actions(fh))
@@ -122,6 +146,8 @@ def _cmd_eval_sample(args) -> int:
 
 
 def _cmd_eval_score(args) -> int:
+    from wikitalk import evalharness
+
     with open(args.corpus, encoding="utf-8") as fh:
         actions = list(corpus.read_actions(fh))
     with open(args.gold, encoding="utf-8") as fh:
@@ -135,6 +161,8 @@ def _cmd_eval_score(args) -> int:
 
 
 def _cmd_analytics_score(args) -> int:
+    from wikitalk import analytics
+
     if args.scorer == "http":
         if not args.endpoint:
             print("error: --endpoint required for the http scorer", file=sys.stderr)
@@ -167,6 +195,8 @@ def _cmd_analytics_score(args) -> int:
 
 
 def _cmd_analytics_eer(args) -> int:
+    from wikitalk import analytics
+
     scores: list[float] = []
     labels: list[bool] = []
     with open(args.labeled, encoding="utf-8") as fh:
@@ -183,8 +213,11 @@ def _cmd_analytics_eer(args) -> int:
 
 
 def _cmd_analytics_deletion_rate(args) -> int:
-    labels = [h.strip() for h in args.horizons.split(",") if h.strip()]
-    horizons = [analytics.parse_horizon(h) for h in labels]
+    from wikitalk import analytics
+
+    pairs = args.horizons
+    if pairs is None:
+        pairs = _horizons(",".join(analytics.DEFAULT_HORIZONS))
     with open(args.scored, encoding="utf-8") as fh:
         actions = []
         extras = {}
@@ -203,12 +236,12 @@ def _cmd_analytics_deletion_rate(args) -> int:
         comment.severe_toxicity = severe
     rates = analytics.deletion_rate(
         scored,
-        horizons,
+        [horizon for _, horizon in pairs],
         subset=args.subset,
         toxicity_threshold=args.toxicity_threshold,
         severe_threshold=args.severe_threshold,
     )
-    rows = [{"horizon": label, "rate": rate} for label, rate in zip(labels, rates)]
+    rows = [{"horizon": label, "rate": rate} for (label, _), rate in zip(pairs, rates)]
     payload = json.dumps({"subset": args.subset, "rates": rows}, indent=2)
     if args.output:
         Path(args.output).write_text(payload + "\n", encoding="utf-8")

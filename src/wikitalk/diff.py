@@ -1,17 +1,18 @@
 """Token-level diffing between consecutive revisions.
 
 The differ computes a longest-common-subsequence alignment with Myers'
-O(ND) divide-and-conquer strategy. Long inputs go through a line-level
-prepass (lines are atoms, split at newline tokens) and only the changed
-line regions are refined at token level. Output is deterministic: equal
-tokens are matched leftmost-first in the old sequence, and every maximal
-changed region is normalized to one ChangeOp, which replaces an old token
-span with a new one (either may be empty, never both).
+O(ND) divide-and-conquer strategy, as the matching blocks ``(old_start,
+new_start, length)`` of the two token sequences. Long inputs go through a
+line-level prepass (lines are atoms, split at newline tokens) and only the
+gaps between matching lines are refined at token level. Output is
+deterministic: equal tokens are matched leftmost-first in the old
+sequence, touching blocks become one EqualOp, and each gap between blocks
+becomes one ChangeOp, which replaces an old token span with a new one
+(either may be empty, never both).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,8 +98,8 @@ class DiffScript:
 def _middle_snake(a, alo, ahi, b, blo, bhi):
     """Myers bidirectional search.
 
-    Returns (d, x0, y0, x1, y1) with window-relative snake coordinates, or
-    None when the search exceeds the depth bail-out.
+    Returns (x0, y0, x1, y1), the window-relative start and end of the
+    middle snake, or None when the search exceeds the depth bail-out.
     """
     n = ahi - alo
     m = bhi - blo
@@ -121,7 +122,7 @@ def _middle_snake(a, alo, ahi, b, blo, bhi):
             vf[k] = x
             if odd and -(d - 1) <= k - delta <= d - 1:
                 if x + vb.get(delta - k, -(n + m)) >= n:
-                    return 2 * d - 1, x0, y0, x, y
+                    return x0, y0, x, y
         for k in range(-d, d + 1, 2):
             if k == -d or (k != d and vb.get(k - 1, -1) < vb.get(k + 1, -1)):
                 x = vb[k + 1]
@@ -135,91 +136,62 @@ def _middle_snake(a, alo, ahi, b, blo, bhi):
             vb[k] = x
             if not odd and -d <= k - delta <= d:
                 if x + vf.get(delta - k, -(n + m)) >= n:
-                    return 2 * d, n - x, m - y, n - x0, m - y0
+                    return n - x, m - y, n - x0, m - y0
     return None
 
 
 def _myers(a, alo, ahi, b, blo, bhi, out):
-    """Append (tag, alo, ahi, blo, bhi) tuples covering the two windows."""
+    """Append the matching blocks ``(old_start, new_start, length)`` of a
+    longest common subsequence of a[alo:ahi] and b[blo:bhi], in order. A
+    window over the region cap, or one whose search bails out, adds none."""
     pre = common_prefix(a, alo, ahi, b, blo, bhi)
     if pre:
-        out.append(("=", alo, alo + pre, blo, blo + pre))
+        out.append((alo, blo, pre))
         alo += pre
         blo += pre
     suf = common_suffix(a, alo, ahi, b, blo, bhi)
-    suffix = None
-    if suf:
-        suffix = ("=", ahi - suf, ahi, bhi - suf, bhi)
-        ahi -= suf
-        bhi -= suf
-    n = ahi - alo
-    m = bhi - blo
-    if n == 0 and m == 0:
-        pass
-    elif n == 0:
-        out.append(("+", alo, alo, blo, bhi))
-    elif m == 0:
-        out.append(("-", alo, ahi, blo, blo))
-    elif n + m > _REGION_TOKEN_CAP:
-        out.append(("-", alo, ahi, blo, blo))
-        out.append(("+", ahi, ahi, blo, bhi))
-    else:
+    ahi -= suf
+    bhi -= suf
+    if alo < ahi and blo < bhi and (ahi - alo) + (bhi - blo) <= _REGION_TOKEN_CAP:
+        # Both windows are non-empty and differ at either end, so at least
+        # two tokens go unmatched and each half is a smaller problem.
         snake = _middle_snake(a, alo, ahi, b, blo, bhi)
-        if snake is None:
-            out.append(("-", alo, ahi, blo, blo))
-            out.append(("+", ahi, ahi, blo, bhi))
-        else:
-            d, x0, y0, x1, y1 = snake
-            if d > 1:
-                _myers(a, alo, alo + x0, b, blo, blo + y0, out)
-                if x1 > x0:
-                    out.append(("=", alo + x0, alo + x1, blo + y0, blo + y1))
-                _myers(a, alo + x1, ahi, b, blo + y1, bhi, out)
-            elif n > m:
-                # exactly one deletion; place it leftmost
-                i = common_prefix(a, alo, ahi, b, blo, bhi)
-                if i:
-                    out.append(("=", alo, alo + i, blo, blo + i))
-                out.append(("-", alo + i, alo + i + 1, blo + i, blo + i))
-                if alo + i + 1 < ahi:
-                    out.append(("=", alo + i + 1, ahi, blo + i, bhi))
-            else:
-                # exactly one insertion; place it leftmost
-                i = common_prefix(a, alo, ahi, b, blo, bhi)
-                if i:
-                    out.append(("=", alo, alo + i, blo, blo + i))
-                out.append(("+", alo + i, alo + i, blo + i, blo + i + 1))
-                if blo + i + 1 < bhi:
-                    out.append(("=", alo + i, ahi, blo + i + 1, bhi))
-    if suffix:
-        out.append(suffix)
+        if snake is not None:
+            x0, y0, x1, y1 = snake
+            _myers(a, alo, alo + x0, b, blo, blo + y0, out)
+            if x1 > x0:
+                out.append((alo + x0, blo + y0, x1 - x0))
+            _myers(a, alo + x1, ahi, b, blo + y1, bhi, out)
+    if suf:
+        out.append((ahi, bhi, suf))
 
 
-def _diff_tokens(a: Sequence, b: Sequence) -> list[tuple]:
-    out: list[tuple] = []
+def _diff_tokens(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
+    out: list[tuple[int, int, int]] = []
     _myers(a, 0, len(a), b, 0, len(b), out)
     return out
 
 
-def _line_ranges(tokens, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Token index ranges of the newline-terminated lines of tokens[lo:hi]
-    (newline included; the last line may lack one)."""
-    ranges = []
+def _lines(tokens, lo: int, hi: int, interned: dict[tuple, int]) -> tuple[list[int], list[int]]:
+    """The newline-terminated lines of tokens[lo:hi] (the last may lack a
+    newline) as bounds, line k being tokens[bounds[k]:bounds[k + 1]], and
+    one id per line from ``interned``, equal for equal lines."""
+    bounds, ids = [lo], []
     while lo < hi:
         try:
             end = tokens.index("\n", lo, hi) + 1
         except ValueError:
             end = hi
-        ranges.append((lo, end))
-        lo = end
-    return ranges
+        ids.append(interned.setdefault(tuple(tokens[lo:end]), len(interned)))
+        bounds.append(lo := end)
+    return bounds, ids
 
 
-def _diff_with_prepass(a: Sequence, b: Sequence) -> list[tuple]:
+def _diff_with_prepass(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
     n, m = len(a), len(b)
     pre = common_prefix(a, 0, n, b, 0, m)
     if pre == n == m:
-        return [("=", 0, n, 0, m)] if n else []
+        return [(0, 0, n)] if n else []
     # The line-level diff first strips the whole lines the two sides share
     # at either end. Those are the lines inside the common token prefix
     # and suffix, so they are cut off here and only the middle is split
@@ -239,82 +211,43 @@ def _diff_with_prepass(a: Sequence, b: Sequence) -> list[tuple]:
         except ValueError:
             suf = 0
     a_end, b_end = n - suf, m - suf
-    a_lines = _line_ranges(a, pre, a_end)
-    b_lines = _line_ranges(b, pre, b_end)
     interned: dict[tuple, int] = {}
-    a_ids = [interned.setdefault(tuple(a[lo:hi]), len(interned)) for lo, hi in a_lines]
-    b_ids = [interned.setdefault(tuple(b[lo:hi]), len(interned)) for lo, hi in b_lines]
-    line_ops = _diff_tokens(a_ids, b_ids)
-
-    def a_span(llo, lhi):
-        if llo >= lhi:
-            pos = a_lines[llo][0] if llo < len(a_lines) else a_end
-            return pos, pos
-        return a_lines[llo][0], a_lines[lhi - 1][1]
-
-    def b_span(llo, lhi):
-        if llo >= lhi:
-            pos = b_lines[llo][0] if llo < len(b_lines) else b_end
-            return pos, pos
-        return b_lines[llo][0], b_lines[lhi - 1][1]
-
-    out: list[tuple] = [("=", 0, pre, 0, pre)] if pre else []
-    # Collapse each run of changed lines to one token-level subproblem.
-    pend_a: tuple[int, int] | None = None
-    pend_b: tuple[int, int] | None = None
-
-    def flush():
-        nonlocal pend_a, pend_b
-        if pend_a is None and pend_b is None:
-            return
-        alo, ahi = pend_a if pend_a else (None, None)
-        blo, bhi = pend_b if pend_b else (None, None)
-        if pend_a is None:
-            alo = ahi = a_anchor
-        if pend_b is None:
-            blo = bhi = b_anchor
-        if (ahi - alo) + (bhi - blo) > _REGION_TOKEN_CAP:
-            if ahi > alo:
-                out.append(("-", alo, ahi, blo, blo))
-            if bhi > blo:
-                out.append(("+", ahi, ahi, blo, bhi))
-        else:
-            _myers(a, alo, ahi, b, blo, bhi, out)
-        pend_a = pend_b = None
-
-    a_anchor = b_anchor = pre
-    for tag, l_alo, l_ahi, l_blo, l_bhi in line_ops:
-        if tag == "=":
-            flush()
-            t_alo, t_ahi = a_span(l_alo, l_ahi)
-            t_blo, t_bhi = b_span(l_blo, l_bhi)
-            out.append(("=", t_alo, t_ahi, t_blo, t_bhi))
-            a_anchor, b_anchor = t_ahi, t_bhi
-        elif tag == "-":
-            span = a_span(l_alo, l_ahi)
-            pend_a = (pend_a[0], span[1]) if pend_a else span
-        else:
-            span = b_span(l_blo, l_bhi)
-            pend_b = (pend_b[0], span[1]) if pend_b else span
-    flush()
+    a_lines, a_ids = _lines(a, pre, a_end, interned)
+    b_lines, b_ids = _lines(b, pre, b_end, interned)
+    out = [(0, 0, pre)] if pre else []
+    i = j = pre  # token ends of the last line block
+    # an empty block after the last lines closes the final gap
+    for la, lb, size in [*_diff_tokens(a_ids, b_ids), (len(a_ids), len(b_ids), 0)]:
+        alo, blo = a_lines[la], b_lines[lb]
+        # The changed lines since the last block are one token-level
+        # subproblem, unless together they exceed the region cap.
+        if (alo - i) + (blo - j) <= _REGION_TOKEN_CAP:
+            _myers(a, i, alo, b, j, blo, out)
+        i, j = a_lines[la + size], b_lines[lb + size]
+        if size:
+            out.append((alo, blo, i - alo))
     if suf:
-        out.append(("=", a_end, n, b_end, m))
+        out.append((a_end, b_end, suf))
     return out
 
 
-def _normalize(raw_ops: list[tuple], new: TokenSequence) -> list[DiffOp]:
-    """One EqualOp per run of equal raw ops and one ChangeOp per run of
-    changed ones, so the two kinds alternate. Raw ops tile both sequences
-    in order, so a run spans from its first op's start to its last op's
-    end."""
+def _normalize(blocks: list[tuple[int, int, int]], n: int, m: int, new: TokenSequence) -> list[DiffOp]:
+    """One EqualOp per run of touching matching blocks and one ChangeOp per
+    gap between them, so the two kinds alternate and tile old tokens
+    [0, n) and new tokens [0, m)."""
     ops: list[DiffOp] = []
-    for is_equal, run in itertools.groupby(raw_ops, key=lambda op: op[0] == "="):
-        run = list(run)
-        alo, blo, ahi, bhi = run[0][1], run[0][3], run[-1][2], run[-1][4]
-        if is_equal:
-            ops.append(EqualOp(alo, ahi, blo, bhi))
+    i = j = 0  # the end of the last block
+    for alo, blo, size in blocks:
+        if ops and (alo, blo) == (i, j):
+            last = ops[-1]
+            ops[-1] = EqualOp(last.old_lo, alo + size, last.new_lo, blo + size)
         else:
-            ops.append(ChangeOp(alo, ahi, blo, bhi, new.slice_text(blo, bhi)))
+            if (alo, blo) != (i, j):
+                ops.append(ChangeOp(i, alo, j, blo, new.slice_text(j, blo)))
+            ops.append(EqualOp(alo, alo + size, blo, blo + size))
+        i, j = alo + size, blo + size
+    if (i, j) != (n, m):
+        ops.append(ChangeOp(i, n, j, m, new.slice_text(j, m)))
     return ops
 
 
@@ -394,10 +327,10 @@ def lcs_diff(old: TokenSequence, new: TokenSequence) -> DiffScript:
         )
     a, b = old.tokens, new.tokens
     if max(len(a), len(b)) > _LINE_PREPASS_MIN_TOKENS:
-        raw = _diff_with_prepass(a, b)
+        blocks = _diff_with_prepass(a, b)
     else:
-        raw = _diff_tokens(a, b)
-    ops = _slide_pure_runs(_normalize(raw, new), a, b, new)
+        blocks = _diff_tokens(a, b)
+    ops = _slide_pure_runs(_normalize(blocks, len(a), len(b), new), a, b, new)
     return DiffScript(ops=tuple(ops), old_len=len(a), new_len=len(b))
 
 

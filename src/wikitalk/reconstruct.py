@@ -162,7 +162,6 @@ class PageState:
     live: LiveComments = field(default_factory=LiveComments)
     store: DeletedCommentStore = field(default_factory=DeletedCommentStore)
     root_creation_id: Optional[str] = None
-    incidents: list[str] = field(default_factory=list)
     _seen_action_ids: set[str] = field(default_factory=set)
 
 
@@ -310,10 +309,7 @@ class Reconstructor:
         new_seq = tokenize(rev.wikitext, old_seq)
         try:
             script = lcs_diff(old_seq, new_seq)
-        except DiffTokenLimitError as exc:
-            state.incidents.append(
-                f"revision {rev.revision_id}: diff cap exceeded ({exc}); resynced"
-            )
+        except DiffTokenLimitError:
             self.tally.skipped_revisions += 1
             self._resync(state, rev, new_seq)
             return state, []

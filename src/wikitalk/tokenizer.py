@@ -100,12 +100,13 @@ class TokenSequence:
     joining ``tokens`` with the inter-token gaps of ``text`` reproduces
     ``text`` exactly; offsets are strictly increasing and non-overlapping.
 
-    The offsets are held in chunks: chunk ``c`` holds tokens from
-    ``firsts[c]`` on, and token ``firsts[c] + k`` spans ``bases[c] +
-    chunk_starts[c][k]`` to ``bases[c] + chunk_ends[c][k]``. No chunk is
-    empty. A sequence and its offset lists are shared between revisions
-    and must not be mutated. (The class is not frozen because a frozen
-    dataclass takes four times as long to build, once per revision.)
+    Only start offsets are stored, since a token ends where its text does.
+    They are held in chunks: chunk ``c`` holds tokens from ``firsts[c]``
+    on, and token ``firsts[c] + k`` starts at ``bases[c] +
+    chunk_starts[c][k]``. No chunk is empty. A sequence and its offset
+    lists are shared between revisions and must not be mutated. (The class
+    is not frozen because a frozen dataclass takes four times as long to
+    build, once per revision.)
     """
 
     text: str
@@ -113,7 +114,6 @@ class TokenSequence:
     firsts: list[int]
     bases: list[int]
     chunk_starts: list[list[int]]
-    chunk_ends: list[list[int]]
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -123,8 +123,7 @@ class TokenSequence:
         return self.bases[c] + self.chunk_starts[c][i - self.firsts[c]]
 
     def end(self, i: int) -> int:
-        c = bisect.bisect_right(self.firsts, i) - 1
-        return self.bases[c] + self.chunk_ends[c][i - self.firsts[c]]
+        return self.start(i) + len(self.tokens[i])
 
     def char_span(self, lo: int, hi: int) -> tuple[int, int]:
         """Character span covering tokens [lo, hi); zero-width at lo when empty."""
@@ -139,19 +138,11 @@ class TokenSequence:
 
     def token_at_or_after(self, char_pos: int) -> int:
         """Index of the first token starting at or after char_pos."""
-        return self._count_below(char_pos, self.chunk_starts)
-
-    def _count_below(self, char_pos: int, chunks: list[list[int]]) -> int:
-        """How many tokens have their offset in ``chunks`` (``chunk_starts``
-        or ``chunk_ends``) below char_pos."""
-        bases = self.bases
-        if len(bases) < 2:
-            if not bases:
-                return 0
-            c = 0
-        else:  # the last chunk whose first offset is below char_pos, else the first
-            c = bisect.bisect_left(range(len(bases)), char_pos, key=lambda k: bases[k] + chunks[k][0])
-            c = max(c - 1, 0)
+        bases, chunks = self.bases, self.chunk_starts
+        if not bases:
+            return 0
+        # the last chunk whose first offset is below char_pos, else the first
+        c = bisect.bisect_left(range(1, len(bases)), char_pos, key=lambda k: bases[k] + chunks[k][0])
         return self.firsts[c] + bisect.bisect_left(chunks[c], char_pos - bases[c])
 
 
@@ -170,7 +161,6 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
         prev = _EMPTY
         keep = h = base = 0
         starts: list[int] = []
-        ends: list[int] = []
         pos = 0
         tail_from = len(text) + 1  # no shared suffix: scan to the end
     else:
@@ -178,20 +168,23 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
         p = common_prefix(old, 0, len(old), text, 0, len(text))
         s = common_suffix(old, p, len(old), text, p, len(text))
         # A kept token's next character lies in the shared prefix, so the
-        # maximal-run rule ends it in the same place in the new text.
-        keep = prev._count_below(p, prev.chunk_ends)
+        # maximal-run rule ends it in the same place in the new text. Those
+        # are the tokens that start below p, less the last of them if it
+        # reaches p (offsets do not overlap, so no earlier one can).
+        keep = prev.token_at_or_after(p)
+        if keep and prev.end(keep - 1) >= p:
+            keep -= 1
         h = bisect.bisect_right(prev.firsts, keep) - 1
         base = prev.bases[h]
         starts = prev.chunk_starts[h][: keep - prev.firsts[h]]
-        ends = prev.chunk_ends[h][: keep - prev.firsts[h]]
-        pos = base + ends[-1] if ends else prev.end(keep - 1) if keep else 0
+        pos = prev.end(keep - 1) if keep else 0
         tail_from = len(text) - s
         delta = len(text) - len(old)
         n_old = len(prev.tokens)
-        j = prev._count_below(tail_from - delta, prev.chunk_starts)
+        j = prev.token_at_or_after(tail_from - delta)
     mid: list[str] = []
     for m in _TOKEN_RE.finditer(text, pos):
-        start, end = m.span()
+        start = m.start()
         if start >= tail_from:
             # Inside the shared suffix, a match at the shifted start of an
             # old token begins the same scan as the old text's from there.
@@ -202,10 +195,9 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
                 break
         mid.append(m.group())
         starts.append(start - base)
-        ends.append(end - base)
     else:  # no shared tail
         tokens = prev.tokens[:keep] + tuple(mid)
-        return _join(text, tokens, prev, h, base, starts, ends, len(prev.firsts), 0)
+        return _join(text, tokens, prev, h, base, starts, len(prev.firsts), 0)
     # The old tokens from j on follow, moved by delta characters; the rest
     # of j's chunk, and more chunks up to a full one, join the window's.
     c = bisect.bisect_right(prev.firsts, j) - 1
@@ -213,12 +205,11 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
     while True:
         shift = prev.bases[c] + delta - base
         starts += [x + shift for x in prev.chunk_starts[c][lo:]]
-        ends += [x + shift for x in prev.chunk_ends[c][lo:]]
         c, lo = c + 1, 0
         if len(starts) >= CHUNK_SIZE or c == len(prev.firsts):
             break
     tokens = prev.tokens[:keep] + (tuple(mid) + prev.tokens[j:])
-    return _join(text, tokens, prev, h, base, starts, ends, c, delta)
+    return _join(text, tokens, prev, h, base, starts, c, delta)
 
 
 def _join(
@@ -228,19 +219,18 @@ def _join(
     h: int,
     base: int,
     starts: list[int],
-    ends: list[int],
     c: int,
     delta: int,
 ) -> TokenSequence:
     """The sequence whose offsets are ``prev``'s chunks before ``h``, then
-    ``starts``/``ends`` (relative to ``base``) cut into chunks, then
+    ``starts`` (relative to ``base``) cut into chunks, then
     ``prev``'s chunks from ``c`` on moved by ``delta`` characters."""
     n = len(starts)
     if h == 0 and c == len(prev.firsts) and 0 < n < 2 * CHUNK_SIZE:  # one chunk in all
-        return TokenSequence(text, tokens, [0], [base], [starts], [ends])
+        return TokenSequence(text, tokens, [0], [base], [starts])
     first = prev.firsts[h] if h < len(prev.firsts) else 0
     firsts, bases = prev.firsts[:h], prev.bases[:h]
-    chunk_starts, chunk_ends = prev.chunk_starts[:h], prev.chunk_ends[:h]
+    chunk_starts = prev.chunk_starts[:h]
     # chunks of CHUNK_SIZE, the last one with the remainder; one chunk of
     # fewer when there are fewer in all, and the lists themselves when one
     for a in range(0, n - CHUNK_SIZE + 1, CHUNK_SIZE) or range(min(n, 1)):
@@ -248,17 +238,15 @@ def _join(
         firsts.append(first + a)
         bases.append(base)
         chunk_starts.append(starts[a:b] if a or b < n else starts)
-        chunk_ends.append(ends[a:b] if a or b < n else ends)
     if c < len(prev.firsts):
         shift = first + n - prev.firsts[c]
         firsts += [f + shift for f in prev.firsts[c:]]
         bases += [b + delta for b in prev.bases[c:]]
         chunk_starts += prev.chunk_starts[c:]
-        chunk_ends += prev.chunk_ends[c:]
-    return TokenSequence(text, tokens, firsts, bases, chunk_starts, chunk_ends)
+    return TokenSequence(text, tokens, firsts, bases, chunk_starts)
 
 
-_EMPTY = TokenSequence("", (), [], [], [], [])
+_EMPTY = TokenSequence("", (), [], [], [])
 
 
 def join_fragments(fragments: list[str]) -> str:

@@ -18,7 +18,7 @@ from wikitalk.diff import (
     lcs_diff,
 )
 from wikitalk.synth import gold_fixture_suite, random_tree_script
-from wikitalk.tokenizer import tokenize
+from wikitalk.tokenizer import common_prefix, common_suffix, tokenize
 
 
 def dp_lcs_len(a, b):
@@ -199,6 +199,143 @@ def test_gold_suite_scripts_are_pinned(monkeypatch, prepass_min_tokens):
     assert digest.hexdigest() == PINNED_GOLD_SCRIPTS_SHA256
 
 
+# The differ as it was before it kept only matching blocks: _myers emitted
+# "=", "-" and "+" tuples tiling both windows. reference_middle_snake and
+# reference_myers are that code, kept as the oracle for the blocks.
+def reference_middle_snake(a, alo, ahi, b, blo, bhi):
+    n = ahi - alo
+    m = bhi - blo
+    delta = n - m
+    odd = delta % 2 != 0
+    vf = {1: 0}
+    vb = {1: 0}
+    max_d = (n + m + 1) // 2
+    for d in range(min(max_d, diff_mod._MAX_SEARCH_DEPTH) + 1):
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and vf.get(k - 1, -1) < vf.get(k + 1, -1)):
+                x = vf[k + 1]
+            else:
+                x = vf[k - 1] + 1
+            y = x - k
+            x0, y0 = x, y
+            while x < n and y < m and a[alo + x] == b[blo + y]:
+                x += 1
+                y += 1
+            vf[k] = x
+            if odd and -(d - 1) <= k - delta <= d - 1:
+                if x + vb.get(delta - k, -(n + m)) >= n:
+                    return 2 * d - 1, x0, y0, x, y
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and vb.get(k - 1, -1) < vb.get(k + 1, -1)):
+                x = vb[k + 1]
+            else:
+                x = vb[k - 1] + 1
+            y = x - k
+            x0, y0 = x, y
+            while x < n and y < m and a[ahi - 1 - x] == b[bhi - 1 - y]:
+                x += 1
+                y += 1
+            vb[k] = x
+            if not odd and -d <= k - delta <= d:
+                if x + vf.get(delta - k, -(n + m)) >= n:
+                    return 2 * d, n - x, m - y, n - x0, m - y0
+    return None
+
+
+def reference_myers(a, alo, ahi, b, blo, bhi, out):
+    pre = common_prefix(a, alo, ahi, b, blo, bhi)
+    if pre:
+        out.append(("=", alo, alo + pre, blo, blo + pre))
+        alo += pre
+        blo += pre
+    suf = common_suffix(a, alo, ahi, b, blo, bhi)
+    suffix = None
+    if suf:
+        suffix = ("=", ahi - suf, ahi, bhi - suf, bhi)
+        ahi -= suf
+        bhi -= suf
+    n = ahi - alo
+    m = bhi - blo
+    if n == 0 and m == 0:
+        pass
+    elif n == 0:
+        out.append(("+", alo, alo, blo, bhi))
+    elif m == 0:
+        out.append(("-", alo, ahi, blo, blo))
+    elif n + m > diff_mod._REGION_TOKEN_CAP:
+        out.append(("-", alo, ahi, blo, blo))
+        out.append(("+", ahi, ahi, blo, bhi))
+    else:
+        snake = reference_middle_snake(a, alo, ahi, b, blo, bhi)
+        if snake is None:
+            out.append(("-", alo, ahi, blo, blo))
+            out.append(("+", ahi, ahi, blo, bhi))
+        else:
+            d, x0, y0, x1, y1 = snake
+            if d > 1:
+                reference_myers(a, alo, alo + x0, b, blo, blo + y0, out)
+                if x1 > x0:
+                    out.append(("=", alo + x0, alo + x1, blo + y0, blo + y1))
+                reference_myers(a, alo + x1, ahi, b, blo + y1, bhi, out)
+            elif n > m:
+                # exactly one deletion; place it leftmost
+                i = common_prefix(a, alo, ahi, b, blo, bhi)
+                if i:
+                    out.append(("=", alo, alo + i, blo, blo + i))
+                out.append(("-", alo + i, alo + i + 1, blo + i, blo + i))
+                if alo + i + 1 < ahi:
+                    out.append(("=", alo + i + 1, ahi, blo + i, bhi))
+            else:
+                # exactly one insertion; place it leftmost
+                i = common_prefix(a, alo, ahi, b, blo, bhi)
+                if i:
+                    out.append(("=", alo, alo + i, blo, blo + i))
+                out.append(("+", alo + i, alo + i, blo + i, blo + i + 1))
+                if blo + i + 1 < bhi:
+                    out.append(("=", alo + i, ahi, blo + i + 1, bhi))
+    if suffix:
+        out.append(suffix)
+
+
+def blocks_of(tagged_ops):
+    """The "=" tuples of a tagged script as (old_start, new_start, length)."""
+    return [(alo, blo, ahi - alo) for tag, alo, ahi, blo, _ in tagged_ops if tag == "="]
+
+
+def tagged_ops(blocks, n, m):
+    """Matching blocks as the tagged script tiling old [0, n) and new
+    [0, m): each gap is a "-" for its old tokens, then a "+" for its new."""
+    out, i, j = [], 0, 0
+    for alo, blo, size in [*blocks, (n, m, 0)]:
+        if alo > i:
+            out.append(("-", i, alo, j, j))
+        if blo > j:
+            out.append(("+", alo, alo, j, blo))
+        if size:
+            out.append(("=", alo, alo + size, blo, blo + size))
+        i, j = alo + size, blo + size
+    return out
+
+
+diff_tokens = st.lists(st.sampled_from(["a", "b", "c", "\n"]), max_size=30)
+
+
+# A region cap of 4 tokens and a search depth of 1 each leave some windows
+# without a block; no other test reaches the search-depth bail-out.
+@pytest.mark.parametrize("region_cap", [diff_mod._REGION_TOKEN_CAP, 4])
+@pytest.mark.parametrize("search_depth", [diff_mod._MAX_SEARCH_DEPTH, 1])
+@given(diff_tokens, diff_tokens)
+@settings(max_examples=200)
+@example(list("abcabba"), list("cbabac"))
+def test_blocks_match_reference_myers(region_cap, search_depth, a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diff_mod, "_REGION_TOKEN_CAP", region_cap)
+        mp.setattr(diff_mod, "_MAX_SEARCH_DEPTH", search_depth)
+        out = []
+        reference_myers(a, 0, len(a), b, 0, len(b), out)
+        assert diff_mod._diff_tokens(a, b) == blocks_of(out)
+
+
 def reference_diff_with_prepass(a, b):
     """The line prepass as it was before the trim: every line of both sides
     goes through the line-level diff."""
@@ -217,45 +354,17 @@ def reference_diff_with_prepass(a, b):
     interned = {}
     a_ids = [interned.setdefault(tuple(a[lo:hi]), len(interned)) for lo, hi in a_lines]
     b_ids = [interned.setdefault(tuple(b[lo:hi]), len(interned)) for lo, hi in b_lines]
+    a_lines.append((len(a), len(a)))
+    b_lines.append((len(b), len(b)))
 
-    def span(lines, end, llo, lhi):
-        if llo >= lhi:
-            pos = lines[llo][0] if llo < len(lines) else end
-            return pos, pos
-        return lines[llo][0], lines[lhi - 1][1]
-
-    out, pend_a, pend_b = [], None, None
-    a_anchor = b_anchor = 0
-
-    def flush():
-        nonlocal pend_a, pend_b
-        if pend_a is None and pend_b is None:
-            return
-        alo, ahi = pend_a or (a_anchor, a_anchor)
-        blo, bhi = pend_b or (b_anchor, b_anchor)
-        if (ahi - alo) + (bhi - blo) > diff_mod._REGION_TOKEN_CAP:
-            if ahi > alo:
-                out.append(("-", alo, ahi, blo, blo))
-            if bhi > blo:
-                out.append(("+", ahi, ahi, blo, bhi))
-        else:
-            diff_mod._myers(a, alo, ahi, b, blo, bhi, out)
-        pend_a = pend_b = None
-
-    for tag, l_alo, l_ahi, l_blo, l_bhi in diff_mod._diff_tokens(a_ids, b_ids):
-        if tag == "=":
-            flush()
-            t_alo, t_ahi = span(a_lines, len(a), l_alo, l_ahi)
-            t_blo, t_bhi = span(b_lines, len(b), l_blo, l_bhi)
-            out.append(("=", t_alo, t_ahi, t_blo, t_bhi))
-            a_anchor, b_anchor = t_ahi, t_bhi
-        elif tag == "-":
-            lo, hi = span(a_lines, len(a), l_alo, l_ahi)
-            pend_a = (pend_a[0], hi) if pend_a else (lo, hi)
-        else:
-            lo, hi = span(b_lines, len(b), l_blo, l_bhi)
-            pend_b = (pend_b[0], hi) if pend_b else (lo, hi)
-    flush()
+    out, i, j = [], 0, 0
+    for la, lb, size in [*diff_mod._diff_tokens(a_ids, b_ids), (len(a_ids), len(b_ids), 0)]:
+        alo, blo = a_lines[la][0], b_lines[lb][0]
+        if (alo - i) + (blo - j) <= diff_mod._REGION_TOKEN_CAP:
+            diff_mod._myers(a, i, alo, b, j, blo, out)
+        if size:
+            i, j = a_lines[la + size - 1][1], b_lines[lb + size - 1][1]
+            out.append((alo, blo, i - alo))
     return out
 
 
@@ -424,9 +533,10 @@ def reference_slide_pure_runs(ops, a, b, new):
 def reference_fields(old, new):
     a, b = list(old.tokens), list(new.tokens)
     if max(len(a), len(b)) > diff_mod._LINE_PREPASS_MIN_TOKENS:
-        raw = diff_mod._diff_with_prepass(a, b)
+        blocks = diff_mod._diff_with_prepass(a, b)
     else:
-        raw = diff_mod._diff_tokens(a, b)
+        blocks = diff_mod._diff_tokens(a, b)
+    raw = tagged_ops(blocks, len(a), len(b))
     ops = reference_slide_pure_runs(reference_normalize(raw, new), old.tokens, new.tokens, new)
     fields = []
     for op in ops:

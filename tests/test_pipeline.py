@@ -74,16 +74,18 @@ def test_failed_run_prints_one_error_line(tmp_path):
 
 
 def test_cli_import_does_not_load_numpy():
-    """numpy is needed only by ``analytics eer``; the command's start-up
-    (and so every ``reconstruct`` run) does without it."""
+    """numpy is needed only by ``analytics eer``, and the analytics and
+    evalharness modules only by their subcommands; the command's start-up
+    (and so every ``reconstruct`` run) does without them."""
     path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    modules = ["numpy", "wikitalk.analytics", "wikitalk.evalharness"]
+    code = f"import sys, wikitalk.cli; print([m for m in {modules} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, wikitalk.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unwritable_output_fails(tmp_path, monkeypatch):
@@ -339,12 +341,31 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     argv = ["reconstruct", "--input", str(dump), "--output", str(tmp_path / "corpus.jsonl")]
     monkeypatch.setenv("WIKITALK_RATE_LIMIT", "fast")  # only analytics score reads it
+    monkeypatch.setenv("WIKITALK_HORIZONS", "1x")  # only analytics deletion-rate
+    monkeypatch.setenv("WIKITALK_PER_TYPE", "-1")  # only eval sample
     assert cli.main(argv) == 0
     monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "abc")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert "invalid int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1h,30m"], "sorted ascending"),
+        (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1x"], "bad horizon '1x'"),
+        (["eval", "sample", "--corpus", "c", "--per-type", "-1"], "must not be negative"),
+    ],
+    ids=["unsorted-horizons", "unknown-horizon-unit", "negative-per-type"],
+)
+def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
 
 
 def test_spill_budget_flags(tmp_path):
