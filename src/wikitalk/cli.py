@@ -40,6 +40,13 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not number > 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {value}")
+    return number
+
+
 def _horizons(value: str) -> list[tuple[str, timedelta]]:
     """Comma-separated horizons such as ``1h,1d,7d``, shortest first, as
     (label, horizon) pairs; empty items are skipped."""
@@ -89,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     an_score.add_argument("--scorer", choices=["stub", "http"], default=_env("scorer", "stub"))
     an_score.add_argument("--endpoint", default=_env("endpoint"))
     an_score.add_argument("--api-key", default=_env("api-key"))
-    an_score.add_argument("--rate-limit", type=float, default=_env("rate-limit", 10.0))
+    an_score.add_argument("--rate-limit", type=_positive_float, default=_env("rate-limit", 10.0))
     an_score.add_argument("--timeout", type=float, default=_env("timeout", 10.0))
     an_score.add_argument("--max-attempts", type=int, default=_env("max-attempts", 3))
     an_eer = an_sub.add_parser("eer", help="equal-error-rate threshold from labeled scores")
@@ -101,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     an_rate.add_argument("--toxicity-threshold", type=float, default=None)
     an_rate.add_argument("--severe-threshold", type=float, default=None)
     an_rate.add_argument("--output", default=None)
+    an_rate.set_defaults(usage_error=an_rate.error)
     return parser
 
 
@@ -215,6 +223,12 @@ def _cmd_analytics_eer(args) -> int:
 def _cmd_analytics_deletion_rate(args) -> int:
     from wikitalk import analytics
 
+    for subset, flag, threshold in (
+        ("toxic", "--toxicity-threshold", args.toxicity_threshold),
+        ("severe", "--severe-threshold", args.severe_threshold),
+    ):
+        if args.subset == subset and threshold is None:
+            args.usage_error(f"--subset {subset} requires {flag}")
     pairs = args.horizons
     if pairs is None:
         pairs = _horizons(",".join(analytics.DEFAULT_HORIZONS))

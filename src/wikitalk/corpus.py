@@ -96,16 +96,25 @@ def serialize_action(action: Action, extra: Optional[dict] = None) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-def write_actions(actions: Iterable[Action], sink: IO[str], header: str = SCHEMA_HEADER) -> int:
-    """Write actions as line-delimited records; returns the count written."""
+def write_actions(
+    actions: Iterable[Action], sink: IO[str], header: Optional[str] = SCHEMA_HEADER
+) -> int:
+    """Write actions as line-delimited records, after ``header`` unless it
+    is None; returns the count written. A failed write raises
+    ``CorpusWriteError``; an error raised while producing ``actions`` passes
+    through unchanged."""
     written = 0
-    try:
-        sink.write(header + "\n")
-        for action in actions:
+    if header is not None:
+        try:
+            sink.write(header + "\n")
+        except OSError as exc:
+            raise CorpusWriteError(written, exc) from exc
+    for action in actions:
+        try:
             sink.write(serialize_action(action) + "\n")
-            written += 1
-    except OSError as exc:
-        raise CorpusWriteError(written, exc) from exc
+        except OSError as exc:
+            raise CorpusWriteError(written, exc) from exc
+        written += 1
     return written
 
 
@@ -142,32 +151,53 @@ class SummaryStats:
         }
 
 
-def summarize(actions: Iterable[Action]) -> SummaryStats:
-    """Single-pass corpus statistics. Actions with empty cleaned content
-    (pure formatting edits) are excluded from every count."""
-    users: set[str] = set()
-    pages: set[str] = set()
-    revisions: set[tuple[str, str]] = set()
-    conversations: set[str] = set()
-    type_counts: dict[str, int] = {t.value: 0 for t in ActionType}
-    total = 0
-    for action in actions:
+class Summary:
+    """Corpus statistics accumulated one action at a time. Actions with
+    empty cleaned content (pure formatting edits) are excluded from every
+    count."""
+
+    def __init__(self):
+        self.users: set[str] = set()
+        self.pages: set[str] = set()
+        self.revisions: set[tuple[str, str]] = set()
+        self.conversations: set[str] = set()
+        self.type_counts: dict[str, int] = {t.value: 0 for t in ActionType}
+        self.total = 0
+
+    def add(self, action: Action) -> None:
         if not action.has_content:
-            continue
-        total += 1
-        users.add(action.user_text)
-        pages.add(action.page_id)
-        revisions.add((action.page_id, action.revision_id))
-        conversations.add(action.conversation_id)
-        type_counts[action.type.value] += 1
-    breakdown = {
-        name: (count / total if total else 0.0) for name, count in type_counts.items()
-    }
-    return SummaryStats(
-        distinct_users=len(users),
-        pages=len(pages),
-        revisions=len(revisions),
-        conversations=len(conversations),
-        actions=total,
-        type_breakdown=breakdown,
-    )
+            return
+        self.total += 1
+        self.users.add(action.user_text)
+        self.pages.add(action.page_id)
+        self.revisions.add((action.page_id, action.revision_id))
+        self.conversations.add(action.conversation_id)
+        self.type_counts[action.type.value] += 1
+
+    def fed(self, actions: Iterable[Action]) -> Iterator[Action]:
+        """Pass ``actions`` through, adding each one on the way."""
+        for action in actions:
+            self.add(action)
+            yield action
+
+    def stats(self) -> SummaryStats:
+        total = self.total
+        breakdown = {
+            name: (count / total if total else 0.0) for name, count in self.type_counts.items()
+        }
+        return SummaryStats(
+            distinct_users=len(self.users),
+            pages=len(self.pages),
+            revisions=len(self.revisions),
+            conversations=len(self.conversations),
+            actions=total,
+            type_breakdown=breakdown,
+        )
+
+
+def summarize(actions: Iterable[Action]) -> SummaryStats:
+    """Single-pass corpus statistics of ``actions``."""
+    summary = Summary()
+    for action in actions:
+        summary.add(action)
+    return summary.stats()

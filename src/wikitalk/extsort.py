@@ -8,6 +8,12 @@ number of open files and resident records stays bounded however long the
 history is. Both paths produce the same sequence: ascending
 (timestamp, revision_id), ties resolved by revision id so output is
 reproducible.
+
+The budget bounds the revision records a whole run holds, not only the
+sort's: ingest hands over the records of one 64 KiB chunk of dump text at a
+time, and the pipeline keeps no actions, so the records resident at once are
+the ``max_in_memory_revisions`` in the sort buffer (or one per open run while
+merging) plus those of one chunk.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Streaming parser for MediaWiki page-revision history dumps.
 
 Consumes decompressed export XML (the pages-meta-history shape) and yields
-one record per ``<revision>`` element in document order, holding at most a
-single revision in memory at a time. Records missing a revision id or a
-parseable timestamp are skipped and tallied, and so are revisions whose
-text an administrator hid (``<text deleted="deleted">``): their text is
-unknown, not empty. Suppressed contributors are kept with a sentinel name
-so their deletions stay attributable.
+one record per ``<revision>`` element in document order. The dump is fed to
+expat ``_READ_SIZE`` (64 KiB) at a time, and the records a chunk completes
+are yielded before the next chunk is read, so the records in flight are
+those of one chunk of dump text plus the revision it ends inside. Records
+missing a revision id or a parseable timestamp are skipped and tallied, and
+so are revisions whose text an administrator hid (``<text
+deleted="deleted">``): their text is unknown, not empty. Suppressed
+contributors are kept with a sentinel name so their deletions stay
+attributable.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import BinaryIO, Iterator, Optional
 
 DELETED_USER_SENTINEL = "[deleted]"
 
-_READ_SIZE = 1 << 20
+_READ_SIZE = 64 << 10
 
 
 class DumpFormatError(Exception):

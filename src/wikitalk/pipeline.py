@@ -1,11 +1,20 @@
 """End-to-end pipeline: dump -> ingest -> sort -> reconstruct -> corpus.
 
-Pages are reconstructed one at a time, in dump order. The corpus is
-emitted in canonical order (page_id ascending, numbers compared as
-numbers; within-page action order), so the output does not depend on the
-order of pages in the dump. It and the ``--stats`` summary are written to
-temporary files beside their outputs and renamed into place only when
-complete.
+Pages are reconstructed one at a time, in dump order, and each action is
+serialized as its page emits it: no page's actions are held in memory, so
+a run's memory depends on its largest page, not on the number of pages.
+The corpus and the ``--stats`` summary are written to temporary files
+beside their outputs and renamed into place only when complete.
+
+The corpus is in canonical order (page_id ascending, numbers compared as
+numbers; within-page action order), so it does not depend on the order of
+pages in the dump. Pages are written in dump order, and the order key and
+action count of each is recorded. When the dump lists its pages in
+canonical order, as MediaWiki exports do, the file is renamed as it is.
+Otherwise one copy pass writes the header and then the pages' byte ranges
+in canonical order to a second temporary file, which takes the first one's
+place. (The ranges are found by counting lines in that pass: asking the
+sink for its position after every page would flush it every page.)
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, TextIO
 
 from wikitalk import corpus
 from wikitalk.extsort import (
@@ -57,11 +66,21 @@ class PipelineReport:
     skipped_revisions: int = 0
 
 
-def _process_page(page_revisions: Iterable[RevisionRecord], budget: SortBudget):
+def _process_page(
+    page_revisions: Iterable[RevisionRecord],
+    budget: SortBudget,
+    sink: TextIO,
+    summary: Optional[corpus.Summary],
+) -> tuple[int, int]:
+    """Reconstruct one page straight into ``sink`` (and ``summary``);
+    returns the actions written and the revisions resynced."""
     recon = Reconstructor()
     ordered = sort_revisions(iter(page_revisions), budget, SortStats())
-    actions = list(reconstruct_page(ordered, recon))
-    return actions, recon.tally.skipped_revisions
+    actions = reconstruct_page(ordered, recon)
+    if summary is not None:
+        actions = summary.fed(actions)
+    written = corpus.write_actions(actions, sink, header=None)
+    return written, recon.tally.skipped_revisions
 
 
 _DIGIT_RUNS_RE = re.compile(r"[0-9]+|[^0-9]+")
@@ -95,14 +114,34 @@ def _replacing(path: Path):
     the block completes and removed when it fails. The file is created with
     the mode ``open(path, "w")`` would give (0o666 less the umask)."""
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as sink:
+        with open(tmp, "x", encoding="utf-8") as sink:
             yield sink
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _reorder(sink: TextIO, pages: list[tuple[tuple, int]]) -> None:
+    """Replace the file behind ``sink``, which holds the corpus header and
+    then ``pages`` (order key and action count, one line per action) in
+    dump order, with a copy that holds the header and then the pages in key
+    order. One page's bytes are in memory at a time."""
+    sink.flush()
+    path = Path(sink.name)
+    with open(path, "rb") as unordered, _replacing(path) as ordered:
+        header = unordered.readline()
+        ranges = []
+        end = len(header)
+        for key, count in pages:
+            start = end
+            end += sum(len(unordered.readline()) for _ in range(count))
+            ranges.append((key, start, end))
+        ordered.buffer.write(header)
+        for _, start, end in sorted(ranges):
+            unordered.seek(start)
+            ordered.buffer.write(unordered.read(end - start))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -114,22 +153,29 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         max_in_memory_revisions=config.max_in_memory_revisions,
         spill_directory=config.spill_dir,
     )
+    summary = corpus.Summary() if config.stats_path is not None else None
 
     # the output and the stats file are opened before the first page, so an
     # unwritable path fails before any reconstruction work
     stats_file = _replacing(config.stats_path) if config.stats_path is not None else nullcontext()
     with _replacing(config.output_path) as sink, stats_file as stats_sink:
-        results: dict[str, list] = {}
+        sink.write(corpus.SCHEMA_HEADER + "\n")
+        pages: list[tuple[tuple, int]] = []
         with open(config.input_path, "rb") as stream:
             for page_id, revs in _page_groups(parse_dump_stream(stream, tally=report.ingest)):
-                results[page_id], skipped = _process_page(revs, budget)
+                try:
+                    written, skipped = _process_page(revs, budget, sink, summary)
+                except corpus.CorpusWriteError as exc:
+                    cause = exc.__cause__
+                    raise corpus.CorpusWriteError(report.actions_written + exc.written, cause) from cause
+                report.actions_written += written
                 report.skipped_revisions += skipped
                 report.pages += 1
-        pages = [results[page_id] for page_id in sorted(results, key=_page_order_key)]
-        report.actions_written = corpus.write_actions(itertools.chain.from_iterable(pages), sink)
+                pages.append((_page_order_key(page_id), written))
+        if pages != sorted(pages):
+            _reorder(sink, pages)
         if stats_sink is not None:
-            stats = corpus.summarize(itertools.chain.from_iterable(pages))
-            json.dump(stats.to_dict(), stats_sink, indent=2)
+            json.dump(summary.stats().to_dict(), stats_sink, indent=2)
             stats_sink.write("\n")
 
     return report

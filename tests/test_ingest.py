@@ -133,6 +133,28 @@ def test_streaming_10k_revisions_bounded_residency():
     assert len(rest) == 10_002
 
 
+def test_first_record_arrives_within_two_read_chunks():
+    """The records in flight are those of one 64 KiB read chunk of dump
+    text, however many small revisions the dump holds: the first record
+    arrives before the parser has read two chunks."""
+    many = DUMP.replace(
+        "</page>",
+        "".join(
+            f"<revision><id>{200 + i}</id><timestamp>2017-05-02T10:00:00Z</timestamp>"
+            f"<contributor><ip>10.0.0.{i % 200}</ip></contributor><text>c{i}</text></revision>"
+            for i in range(20_000)
+        )
+        + "</page>",
+    )
+    data = many.encode("utf-8")
+    stream = CountingStream(data)
+    records = parse_dump_stream(stream)
+    next(records)
+    assert len(data) > 16 * (64 << 10)
+    assert stream.consumed <= 2 * (64 << 10)
+    assert len(list(records)) == 20_002
+
+
 def test_matches_in_memory_reference_parser():
     ns = "{http://www.mediawiki.org/xml/export-0.10/}"
     root = ET.fromstring(DUMP)

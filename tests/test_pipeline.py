@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -5,13 +6,14 @@ import stat
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import wikitalk
 from wikitalk import cli, corpus, pipeline
-from wikitalk.actions import ActionType
+from wikitalk.actions import Action, ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
 from wikitalk.evalharness import write_gold
 from wikitalk.ingest import DumpFormatError
@@ -206,16 +208,55 @@ def test_revision_with_hidden_text_is_skipped(tmp_path):
     assert skips == [{}, {"text_deleted": 1}]
 
 
-def test_dump_order_does_not_change_output(tmp_path):
+def test_dump_order_does_not_change_output(tmp_path, monkeypatch):
+    """Pages out of canonical order take one reorder copy and give the
+    corpus and stats bytes of the same pages in order; pages in order are
+    renamed into place without a copy."""
     scripts = gold_fixture_suite()[:8]
     forward = write_dump(scripts, tmp_path / "forward.xml", shuffle_seed=5)
     backward = write_dump(scripts[::-1], tmp_path / "backward.xml", shuffle_seed=17)
-    out_forward = tmp_path / "forward.jsonl"
-    out_backward = tmp_path / "backward.jsonl"
-    run_pipeline(PipelineConfig(input_path=forward, output_path=out_forward))
-    run_pipeline(PipelineConfig(input_path=backward, output_path=out_backward))
+    reorders = []
+    original = pipeline._reorder
+
+    def counting(*args):
+        reorders.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "_reorder", counting)
+    outputs = {}
+    for dump in (forward, backward):
+        out, stats = tmp_path / f"{dump.stem}.jsonl", tmp_path / f"{dump.stem}.json"
+        run_pipeline(PipelineConfig(input_path=dump, output_path=out, stats_path=stats))
+        outputs[dump.stem] = (out.read_bytes(), stats.read_bytes(), len(reorders))
     assert forward.read_bytes() != backward.read_bytes()
-    assert out_forward.read_bytes() == out_backward.read_bytes()
+    assert outputs["forward"][:2] == outputs["backward"][:2]
+    assert [outputs["forward"][2], outputs["backward"][2]] == [0, 1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "backward.json", "backward.jsonl", "backward.xml", "forward.json", "forward.jsonl", "forward.xml"
+    ]
+
+
+def test_no_action_of_an_earlier_page_is_alive(tmp_path, monkeypatch):
+    """Each action is written as its page emits it: when a page starts, no
+    action of an earlier page is still reachable."""
+    dump = write_dump(gold_fixture_suite()[:6], tmp_path / "dump.xml", shuffle_seed=3)
+    gc.collect()
+    existing = [o for o in gc.get_objects() if isinstance(o, Action)]
+    known = {id(o) for o in existing}
+    alive_at_start = []
+    original = pipeline._process_page
+
+    def checking(*args):
+        gc.collect()
+        alive_at_start.append(
+            sum(isinstance(o, Action) and id(o) not in known for o in gc.get_objects())
+        )
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "_process_page", checking)
+    report = run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
+    assert report.actions_written > 0
+    assert alive_at_start == [0] * 6
 
 
 @pytest.mark.parametrize(
@@ -246,6 +287,66 @@ def test_failed_run_keeps_old_output(tmp_path, monkeypatch, owner, name, error):
     assert len(calls) == 2
     assert out.read_bytes() == b"old corpus\n"
     assert [p.name for p in out_dir.iterdir()] == ["corpus.jsonl"]
+
+
+def test_reorder_copy_failure_keeps_old_output(tmp_path, monkeypatch):
+    """A run that fails while copying out-of-order pages into canonical
+    order leaves the old output as it was and no temporary file."""
+    dump = write_dump(gold_fixture_suite()[:3][::-1], tmp_path / "dump.xml")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "corpus.jsonl"
+    out.write_bytes(b"old corpus\n")
+    original = pipeline._replacing
+    copies = []
+
+    @contextmanager
+    def failing_copy(path):
+        with original(path) as sink:
+            yield sink
+            if path.suffix == ".tmp":  # the reorder copy of the output
+                copies.append(sink.tell())
+                raise OSError("no space left")
+
+    monkeypatch.setattr(pipeline, "_replacing", failing_copy)
+    with pytest.raises(OSError, match="no space left"):
+        run_pipeline(PipelineConfig(input_path=dump, output_path=out))
+    assert len(copies) == 1 and copies[0] > len(SCHEMA_HEADER) + 1
+    assert out.read_bytes() == b"old corpus\n"
+    assert [p.name for p in out_dir.iterdir()] == ["corpus.jsonl"]
+
+
+def test_write_failure_counts_actions_of_earlier_pages(tmp_path, monkeypatch, capsys):
+    """A write that fails on the first action of the second page reports
+    every action written before it, those of the first page included."""
+    scripts = gold_fixture_suite()[:3]
+    dump = write_dump(scripts, tmp_path / "dump.xml")
+    clean = tmp_path / "clean.jsonl"
+    run_pipeline(PipelineConfig(input_path=dump, output_path=clean))
+    with open(clean, encoding="utf-8") as fh:
+        first_page = sum(a.page_id == scripts[0].page_id for a in read_actions(fh))
+    assert first_page > 1
+    pages = []
+    original_page, original_serialize = pipeline._process_page, corpus.serialize_action
+
+    def counting_pages(*args):
+        pages.append(1)
+        return original_page(*args)
+
+    def fail_on_second_page(*args):
+        if len(pages) == 2:
+            raise OSError(28, "No space left on device")
+        return original_serialize(*args)
+
+    monkeypatch.setattr(pipeline, "_process_page", counting_pages)
+    monkeypatch.setattr(corpus, "serialize_action", fail_on_second_page)
+    with pytest.raises(corpus.CorpusWriteError) as exc:
+        run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
+    assert exc.value.written == first_page
+    pages.clear()
+    rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(tmp_path / "corpus.jsonl")])
+    assert rc == 1
+    assert f"error: write failed after {first_page} actions" in capsys.readouterr().err
 
 
 def test_corpus_write_failure_exits_with_error(tmp_path, monkeypatch, capsys):
@@ -357,8 +458,29 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
         (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1h,30m"], "sorted ascending"),
         (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1x"], "bad horizon '1x'"),
         (["eval", "sample", "--corpus", "c", "--per-type", "-1"], "must not be negative"),
+        (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--scorer", "http",
+             "--endpoint", "http://localhost:1", "--rate-limit", "0"],
+            "must be positive: 0",
+        ),
+        (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--rate-limit", "-2"],
+            "must be positive: -2",
+        ),
+        (
+            ["analytics", "deletion-rate", "--scored", "s", "--subset", "toxic"],
+            "--subset toxic requires --toxicity-threshold",
+        ),
+        (
+            ["analytics", "deletion-rate", "--scored", "s", "--subset", "severe",
+             "--toxicity-threshold", "0.5"],
+            "--subset severe requires --severe-threshold",
+        ),
     ],
-    ids=["unsorted-horizons", "unknown-horizon-unit", "negative-per-type"],
+    ids=[
+        "unsorted-horizons", "unknown-horizon-unit", "negative-per-type", "zero-rate-limit",
+        "negative-rate-limit", "toxic-without-threshold", "severe-without-threshold",
+    ],
 )
 def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
