@@ -89,11 +89,15 @@ def record_to_action(record: dict) -> Action:
     )
 
 
+# json.dumps with a non-default option builds a new encoder on every call
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def serialize_action(action: Action, extra: Optional[dict] = None) -> str:
     record = action_to_record(action)
     if extra:
         record.update(extra)
-    return json.dumps(record, ensure_ascii=False)
+    return _ENCODER.encode(record)
 
 
 def write_actions(
