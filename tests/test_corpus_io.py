@@ -66,6 +66,21 @@ def test_write_error_reports_count():
     assert err.value.written == 2
 
 
+def test_error_while_producing_actions_is_not_a_write_error():
+    """The pipeline hands ``write_actions`` a page's actions as they are
+    made, so a failing spill file or dump read surfaces inside its loop;
+    it keeps its own type instead of reading as a failed corpus write."""
+
+    def actions():
+        yield random_action(random.Random(1), 0)
+        raise OSError("spill directory full")
+
+    sink = io.StringIO()
+    with pytest.raises(OSError, match="spill directory full"):
+        write_actions(actions(), sink)
+    assert len(sink.getvalue().splitlines()) == 2
+
+
 def test_summarize_empty():
     stats = summarize(iter([]))
     assert stats.actions == 0
