@@ -40,6 +40,17 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
+def _revision_budget(value: str) -> int:
+    """An in-memory revision budget; the temporal sort needs at least 2."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2: {value}")
+    return number
+
+
 def _positive_float(value: str) -> float:
     number = float(value)
     if not number > 0:
@@ -70,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--output", required=_env("output") is None, default=_env("output"))
     rec.add_argument(
         "--max-mem-revisions",
-        type=int,
+        type=_revision_budget,
         default=_env("max-mem-revisions", DEFAULT_MAX_IN_MEMORY),
     )
     rec.add_argument("--spill-dir", default=_env("spill-dir"))

@@ -198,10 +198,3 @@ class Summary:
             type_breakdown=breakdown,
         )
 
-
-def summarize(actions: Iterable[Action]) -> SummaryStats:
-    """Single-pass corpus statistics of ``actions``."""
-    summary = Summary()
-    for action in actions:
-        summary.add(action)
-    return summary.stats()

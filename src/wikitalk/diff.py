@@ -16,13 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from wikitalk.tokenizer import (
-    TokenSequence,
-    common_prefix,
-    common_suffix,
-    join_fragments,
-    tokenize,
-)
+from wikitalk.tokenizer import TokenSequence, common_prefix, common_suffix
 
 # Inputs larger than this are refused outright rather than diffed slowly
 # and nondeterministically under time pressure.
@@ -41,18 +35,8 @@ _REGION_TOKEN_CAP = 40_000
 _MAX_SEARCH_DEPTH = 4_000
 
 
-class DiffError(Exception):
-    pass
-
-
-class DiffTokenLimitError(DiffError):
+class DiffTokenLimitError(Exception):
     """Raised when an input exceeds the hard token cap."""
-
-
-class DiffApplyError(DiffError):
-    def __init__(self, op_index: int, message: str):
-        super().__init__(f"op {op_index}: {message}")
-        self.op_index = op_index
 
 
 @dataclass(frozen=True)
@@ -65,15 +49,13 @@ class EqualOp:
 
 @dataclass(frozen=True)
 class ChangeOp:
-    """Old tokens [old_lo, old_hi) replaced by new tokens [new_lo, new_hi),
-    whose text is ``raw``. A pure delete has new_lo == new_hi and a pure
-    insert old_lo == old_hi."""
+    """Old tokens [old_lo, old_hi) replaced by new tokens [new_lo, new_hi).
+    A pure delete has new_lo == new_hi and a pure insert old_lo == old_hi."""
 
     old_lo: int
     old_hi: int
     new_lo: int
     new_hi: int
-    raw: str
 
 
 DiffOp = EqualOp | ChangeOp
@@ -231,7 +213,7 @@ def _diff_with_prepass(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
     return out
 
 
-def _normalize(blocks: list[tuple[int, int, int]], n: int, m: int, new: TokenSequence) -> list[DiffOp]:
+def _normalize(blocks: list[tuple[int, int, int]], n: int, m: int) -> list[DiffOp]:
     """One EqualOp per run of touching matching blocks and one ChangeOp per
     gap between them, so the two kinds alternate and tile old tokens
     [0, n) and new tokens [0, m)."""
@@ -243,15 +225,15 @@ def _normalize(blocks: list[tuple[int, int, int]], n: int, m: int, new: TokenSeq
             ops[-1] = EqualOp(last.old_lo, alo + size, last.new_lo, blo + size)
         else:
             if (alo, blo) != (i, j):
-                ops.append(ChangeOp(i, alo, j, blo, new.slice_text(j, blo)))
+                ops.append(ChangeOp(i, alo, j, blo))
             ops.append(EqualOp(alo, alo + size, blo, blo + size))
         i, j = alo + size, blo + size
     if (i, j) != (n, m):
-        ops.append(ChangeOp(i, n, j, m, new.slice_text(j, m)))
+        ops.append(ChangeOp(i, n, j, m))
     return ops
 
 
-def _slide_pure_runs(ops: list[DiffOp], a: tuple, b: tuple, new: TokenSequence) -> list[DiffOp]:
+def _slide_pure_runs(ops: list[DiffOp], a: tuple, b: tuple) -> list[DiffOp]:
     """Rotate pure insert/delete runs onto line boundaries where possible.
 
     An edit run flanked by equal tokens can sit at several equal-cost
@@ -307,9 +289,8 @@ def _slide_pure_runs(ops: list[DiffOp], a: tuple, b: tuple, new: TokenSequence) 
         if shift == 0:
             continue
         # whichever side is empty, the region moves by shift on both
-        n_lo, n_hi = op.new_lo + shift, op.new_hi + shift
         ops[i] = ChangeOp(
-            op.old_lo + shift, op.old_hi + shift, n_lo, n_hi, new.slice_text(n_lo, n_hi)
+            op.old_lo + shift, op.old_hi + shift, op.new_lo + shift, op.new_hi + shift
         )
         ops[i - 1] = EqualOp(
             prev_eq.old_lo, prev_eq.old_hi + shift, prev_eq.new_lo, prev_eq.new_hi + shift
@@ -330,30 +311,6 @@ def lcs_diff(old: TokenSequence, new: TokenSequence) -> DiffScript:
         blocks = _diff_with_prepass(a, b)
     else:
         blocks = _diff_tokens(a, b)
-    ops = _slide_pure_runs(_normalize(blocks, len(a), len(b), new), a, b, new)
+    ops = _slide_pure_runs(_normalize(blocks, len(a), len(b)), a, b)
     return DiffScript(ops=tuple(ops), old_len=len(a), new_len=len(b))
 
-
-def apply_diff(old: TokenSequence, script: DiffScript) -> TokenSequence:
-    """Replay a script against its base sequence, reproducing the new one.
-
-    The rebuilt text keeps old-side gaps inside Equal spans, so equality
-    with the original new sequence holds token-for-token.
-    """
-    if script.old_len != len(old):
-        raise DiffApplyError(-1, f"script built for {script.old_len} tokens, got {len(old)}")
-    fragments: list[str] = []
-    cursor = 0
-    for idx, op in enumerate(script.ops):
-        if op.old_lo != cursor:
-            raise DiffApplyError(idx, f"old span starts at {op.old_lo}, expected {cursor}")
-        if op.old_hi > len(old) or op.old_hi < op.old_lo:
-            raise DiffApplyError(idx, f"old span [{op.old_lo},{op.old_hi}) out of bounds")
-        if isinstance(op, EqualOp):
-            fragments.append(old.slice_text(op.old_lo, op.old_hi))
-        else:
-            fragments.append(op.raw)
-        cursor = op.old_hi
-    if cursor != len(old):
-        raise DiffApplyError(len(script.ops) - 1, f"script covers {cursor} of {len(old)} old tokens")
-    return tokenize(join_fragments(fragments))

@@ -5,11 +5,11 @@ one record per ``<revision>`` element in document order. The dump is fed to
 expat ``_READ_SIZE`` (64 KiB) at a time, and the records a chunk completes
 are yielded before the next chunk is read, so the records in flight are
 those of one chunk of dump text plus the revision it ends inside. Records
-missing a revision id or a parseable timestamp are skipped and tallied, and
-so are revisions whose text an administrator hid (``<text
-deleted="deleted">``): their text is unknown, not empty. Suppressed
-contributors are kept with a sentinel name so their deletions stay
-attributable.
+missing a page id, a revision id or a parseable timestamp are skipped and
+tallied (pages without ids could not be told apart), and so are revisions
+whose text an administrator hid (``<text deleted="deleted">``): their text
+is unknown, not empty. Suppressed contributors are kept with a sentinel
+name so their deletions stay attributable.
 """
 
 from __future__ import annotations
@@ -130,8 +130,12 @@ class _DumpHandler:
 
     def _finish_revision(self) -> None:
         rev = self.rev
+        page_id = "".join(self.page_id).strip()
         rev_id = "".join(rev.rev_id).strip()
         ts_raw = "".join(rev.timestamp).strip()
+        if not page_id:
+            self.tally.record_skip("missing_page_id")
+            return
         if not rev_id:
             self.tally.record_skip("missing_revision_id")
             return
@@ -161,7 +165,7 @@ class _DumpHandler:
         self.tally.revisions += 1
         self.completed.append(
             RevisionRecord(
-                page_id="".join(self.page_id).strip(),
+                page_id=page_id,
                 page_title="".join(self.page_title).strip(),
                 revision_id=rev_id,
                 timestamp=timestamp,

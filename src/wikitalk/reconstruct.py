@@ -7,6 +7,12 @@ contributor. Sequential state tracks every live comment's token range
 of recently deleted comments (detecting restorations by exact match).
 Character offsets are computed only for the actions emitted.
 
+A script is decomposed in three steps: :func:`_attribute_changes` finds
+the comments the changes delete or modify and the changes that stand
+alone, :meth:`LiveComments.remap` moves the survivors into the new token
+space, and ``_decompose`` emits in document order (``_emit_edit``,
+``_emit_segment``).
+
 Comment boundaries are interpretive: inserted text is split at heading
 lines and at indentation changes at line starts, and consecutive
 same-indentation lines join one comment unless a signature ends the
@@ -98,13 +104,6 @@ class LiveComments:
     def __init__(self):
         self.blocks: list[_Block] = []
 
-    def with_ranges(self) -> Iterator[tuple[LiveComment, tuple[int, int]]]:
-        """Every live comment with its token range, in document order."""
-        for block in self.blocks:
-            d = block.delta
-            for c in block.comments:
-                yield c, (c.tok_range[0] + d, c.tok_range[1] + d)
-
     def locate(self, pos: int, side=bisect.bisect_right) -> tuple[int, int]:
         """The place ``(block index, index in block)`` that ``side`` would
         give for token ``pos`` in the list of comment starts. The index in
@@ -152,6 +151,61 @@ class LiveComments:
             self.blocks.remove(block)
         elif c.is_heading:
             block.has_heading = any(x.is_heading for x in block.comments)
+
+    def remap(self, equal_ops: list[EqualOp], edits: dict[str, _CommentEdit]) -> None:
+        """Move the comments into the new token space of a diff whose kept
+        tokens are ``equal_ops``, setting each edited one's ``new_range``.
+
+        The walk takes the equal ops alongside the blocks (both are in
+        document order). A block's delta takes the shift of the first equal
+        op it meets, so only its comments that other equal ops keep are
+        rewritten, a run at a time. An edited comment is never inside one
+        equal op; its range spans the tokens it kept and the tokens
+        inserted into it."""
+        k = 0
+        for block in self.blocks:
+            comments, d = block.comments, block.delta
+            lo = comments[0].tok_range[0] + d
+            while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
+                k += 1
+            op = equal_ops[k] if k < len(equal_ops) else None
+            ref = op.new_lo - op.old_lo if op is not None else 0
+            block.delta = d + ref
+            if op is not None and op.old_lo <= lo and comments[-1].tok_range[1] + d <= op.old_hi:
+                continue
+            i = 0
+            while i < len(comments):
+                c = comments[i]
+                lo, hi = c.tok_range[0] + d, c.tok_range[1] + d
+                while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
+                    k += 1
+                op = equal_ops[k] if k < len(equal_ops) else None
+                if op is not None and op.old_lo <= lo and hi <= op.old_hi:
+                    end = bisect.bisect_right(comments, op.old_hi - d, i, key=_tok_end)
+                    shift = op.new_lo - op.old_lo - ref
+                    if shift:
+                        for c in comments[i:end]:
+                            c.tok_range = (c.tok_range[0] + shift, c.tok_range[1] + shift)
+                    i = end
+                    continue
+                e = edits.get(c.comment_id)
+                if e is None:
+                    raise AssertionError(
+                        f"comment {c.comment_id} lost its span without an edit record"
+                    )
+                positions = [p for ins_lo, ins_hi in e.insert_ranges for p in (ins_lo, ins_hi - 1)]
+                j = k
+                while j < len(equal_ops) and equal_ops[j].old_lo < hi:
+                    j += 1
+                if j > k:  # equal_ops[k:j] keep tokens of [lo, hi)
+                    first, last = equal_ops[k], equal_ops[j - 1]
+                    positions.append(first.new_lo + max(first.old_lo, lo) - first.old_lo)
+                    positions.append(last.new_lo + min(last.old_hi, hi) - 1 - last.old_lo)
+                if not positions:
+                    raise AssertionError(f"modified comment {c.comment_id} has no surviving tokens")
+                e.new_range = (min(positions), max(positions) + 1)
+                c.tok_range = (e.new_range[0] - block.delta, e.new_range[1] - block.delta)
+                i += 1
 
 
 @dataclass
@@ -279,8 +333,70 @@ class _CommentEdit:
     block: _Block
     deleted_tokens: int = 0
     insert_ranges: list[tuple[int, int]] = field(default_factory=list)
-    first_delete_new_pos: Optional[int] = None
-    new_range: tuple[int, int] = (0, 0)  # of a surviving comment, set in step 4
+    first_delete_new_pos: int = 0  # the new token where the first deletion sits
+    deleted: bool = False  # the whole comment goes, rather than changing
+    new_range: tuple[int, int] = (0, 0)  # of a surviving comment, set by remap
+
+
+def _attribute_changes(
+    live: LiveComments, changes: list[ChangeOp]
+) -> tuple[dict[str, _CommentEdit], list[ChangeOp]]:
+    """The edits of the live comments that ``changes`` touch, by comment id,
+    each marked deleted or not, and the changes whose inserted text edits no
+    comment."""
+    # the edit of the comment each change's inserted text edits, when any
+    attach: list[Optional[_CommentEdit]] = [None] * len(changes)
+    edits: dict[str, _CommentEdit] = {}
+
+    def edit_for(c: LiveComment, block: _Block) -> _CommentEdit:
+        if c.comment_id not in edits:
+            edits[c.comment_id] = _CommentEdit(comment=c, block=block)
+        return edits[c.comment_id]
+
+    # deleted tokens go to the comments they overlap
+    for i, ch in enumerate(changes):
+        dlo, dhi = ch.old_lo, ch.old_hi
+        if dlo == dhi:
+            continue
+        bi, j = live.locate(dlo)
+        for block, c, clo, chi in live.scan(bi, max(j - 1, 0)):
+            if clo >= dhi:
+                break
+            overlap = min(chi, dhi) - max(clo, dlo)
+            if overlap <= 0:
+                continue
+            e = edit_for(c, block)
+            if not e.deleted_tokens:
+                e.first_delete_new_pos = ch.new_lo
+            e.deleted_tokens += overlap
+            fully_covered = dlo <= clo and dhi >= chi
+            if ch.new_hi > ch.new_lo and not fully_covered and attach[i] is None:
+                attach[i] = e
+
+    # inserted text edits the comment it lands in, or stands alone
+    standalone: list[ChangeOp] = []
+    for ch, target in zip(changes, attach):
+        if ch.new_lo == ch.new_hi:
+            continue
+        if target is None:
+            bi, j = live.locate(ch.old_hi)
+            if j > 0:
+                block = live.blocks[bi]
+                c = block.comments[j - 1]
+                clo, chi = c.tok_range
+                if clo < ch.old_hi - block.delta < chi:
+                    target = edit_for(c, block)
+        if target is not None:
+            target.insert_ranges.append((ch.new_lo, ch.new_hi))
+        else:
+            standalone.append(ch)
+
+    for e in edits.values():
+        total = e.comment.tok_range[1] - e.comment.tok_range[0]
+        e.deleted = bool(
+            not e.insert_ranges and total and e.deleted_tokens / total >= DELETION_TOKEN_FRACTION
+        )
+    return edits, standalone
 
 
 @dataclass
@@ -321,201 +437,83 @@ class Reconstructor:
     # ------------------------------------------------------------------
 
     def _decompose(
+        self, state: PageState, rev: RevisionRecord, new_seq: TokenSequence, ops: tuple[DiffOp, ...]
+    ) -> list[Action]:
+        old_seq = state.tokens
+        changes = [op for op in ops if isinstance(op, ChangeOp)]
+        edits, standalone = _attribute_changes(state.live, changes)
+        for e in edits.values():
+            if e.deleted:
+                state.live.remove(e.block, e.comment)
+        state.live.remap([op for op in ops if isinstance(op, EqualOp)], edits)
+
+        # Emissions go in document order, in new tokens; a deletion sits at
+        # its anchor, ties broken by its old token start. New segments join
+        # the live list as they go, so later ones can reply to them.
+        pending: list[tuple[tuple[int, int, int], _CommentEdit | Segment]] = []
+        for e in edits.values():
+            if e.deleted:
+                pending.append(((e.first_delete_new_pos, 0, e.comment.tok_range[0]), e))
+            else:
+                pending.append(((e.new_range[0], 1, e.new_range[0]), e))
+        for ch in standalone:
+            for seg in segment_text(new_seq, ch.new_lo, ch.new_hi):
+                pending.append(((seg.tok_lo, 1, seg.tok_lo), seg))
+        pending.sort(key=lambda item: item[0])
+
+        actions: list[Action] = []
+        bump = len(new_seq) + len(old_seq) + 1
+        for _, item in pending:
+            if isinstance(item, Segment):
+                actions.append(self._emit_segment(state, rev, item, bump, actions))
+            else:
+                actions.append(self._emit_edit(state, rev, item, old_seq, new_seq, bump))
+        return actions
+
+    def _emit_edit(
         self,
         state: PageState,
         rev: RevisionRecord,
+        e: _CommentEdit,
+        old_seq: TokenSequence,
         new_seq: TokenSequence,
-        ops: tuple[DiffOp, ...],
-    ) -> list[Action]:
-        old_seq = state.tokens
-        live = state.live
-        changes = [op for op in ops if isinstance(op, ChangeOp)]
-        equal_ops = [op for op in ops if isinstance(op, EqualOp)]
-        # the edit of the comment each change's inserted text edits, when any
-        attach: list[Optional[_CommentEdit]] = [None] * len(changes)
-
-        edits: dict[str, _CommentEdit] = {}
-
-        def edit_for(c: LiveComment, block: _Block) -> _CommentEdit:
-            if c.comment_id not in edits:
-                edits[c.comment_id] = _CommentEdit(comment=c, block=block)
-            return edits[c.comment_id]
-
-        # 1. attribute deleted tokens to the comments they overlap
-        for i, ch in enumerate(changes):
-            dlo, dhi = ch.old_lo, ch.old_hi
-            if dlo == dhi:
-                continue
-            bi, j = live.locate(dlo)
-            for block, c, clo, chi in live.scan(bi, max(j - 1, 0)):
-                if clo >= dhi:
-                    break
-                overlap = min(chi, dhi) - max(clo, dlo)
-                if overlap <= 0:
-                    continue
-                e = edit_for(c, block)
-                e.deleted_tokens += overlap
-                if e.first_delete_new_pos is None:
-                    e.first_delete_new_pos = ch.new_lo
-                fully_covered = dlo <= clo and dhi >= chi
-                if ch.new_hi > ch.new_lo and not fully_covered and attach[i] is None:
-                    attach[i] = e
-
-        # 2. attribute inserts: edits of existing comments vs new segments
-        standalone: list[ChangeOp] = []
-        for ch, target in zip(changes, attach):
-            if ch.new_lo == ch.new_hi:
-                continue
-            if target is None:
-                bi, j = live.locate(ch.old_hi)
-                if j > 0:
-                    block = live.blocks[bi]
-                    c = block.comments[j - 1]
-                    clo, chi = c.tok_range
-                    if clo < ch.old_hi - block.delta < chi:
-                        target = edit_for(c, block)
-            if target is not None:
-                target.insert_ranges.append((ch.new_lo, ch.new_hi))
-            else:
-                standalone.append(ch)
-
-        # 3. classify touched comments as deletions or modifications
-        deletions: list[_CommentEdit] = []
-        modifications: list[_CommentEdit] = []
-        for e in edits.values():
-            total = e.comment.tok_range[1] - e.comment.tok_range[0]
-            if not e.insert_ranges and total and e.deleted_tokens / total >= DELETION_TOKEN_FRACTION:
-                deletions.append(e)
-            else:
-                modifications.append(e)
-        for e in deletions:
-            live.remove(e.block, e.comment)
-
-        # 4. move surviving comments into the new token space, walking the
-        # equal ops alongside the blocks (both are in document order). A
-        # block's delta takes the shift of the first equal op it meets, so
-        # only its comments that other equal ops keep are rewritten, a run
-        # at a time. An edited comment is never inside one equal op; its
-        # range spans the tokens it kept and the tokens inserted into it.
-        k = 0
-        for block in live.blocks:
-            comments, d = block.comments, block.delta
-            lo = comments[0].tok_range[0] + d
-            while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
-                k += 1
-            op = equal_ops[k] if k < len(equal_ops) else None
-            ref = op.new_lo - op.old_lo if op is not None else 0
-            block.delta = d + ref
-            if op is not None and op.old_lo <= lo and comments[-1].tok_range[1] + d <= op.old_hi:
-                continue
-            i = 0
-            while i < len(comments):
-                c = comments[i]
-                lo, hi = c.tok_range[0] + d, c.tok_range[1] + d
-                while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
-                    k += 1
-                op = equal_ops[k] if k < len(equal_ops) else None
-                if op is not None and op.old_lo <= lo and hi <= op.old_hi:
-                    end = bisect.bisect_right(comments, op.old_hi - d, i, key=_tok_end)
-                    shift = op.new_lo - op.old_lo - ref
-                    if shift:
-                        for c in comments[i:end]:
-                            c.tok_range = (c.tok_range[0] + shift, c.tok_range[1] + shift)
-                    i = end
-                    continue
-                e = edits.get(c.comment_id)
-                if e is None:
-                    raise AssertionError(
-                        f"comment {c.comment_id} lost its span without an edit record"
-                    )
-                positions = [p for ins_lo, ins_hi in e.insert_ranges for p in (ins_lo, ins_hi - 1)]
-                j = k
-                while j < len(equal_ops) and equal_ops[j].old_lo < hi:
-                    j += 1
-                if j > k:  # equal_ops[k:j] keep tokens of [lo, hi)
-                    first, last = equal_ops[k], equal_ops[j - 1]
-                    positions.append(first.new_lo + max(first.old_lo, lo) - first.old_lo)
-                    positions.append(last.new_lo + min(last.old_hi, hi) - 1 - last.old_lo)
-                if not positions:
-                    raise AssertionError(f"modified comment {c.comment_id} has no surviving tokens")
-                e.new_range = (min(positions), max(positions) + 1)
-                c.tok_range = (e.new_range[0] - block.delta, e.new_range[1] - block.delta)
-                i += 1
-
-        # 5. order emissions by document position, in new tokens; a deletion
-        # sits at its anchor, ties broken by its old token start
-        pending: list[tuple[tuple, str, object]] = []
-        for e in deletions:
-            anchor_new = e.first_delete_new_pos if e.first_delete_new_pos is not None else 0
-            pending.append(((anchor_new, 0, e.comment.tok_range[0]), "delete", e))
-        for e in modifications:
-            tok_lo = e.new_range[0]
-            pending.append(((tok_lo, 1, tok_lo), "modify", e))
-        for ch in standalone:
-            for seg in segment_text(new_seq, ch.new_lo, ch.new_hi):
-                pending.append(((seg.tok_lo, 1, seg.tok_lo), "segment", seg))
-        pending.sort(key=lambda item: item[0])
-
-        # 6. emit; new segments join the live list as they go, so later ones
-        # can reply to them
-        actions: list[Action] = []
-        bump = len(new_seq) + len(old_seq) + 1
-
-        for (tok_pos, _, _), kind, payload in pending:
-            if kind == "delete":
-                e: _CommentEdit = payload
-                c = e.comment
-                pos = new_seq.char_span(tok_pos, tok_pos)[0]
-                action_id = self._new_action_id(state, rev.revision_id, c.tok_range[0], bump)
-                actions.append(
-                    _new_action(
-                        state,
-                        rev,
-                        action_id,
-                        ActionType.DELETION,
-                        content=c.cleaned_text,
-                        raw_markup=old_seq.slice_text(*c.tok_range),
-                        replyto_id=None if c.is_heading else c.replyto_id,
-                        parent_id=c.last_action_id,
-                        indentation=c.indentation,
-                        conversation_id=c.conversation_id,
-                        char_span=(pos, pos),
-                    )
-                )
-                state.store.push(c)
-            elif kind == "modify":
-                e = payload
-                c = e.comment
-                span = new_seq.char_span(*e.new_range)
-                raw = new_seq.text[span[0] : span[1]]
-                cleaned = clean_markup(raw).text
-                if not c.is_heading:
-                    first_line_end = raw.find("\n")
-                    first_line = raw if first_line_end == -1 else raw[:first_line_end]
-                    c.indentation = _line_indentation(first_line)
-                action_id = self._new_action_id(state, rev.revision_id, e.new_range[0], bump)
-                actions.append(
-                    _new_action(
-                        state,
-                        rev,
-                        action_id,
-                        ActionType.MODIFICATION,
-                        content=cleaned,
-                        raw_markup=raw,
-                        replyto_id=c.replyto_id,
-                        parent_id=c.last_action_id,
-                        indentation=c.indentation,
-                        conversation_id=c.conversation_id,
-                        char_span=span,
-                    )
-                )
-                c.last_action_id = action_id
-                c.cleaned_text = cleaned
-            else:
-                action = self._emit_segment(state, rev, payload, bump, actions)
-                actions.append(action)
-
-        return actions
+        bump: int,
+    ) -> Action:
+        """The DELETION or MODIFICATION of an edited comment. A deleted
+        comment goes to the store; a modified one takes the new text."""
+        c = e.comment
+        if e.deleted:
+            a_type, offset = ActionType.DELETION, c.tok_range[0]
+            pos = new_seq.char_span(e.first_delete_new_pos, e.first_delete_new_pos)[0]
+            span = (pos, pos)
+            raw, cleaned = old_seq.slice_text(*c.tok_range), c.cleaned_text
+            replyto_id = None if c.is_heading else c.replyto_id
+        else:
+            a_type, offset = ActionType.MODIFICATION, e.new_range[0]
+            span = new_seq.char_span(*e.new_range)
+            raw = new_seq.text[span[0] : span[1]]
+            cleaned = clean_markup(raw).text
+            if not c.is_heading:
+                c.indentation = _line_indentation(raw.partition("\n")[0])
+            replyto_id = c.replyto_id
+        action = _new_action(
+            state,
+            rev,
+            self._new_action_id(state, rev.revision_id, offset, bump),
+            a_type,
+            content=cleaned,
+            raw_markup=raw,
+            replyto_id=replyto_id,
+            parent_id=c.last_action_id,
+            indentation=c.indentation,
+            conversation_id=c.conversation_id,
+            char_span=span,
+        )
+        if e.deleted:
+            state.store.push(c)
+        else:
+            c.last_action_id, c.cleaned_text = action.action_id, cleaned
+        return action
 
     # ------------------------------------------------------------------
 

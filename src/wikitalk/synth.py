@@ -24,7 +24,6 @@ from xml.sax.saxutils import escape
 from wikitalk.actions import ActionType
 from wikitalk.clean import clean_markup
 from wikitalk.evalharness import GoldAnnotation
-from wikitalk.ingest import RevisionRecord
 from wikitalk.store import CAPACITY, MAX_CHARS, MIN_CHARS
 from wikitalk.tokenizer import tokenize
 
@@ -266,20 +265,6 @@ class PageScript:
             if block.alive:
                 parts.append(block.text + "\n")
         return "".join(parts)
-
-    def revision_records(self) -> list[RevisionRecord]:
-        return [
-            RevisionRecord(
-                page_id=self.page_id,
-                page_title=self.page_title,
-                revision_id=r.revision_id,
-                timestamp=r.timestamp,
-                user_text=r.user_text,
-                user_id=r.user_id,
-                wikitext=r.text,
-            )
-            for r in self.revisions
-        ]
 
     # -- internals ---------------------------------------------------------
 

@@ -248,19 +248,3 @@ def _join(
 
 _EMPTY = TokenSequence("", (), [], [], [])
 
-
-def join_fragments(fragments: list[str]) -> str:
-    """Concatenate text fragments, padding joins so tokens never merge.
-
-    A single space is interposed whenever the boundary characters are both
-    non-whitespace; a space is a gap, so the padding never alters the token
-    stream of either side.
-    """
-    out: list[str] = []
-    for frag in fragments:
-        if not frag:
-            continue
-        if out and not out[-1][-1].isspace() and not frag[0].isspace():
-            out.append(" ")
-        out.append(frag)
-    return "".join(out)

@@ -6,6 +6,7 @@ import pytest
 from wikitalk.actions import Action, ActionType
 from wikitalk.diff import EqualOp
 from wikitalk.ingest import RevisionRecord
+from wikitalk.tokenizer import tokenize
 
 BASE = datetime(2016, 3, 1, 9, 0, 0, tzinfo=timezone.utc)
 
@@ -30,6 +31,72 @@ def offsets(seq):
 def equal_token_count(script):
     """Tokens a ``DiffScript`` keeps: the length of its common subsequence."""
     return sum(op.old_hi - op.old_lo for op in script.ops if isinstance(op, EqualOp))
+
+
+def revision_records(script):
+    """The revisions of a ``synth.PageScript`` as ingest would read them."""
+    return [
+        RevisionRecord(
+            page_id=script.page_id,
+            page_title=script.page_title,
+            revision_id=r.revision_id,
+            timestamp=r.timestamp,
+            user_text=r.user_text,
+            user_id=r.user_id,
+            wikitext=r.text,
+        )
+        for r in script.revisions
+    ]
+
+
+def join_fragments(fragments):
+    """Concatenate text fragments, padding joins so tokens never merge.
+
+    A single space is interposed whenever the boundary characters are both
+    non-whitespace; a space is a gap, so the padding never alters the token
+    stream of either side.
+    """
+    out = []
+    for frag in fragments:
+        if not frag:
+            continue
+        if out and not out[-1][-1].isspace() and not frag[0].isspace():
+            out.append(" ")
+        out.append(frag)
+    return "".join(out)
+
+
+class DiffApplyError(Exception):
+    def __init__(self, op_index, message):
+        super().__init__(f"op {op_index}: {message}")
+        self.op_index = op_index
+
+
+def apply_diff(old, new, script):
+    """Replay a ``DiffScript`` against its base sequence, reproducing the new
+    one: the text of each equal span comes from ``old`` and that of each
+    change from ``new``.
+
+    The rebuilt text keeps old-side gaps inside Equal spans, so equality
+    with the original new sequence holds token-for-token.
+    """
+    if script.old_len != len(old):
+        raise DiffApplyError(-1, f"script built for {script.old_len} tokens, got {len(old)}")
+    fragments = []
+    cursor = 0
+    for idx, op in enumerate(script.ops):
+        if op.old_lo != cursor:
+            raise DiffApplyError(idx, f"old span starts at {op.old_lo}, expected {cursor}")
+        if op.old_hi > len(old) or op.old_hi < op.old_lo:
+            raise DiffApplyError(idx, f"old span [{op.old_lo},{op.old_hi}) out of bounds")
+        if isinstance(op, EqualOp):
+            fragments.append(old.slice_text(op.old_lo, op.old_hi))
+        else:
+            fragments.append(new.slice_text(op.new_lo, op.new_hi))
+        cursor = op.old_hi
+    if cursor != len(old):
+        raise DiffApplyError(len(script.ops) - 1, f"script covers {cursor} of {len(old)} old tokens")
+    return tokenize(join_fragments(fragments))
 
 
 def random_action(rng: random.Random, i: int) -> Action:

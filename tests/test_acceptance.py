@@ -12,12 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import equal_token_count
+from tests.conftest import apply_diff, equal_token_count, revision_records
 from wikitalk.actions import ActionType
 from wikitalk.analytics import ScoredComment, deletion_rate, equal_error_threshold
 from wikitalk.clean import clean_markup
 from wikitalk.corpus import read_actions
-from wikitalk.diff import apply_diff, lcs_diff
+from wikitalk.diff import lcs_diff
 from wikitalk.evalharness import DIMENSIONS, score_against_gold
 from wikitalk.pipeline import PipelineConfig, run_pipeline
 from wikitalk.reconstruct import reconstruct_page
@@ -140,7 +140,7 @@ def test_criterion_2_gold_fixture_suite():
     assert len(suite) >= 20
     all_actions, all_gold = [], []
     for script in suite:
-        all_actions.extend(reconstruct_page(script.revision_records()))
+        all_actions.extend(reconstruct_page(revision_records(script)))
         all_gold.extend(script.gold)
     assert {a.type for a in all_actions} == set(ActionType)
     table = score_against_gold(all_actions, all_gold)
@@ -174,7 +174,7 @@ def test_criterion_3_diff_round_trip_and_dp_oracle():
         a = " ".join(rng.choice(words) for _ in range(n1)).replace("x9", "x9\n")
         b = " ".join(rng.choice(words) for _ in range(n2)).replace("x9", "x9\n")
         sa, sb = tokenize(a), tokenize(b)
-        assert apply_diff(sa, lcs_diff(sa, sb)).tokens == sb.tokens
+        assert apply_diff(sa, sb, lcs_diff(sa, sb)).tokens == sb.tokens
     checked = 0
     for trial in range(1200):
         n1, n2 = rng.randrange(0, 13), rng.randrange(0, 13)
@@ -183,7 +183,7 @@ def test_criterion_3_diff_round_trip_and_dp_oracle():
         sa, sb = tokenize(a), tokenize(b)
         if len(sa) <= 12 and len(sb) <= 12:
             script = lcs_diff(sa, sb)
-            assert apply_diff(sa, script).tokens == sb.tokens
+            assert apply_diff(sa, sb, script).tokens == sb.tokens
             assert equal_token_count(script) == dp_lcs_len(sa.tokens, sb.tokens)
             checked += 1
     elapsed = time.perf_counter() - started
@@ -204,7 +204,7 @@ def test_criterion_4_restoration_bounds():
     _, expected = s.reinsert_comment(c)
     assert expected is ActionType.RESTORATION
     s.commit(user="restorer")
-    actions = list(reconstruct_page(s.revision_records()))
+    actions = list(reconstruct_page(revision_records(s)))
     assert actions[-1].type is ActionType.RESTORATION
 
     # (b) 7-char deleted text re-added -> Addition (below the store floor)
@@ -218,7 +218,7 @@ def test_criterion_4_restoration_bounds():
     _, expected = s.reinsert_comment(c)
     assert expected is ActionType.ADDITION
     s.commit(user="a")
-    actions = list(reconstruct_page(s.revision_records()))
+    actions = list(reconstruct_page(revision_records(s)))
     assert actions[-1].type is ActionType.ADDITION
 
     # (c) re-insertion after 101 intervening deletions -> Addition (FIFO)
@@ -240,7 +240,7 @@ def test_criterion_4_restoration_bounds():
     _, expected = s.reinsert_comment(first)
     assert expected is ActionType.ADDITION
     s.commit(user="a")
-    actions = list(reconstruct_page(s.revision_records()))
+    actions = list(reconstruct_page(revision_records(s)))
     assert actions[-1].type is ActionType.ADDITION
     _report(4, "200-char restoration, 7-char and post-eviction re-adds behave per store bounds")
 
@@ -413,7 +413,7 @@ def test_criterion_10_replyto_recovery():
     for seed in range(50):
         script, edges = random_tree_script(seed, n_comments=14)
         predicted = {
-            a.action_id: a.replyto_id for a in reconstruct_page(script.revision_records())
+            a.action_id: a.replyto_id for a in reconstruct_page(revision_records(script))
         }
         for action_id, want in edges.items():
             total += 1

@@ -1,11 +1,17 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import BASE
+import wikitalk
+from tests.conftest import BASE, revision_records
 from wikitalk.actions import ActionType
 from wikitalk.analytics import (
     DEFAULT_HORIZONS,
@@ -46,7 +52,7 @@ def brute_force_eer(scores, labels):
 
 
 def fig2_actions():
-    return list(reconstruct_page(figure_walkthrough_script().revision_records()))
+    return list(reconstruct_page(revision_records(figure_walkthrough_script())))
 
 
 def test_stub_scorer_deterministic_and_bounded():
@@ -104,7 +110,7 @@ def test_deletion_joined_through_modification_chain():
     s.commit(user="author")
     s.delete_comment(c)
     s.commit(user="moderator")
-    scored = score_comments(list(reconstruct_page(s.revision_records())), StubScorer())
+    scored = score_comments(list(reconstruct_page(revision_records(s))), StubScorer())
     by_id = {x.action_id: x for x in scored}
     target = by_id[c.first_id]
     assert target.deleted_by == "moderator"
@@ -293,3 +299,23 @@ def test_comments_with_deletions_matches_score_comments():
     scored = score_comments(actions, ZeroScorer())
     assert [c.action_id for c in plain] == [c.action_id for c in scored]
     assert [c.deleted_at for c in plain] == [c.deleted_at for c in scored]
+
+
+def test_moderation_study_script_runs_end_to_end(tmp_path):
+    """``scripts/run_moderation_study.py``, the moderation case study from
+    dump to deletion-rate curves, exits 0 and prints its rates as JSON."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_moderation_study.py"
+    path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--workdir", str(tmp_path), "--trees", "5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    horizons = ["1h", "6h", "1d", "7d", "30d", "1y"]
+    for subset in ("all", "toxic"):
+        rates = result["deletion_rates"][subset]
+        assert list(rates) == horizons
+        assert all(0 < rate <= 1 for rate in rates.values())
+        assert [rates[h] for h in horizons] == sorted(rates.values())

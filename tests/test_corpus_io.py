@@ -11,8 +11,8 @@ from wikitalk.corpus import (
     FIELD_ORDER,
     SCHEMA_HEADER,
     CorpusWriteError,
+    Summary,
     read_actions,
-    summarize,
     write_actions,
 )
 
@@ -79,6 +79,14 @@ def test_error_while_producing_actions_is_not_a_write_error():
     with pytest.raises(OSError, match="spill directory full"):
         write_actions(actions(), sink)
     assert len(sink.getvalue().splitlines()) == 2
+
+
+def summarize(actions):
+    """Corpus statistics of ``actions`` in one pass."""
+    summary = Summary()
+    for action in actions:
+        summary.add(action)
+    return summary.stats()
 
 
 def test_summarize_empty():

@@ -7,16 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wikitalk.diff as diff_mod
-from tests.conftest import equal_token_count
-from wikitalk.diff import (
-    ChangeOp,
-    DiffApplyError,
-    DiffScript,
-    DiffTokenLimitError,
-    EqualOp,
-    apply_diff,
-    lcs_diff,
-)
+from tests.conftest import DiffApplyError, apply_diff, equal_token_count, revision_records
+from wikitalk.diff import ChangeOp, DiffScript, DiffTokenLimitError, EqualOp, lcs_diff
 from wikitalk.synth import gold_fixture_suite, random_tree_script
 from wikitalk.tokenizer import common_prefix, common_suffix, tokenize
 
@@ -73,7 +65,7 @@ def test_lcs_length_matches_dp_oracle(a, b):
 def test_round_trip(a, b):
     sa, sb = tokenize(a), tokenize(b)
     script = lcs_diff(sa, sb)
-    assert apply_diff(sa, script).tokens == sb.tokens
+    assert apply_diff(sa, sb, script).tokens == sb.tokens
 
 
 @given(doc, doc)
@@ -131,16 +123,14 @@ def test_token_cap_errors_loudly(monkeypatch):
 
 def test_apply_diff_empty_on_empty():
     empty = tokenize("")
-    assert apply_diff(empty, lcs_diff(empty, empty)).tokens == ()
+    assert apply_diff(empty, empty, lcs_diff(empty, empty)).tokens == ()
 
 
 def test_apply_diff_mismatch_names_op_index():
-    old = tokenize("a b c")
-    script = DiffScript(
-        ops=(EqualOp(0, 2, 0, 2), ChangeOp(4, 9, 2, 2, "")), old_len=3, new_len=2
-    )
+    old, new = tokenize("a b c"), tokenize("a b")
+    script = DiffScript(ops=(EqualOp(0, 2, 0, 2), ChangeOp(4, 9, 2, 2)), old_len=3, new_len=2)
     with pytest.raises(DiffApplyError) as err:
-        apply_diff(old, script)
+        apply_diff(old, new, script)
     assert err.value.op_index == 1
 
 
@@ -149,7 +139,7 @@ def test_prepass_path_round_trips(monkeypatch):
     a = tokenize("alpha beta\ngamma delta\nepsilon\n")
     b = tokenize("alpha beta\nzeta eta\nepsilon theta\n")
     script = lcs_diff(a, b)
-    assert apply_diff(a, script).tokens == b.tokens
+    assert apply_diff(a, b, script).tokens == b.tokens
 
 
 def test_oversized_region_falls_back_to_replace(monkeypatch):
@@ -157,26 +147,28 @@ def test_oversized_region_falls_back_to_replace(monkeypatch):
     a = tokenize("p q r s t")
     b = tokenize("v w x y z")
     script = lcs_diff(a, b)
-    assert apply_diff(a, script).tokens == b.tokens
+    assert apply_diff(a, b, script).tokens == b.tokens
     assert equal_token_count(script) == 0
 
 
-def _op_fields(op):
+def _op_fields(op, new):
     """The op as the field lists of the Equal/Delete/Insert form it had
     when the hash below was pinned: a ChangeOp is a delete anchored at its
-    new start followed by an insert anchored at its old end."""
+    new start followed by an insert anchored at its old end, whose text is
+    the op's span of ``new``."""
     if isinstance(op, EqualOp):
         return [["=", op.old_lo, op.old_hi, op.new_lo, op.new_hi]]
     fields = []
     if op.old_hi > op.old_lo:
         fields.append(["-", op.old_lo, op.old_hi, op.new_lo])
     if op.new_hi > op.new_lo:
-        fields.append(["+", op.old_hi, op.new_lo, op.new_hi, op.raw])
+        text = new.slice_text(op.new_lo, op.new_hi)
+        fields.append(["+", op.old_hi, op.new_lo, op.new_hi, text])
     return fields
 
 
-def _script_fields(script):
-    return [fields for op in script.ops for fields in _op_fields(op)]
+def _script_fields(script, new):
+    return [fields for op in script.ops for fields in _op_fields(op, new)]
 
 
 # sha256 of the edit scripts below as the full-page line prepass produced
@@ -191,9 +183,9 @@ def test_gold_suite_scripts_are_pinned(monkeypatch, prepass_min_tokens):
     digest = hashlib.sha256()
     for script in gold_fixture_suite():
         prev = tokenize("")
-        for rev in script.revision_records():
+        for rev in revision_records(script):
             cur = tokenize(rev.wikitext)
-            ops = _script_fields(lcs_diff(prev, cur))
+            ops = _script_fields(lcs_diff(prev, cur), cur)
             digest.update(json.dumps(ops).encode() + b"\n")
             prev = cur
     assert digest.hexdigest() == PINNED_GOLD_SCRIPTS_SHA256
@@ -552,7 +544,7 @@ def reference_fields(old, new):
 def assert_matches_reference(old, new, prepass_min_tokens):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diff_mod, "_LINE_PREPASS_MIN_TOKENS", prepass_min_tokens)
-        assert _script_fields(lcs_diff(old, new)) == reference_fields(old, new)
+        assert _script_fields(lcs_diff(old, new), new) == reference_fields(old, new)
 
 
 prepass_settings = pytest.mark.parametrize(
@@ -579,7 +571,7 @@ def test_change_ops_match_reference_on_shared_middle(prepass_min_tokens, pair):
 def test_change_ops_match_reference_on_tree_pages(prepass_min_tokens):
     for seed in range(10):
         prev = tokenize("")
-        for rev in random_tree_script(seed)[0].revision_records():
+        for rev in revision_records(random_tree_script(seed)[0]):
             cur = tokenize(rev.wikitext)
             assert_matches_reference(prev, cur, prepass_min_tokens)
             prev = cur

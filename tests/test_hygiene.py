@@ -1,0 +1,60 @@
+"""The package holds no code that only tests use.
+
+Every function, method and class defined in ``src/wikitalk`` must be named
+somewhere in the program: in ``src/`` beyond its own definition, in
+``perfbench/`` or in ``scripts/``. A name used only inside definitions that
+are themselves unused does not count, so code that serves only a test-only
+helper is caught with it. Test helpers and oracles live under ``tests/``.
+Dunder methods are called by Python itself and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "wikitalk"
+PROGRAM_DIRS = [ROOT / "src", ROOT / "perfbench", ROOT / "scripts"]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees():
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for d in PROGRAM_DIRS
+        for path in sorted(d.rglob("*.py"))
+    }
+
+
+def _names(node, skip):
+    """Every name loaded, read as an attribute or spelled as a string
+    (``getattr`` and patching take names as strings) under ``node``, outside
+    the definitions in ``skip``. An import alone is not a use."""
+    if node in skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    for child in ast.iter_child_nodes(node):
+        yield from _names(child, skip)
+
+
+def test_every_package_definition_is_used_by_the_program():
+    trees = _trees()
+    definitions = [
+        (f"{path.name}:{node.lineno} {node.name}", node)
+        for path, tree in trees.items()
+        if path.is_relative_to(PACKAGE)
+        for node in ast.walk(tree)
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("__")
+    ]
+    unused: set = set()
+    while True:
+        referenced = {name for tree in trees.values() for name in _names(tree, unused)}
+        now_unused = {node for _, node in definitions if node.name not in referenced}
+        if now_unused == unused:
+            break
+        unused = now_unused
+    assert [where for where, node in definitions if node in unused] == []

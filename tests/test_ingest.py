@@ -87,6 +87,19 @@ def test_missing_revision_id_skipped():
     assert tally.skip_reasons == {"missing_revision_id": 1}
 
 
+def test_revisions_of_pages_without_id_are_skipped():
+    """Pages without ``<id>`` would share the page id "" and be rebuilt as
+    one page; their revisions are skipped and counted instead."""
+    no_id = DUMP.replace("<id>11</id>", "", 1)
+    second = no_id[no_id.index("  <page>") : no_id.index("</page>") + len("</page>\n")]
+    second = second.replace("Talk:Alpha", "Talk:Beta").replace("<id>10", "<id>20")
+    dump = no_id.replace("</mediawiki>", second + DUMP[DUMP.index("  <page>") :])
+    tally = IngestTally()
+    records = list(parse_dump_stream(_stream(dump), tally))
+    assert [r.page_id for r in records] == ["11"] * 3
+    assert tally.skip_reasons == {"missing_page_id": 6}
+
+
 def test_malformed_xml_reports_byte_offset():
     broken = DUMP[:200] + "<<<&&&" + DUMP[200:]
     with pytest.raises(DumpFormatError) as err:

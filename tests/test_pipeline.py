@@ -425,12 +425,14 @@ def test_stats_output(tmp_path):
     assert abs(sum(stats["type_breakdown"].values()) - 1.0) < 1e-9
 
 
-def test_env_var_overrides_flag_default(tmp_path, monkeypatch):
+def test_env_var_overrides_flag_default(tmp_path, monkeypatch, capsys):
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     out = tmp_path / "corpus.jsonl"
     monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "1")
-    rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
-    assert rc == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
+    assert exc.value.code == 2
+    assert "must be at least 2: 1" in capsys.readouterr().err
     assert not out.exists()
     monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "2")
     rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
@@ -458,6 +460,10 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
         (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1h,30m"], "sorted ascending"),
         (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1x"], "bad horizon '1x'"),
         (["eval", "sample", "--corpus", "c", "--per-type", "-1"], "must not be negative"),
+        (["reconstruct", "--input", "i", "--output", "o", "--max-mem-revisions", "1"],
+         "must be at least 2: 1"),
+        (["reconstruct", "--input", "i", "--output", "o", "--max-mem-revisions", "-3"],
+         "must be at least 2: -3"),
         (
             ["analytics", "score", "--corpus", "c", "--output", "o", "--scorer", "http",
              "--endpoint", "http://localhost:1", "--rate-limit", "0"],
@@ -478,7 +484,8 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
         ),
     ],
     ids=[
-        "unsorted-horizons", "unknown-horizon-unit", "negative-per-type", "zero-rate-limit",
+        "unsorted-horizons", "unknown-horizon-unit", "negative-per-type",
+        "one-max-mem-revisions", "negative-max-mem-revisions", "zero-rate-limit",
         "negative-rate-limit", "toxic-without-threshold", "severe-without-threshold",
     ],
 )

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 import wikitalk.diff as diff_mod
-from tests.conftest import make_revision, offsets
+from tests.conftest import make_revision, offsets, revision_records
 from wikitalk import reconstruct, tokenizer
 from wikitalk.actions import ActionType
 from wikitalk.corpus import serialize_action
@@ -24,9 +24,17 @@ from wikitalk.synth import (
 from wikitalk.tokenizer import tokenize
 
 
+def with_ranges(live):
+    """Every live comment with its token range, in document order."""
+    for block in live.blocks:
+        d = block.delta
+        for c in block.comments:
+            yield c, (c.tok_range[0] + d, c.tok_range[1] + d)
+
+
 def assert_live_in_document_order(state):
     """The live comments are listed by token range, and no two overlap."""
-    ranges = [tok_range for _, tok_range in state.live.with_ranges()]
+    ranges = [tok_range for _, tok_range in with_ranges(state.live)]
     for (lo, hi), (next_lo, next_hi) in zip(ranges, ranges[1:]):
         assert lo < hi <= next_lo < next_hi, ranges
 
@@ -67,7 +75,7 @@ def test_whitespace_only_change_no_actions_but_spans_remap():
     second = "==  Topic  ==\nFirst comment.  ~~~~\n"
     state, actions = fold([make_revision(1, first), make_revision(2, second, minutes=5)])
     assert len(actions) == 2
-    for _, tok_range in state.live.with_ranges():
+    for _, tok_range in with_ranges(state.live):
         lo, hi = state.tokens.char_span(*tok_range)
         assert second[lo:hi] == second[lo:hi].strip("\n")
 
@@ -114,11 +122,11 @@ def test_offsets_shift_with_prefix_insertion():
     state, actions = fold(
         [make_revision(1, base), make_revision(2, intro + base, minutes=5)]
     )
-    spans = sorted(state.tokens.char_span(*tok_range) for _, tok_range in state.live.with_ranges())
+    spans = sorted(state.tokens.char_span(*tok_range) for _, tok_range in with_ranges(state.live))
     text = intro + base
     # heading and comment shifted by the intro length exactly
     assert (len(intro), len(intro) + len("== Topic ==")) in spans
-    for _, tok_range in state.live.with_ranges():
+    for _, tok_range in with_ranges(state.live):
         lo, hi = state.tokens.char_span(*tok_range)
         extracted = text[lo:hi]
         assert extracted and not extracted.startswith("\n") and not extracted.endswith("\n")
@@ -126,10 +134,10 @@ def test_offsets_shift_with_prefix_insertion():
 
 def test_span_extraction_matches_block_text_through_history():
     for script in gold_fixture_suite()[:8]:
-        state, _ = fold(script.revision_records())
+        state, _ = fold(revision_records(script))
         final = script.revisions[-1].text
         live_texts = sorted(
-            final[slice(*state.tokens.char_span(*tok_range))] for _, tok_range in state.live.with_ranges()
+            final[slice(*state.tokens.char_span(*tok_range))] for _, tok_range in with_ranges(state.live)
         )
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected
@@ -192,7 +200,7 @@ def test_store_bound_invariant_through_churn():
         script.commit(user="mod")
     recon = Reconstructor()
     state = PageState(page_id="89", page_title="Talk:Churn")
-    for rev in script.revision_records():
+    for rev in revision_records(script):
         recon.process_revision(state, rev)
         assert len(state.store) <= 100
         assert all(10 <= len(t_) <= 1000 for t_ in store_texts(state.store))
@@ -202,7 +210,7 @@ def test_resync_on_diff_cap(monkeypatch):
     """A revision over the diff cap rebuilds the live comments from its
     text, in blocks of the default size and of two comments alike."""
     script = figure_walkthrough_script()
-    revisions = script.revision_records()
+    revisions = revision_records(script)
     monkeypatch.setattr(diff_mod, "MAX_DIFF_TOKENS", 25)
     observed = []
     for block_size in (reconstruct.BLOCK_SIZE, 2):
@@ -217,15 +225,15 @@ def test_resync_on_diff_cap(monkeypatch):
         assert recon.tally.skipped_revisions >= 1
         # state still tracks the final text faithfully
         final = revisions[-1].wikitext
-        for _, tok_range in state.live.with_ranges():
+        for _, tok_range in with_ranges(state.live):
             lo, hi = state.tokens.char_span(*tok_range)
             assert final[lo:hi]
-        observed.append((emitted, [(c.comment_id, r) for c, r in state.live.with_ranges()]))
+        observed.append((emitted, [(c.comment_id, r) for c, r in with_ranges(state.live)]))
     assert observed[0] == observed[1]
 
 
 def test_determinism_byte_for_byte():
-    records = figure_walkthrough_script().revision_records()
+    records = revision_records(figure_walkthrough_script())
     first = [serialize_action(a) for a in reconstruct_page(records)]
     second = [serialize_action(a) for a in reconstruct_page(records)]
     assert first == second
@@ -233,7 +241,7 @@ def test_determinism_byte_for_byte():
 
 def test_replay_reproduces_final_live_comments():
     for script in gold_fixture_suite():
-        records = script.revision_records()
+        records = revision_records(script)
         actions = list(reconstruct_page(records))
         # replay: additions/creations/restorations add, deletions remove,
         # modifications replace content
@@ -254,14 +262,14 @@ def test_replay_reproduces_final_live_comments():
                 live.pop(root, None)
                 last_to_root[a.action_id] = root
         state, _ = fold(records)
-        reconstructed = sorted(c.cleaned_text for c, _ in state.live.with_ranges())
+        reconstructed = sorted(c.cleaned_text for c, _ in with_ranges(state.live))
         replayed = sorted(live.values())
         assert replayed == reconstructed
 
 
 def test_insert_partition_covered_by_action_spans():
     for script in gold_fixture_suite()[:10]:
-        records = script.revision_records()
+        records = revision_records(script)
         recon = Reconstructor()
         state = PageState(page_id=records[0].page_id, page_title=records[0].page_title)
         prev = tokenize("")
@@ -288,7 +296,7 @@ def test_insert_partition_covered_by_action_spans():
 
 def test_temporal_ordering_of_references():
     for script in gold_fixture_suite():
-        actions = list(reconstruct_page(script.revision_records()))
+        actions = list(reconstruct_page(revision_records(script)))
         seen: dict[str, int] = {}
         for i, a in enumerate(actions):
             if a.replyto_id is not None:
@@ -300,7 +308,7 @@ def test_temporal_ordering_of_references():
 
 def test_parent_chains_terminate_at_creation_or_addition():
     for script in gold_fixture_suite():
-        actions = {a.action_id: a for a in reconstruct_page(script.revision_records())}
+        actions = {a.action_id: a for a in reconstruct_page(revision_records(script))}
         for a in actions.values():
             hops = 0
             node = a
@@ -352,10 +360,10 @@ def test_randomized_edit_sequences_spans_and_gold():
 
     for seed in range(6):
         script = random_edit_script(seed)
-        state, actions = fold(script.revision_records())
+        state, actions = fold(revision_records(script))
         final = script.revisions[-1].text
         live_texts = sorted(
-            final[slice(*state.tokens.char_span(*tok_range))] for _, tok_range in state.live.with_ranges()
+            final[slice(*state.tokens.char_span(*tok_range))] for _, tok_range in with_ranges(state.live)
         )
         expected = sorted(b.text for b in script.blocks if b.alive)
         assert live_texts == expected, f"seed {seed}"
@@ -402,12 +410,12 @@ def test_resolvers_match_linear_scans(monkeypatch):
         new_seq = tokenize(rev.wikitext)
         spanned = [
             SimpleNamespace(**vars(c), span=new_seq.char_span(*tok_range))
-            for c, tok_range in state.live.with_ranges()
+            for c, tok_range in with_ranges(state.live)
         ]
         thread = recon._resolve_thread(state.live, seg.tok_lo)
         want = reference_resolve_thread(spanned, seg.char_lo)
         assert (thread and thread.comment_id) == (want and want.comment_id)
-        for conversation_id in {c.conversation_id for c, _ in state.live.with_ranges()}:
+        for conversation_id in {c.conversation_id for c, _ in with_ranges(state.live)}:
             for indent in range(seg.indentation + 2):
                 got = recon._resolve_reply(state.live, seg.tok_lo, indent, conversation_id)
                 assert got == reference_resolve_reply(spanned, seg.char_lo, indent, conversation_id)
@@ -420,7 +428,7 @@ def test_resolvers_match_linear_scans(monkeypatch):
         monkeypatch.setattr(reconstruct, "BLOCK_SIZE", block_size)
         checked.clear()
         for script in scripts:
-            fold(script.revision_records(), recon)
+            fold(revision_records(script), recon)
         assert len(checked) > 200 and any(checked) and not all(checked)
 
 
@@ -433,7 +441,7 @@ def fold_observed(records):
     for rev in records:
         _, actions = recon.process_revision(state, rev)
         lines.extend(serialize_action(a) for a in actions)
-        ranges.append([(c.comment_id, tok_range) for c, tok_range in state.live.with_ranges()])
+        ranges.append([(c.comment_id, tok_range) for c, tok_range in with_ranges(state.live)])
     return lines, ranges
 
 
@@ -444,9 +452,9 @@ def test_block_and_chunk_sizes_do_not_change_output(monkeypatch, size):
     Every third revision of the random edit pages makes revisions with
     several changes each."""
     scripts = gold_fixture_suite() + [random_tree_script(0, n_comments=200)[0]]
-    pages = [script.revision_records() for script in scripts]
+    pages = [revision_records(script) for script in scripts]
     for seed in range(6):
-        records = random_edit_script(seed).revision_records()
+        records = revision_records(random_edit_script(seed))
         pages += [records, records[::3]]
     want = [fold_observed(records) for records in pages]
     monkeypatch.setattr(reconstruct, "BLOCK_SIZE", size)

@@ -3,14 +3,9 @@ from unittest import mock
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tests.conftest import offsets
+from tests.conftest import join_fragments, offsets
 from wikitalk import tokenizer
-from wikitalk.tokenizer import (
-    common_prefix,
-    common_suffix,
-    join_fragments,
-    tokenize,
-)
+from wikitalk.tokenizer import common_prefix, common_suffix, tokenize
 
 ALPHABET = list("ab =:*[]{}\n\t'~é")
 wiki_text = st.text(alphabet=st.sampled_from(ALPHABET), max_size=1000)
