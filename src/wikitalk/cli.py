@@ -40,6 +40,13 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be positive: {value}")
+    return number
+
+
 def _revision_budget(value: str) -> int:
     """An in-memory revision budget; the temporal sort needs at least 2."""
     try:
@@ -109,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     an_score.add_argument("--api-key", default=_env("api-key"))
     an_score.add_argument("--rate-limit", type=_positive_float, default=_env("rate-limit", 10.0))
     an_score.add_argument("--timeout", type=float, default=_env("timeout", 10.0))
-    an_score.add_argument("--max-attempts", type=int, default=_env("max-attempts", 3))
+    an_score.add_argument("--max-attempts", type=_positive_int, default=_env("max-attempts", 3))
     an_eer = an_sub.add_parser("eer", help="equal-error-rate threshold from labeled scores")
     an_eer.add_argument("--labeled", required=True)
     an_rate = an_sub.add_parser("deletion-rate", help="deletion rate per time horizon")

@@ -158,13 +158,19 @@ class SummaryStats:
 class Summary:
     """Corpus statistics accumulated one action at a time. Actions with
     empty cleaned content (pure formatting edits) are excluded from every
-    count."""
+    count. Actions come page by page, as a run writes them, and revision
+    and conversation ids are page-scoped: their sets are counted and
+    cleared when the page changes, so only the set of users grows with the
+    run."""
 
     def __init__(self):
         self.users: set[str] = set()
-        self.pages: set[str] = set()
-        self.revisions: set[tuple[str, str]] = set()
-        self.conversations: set[str] = set()
+        self.page: Optional[str] = None
+        self.pages = 0
+        self.revisions = 0
+        self.conversations = 0
+        self.page_revisions: set[str] = set()
+        self.page_conversations: set[str] = set()
         self.type_counts: dict[str, int] = {t.value: 0 for t in ActionType}
         self.total = 0
 
@@ -173,9 +179,15 @@ class Summary:
             return
         self.total += 1
         self.users.add(action.user_text)
-        self.pages.add(action.page_id)
-        self.revisions.add((action.page_id, action.revision_id))
-        self.conversations.add(action.conversation_id)
+        if action.page_id != self.page:
+            self.revisions += len(self.page_revisions)
+            self.conversations += len(self.page_conversations)
+            self.page_revisions.clear()
+            self.page_conversations.clear()
+            self.page = action.page_id
+            self.pages += 1
+        self.page_revisions.add(action.revision_id)
+        self.page_conversations.add(action.conversation_id)
         self.type_counts[action.type.value] += 1
 
     def fed(self, actions: Iterable[Action]) -> Iterator[Action]:
@@ -191,9 +203,9 @@ class Summary:
         }
         return SummaryStats(
             distinct_users=len(self.users),
-            pages=len(self.pages),
-            revisions=len(self.revisions),
-            conversations=len(self.conversations),
+            pages=self.pages,
+            revisions=self.revisions + len(self.page_revisions),
+            conversations=self.conversations + len(self.page_conversations),
             actions=total,
             type_breakdown=breakdown,
         )

@@ -1,18 +1,35 @@
 """Temporal sorting of one page's revisions within a memory budget.
 
 Small pages sort in memory; larger ones spill sorted runs of at most
-``max_in_memory_revisions`` records to disk and k-way merge them. When more
-than ``MAX_OPEN_RUNS`` runs exist, the oldest runs are first merged into
-longer ones (a cascade merge) until no more than that many remain, so the
-number of open files and resident records stays bounded however long the
-history is. Both paths produce the same sequence: ascending
-(timestamp, revision_id), ties resolved by revision id so output is
-reproducible.
+``max_in_memory_revisions`` records to disk and k-way merge them. Both paths
+produce the same sequence: ascending (timestamp, revision_id), ties resolved
+by revision id so output is reproducible, and records with equal keys in
+input order.
+
+A sort that spills opens one anonymous file (``tempfile.TemporaryFile`` in
+the spill directory; on Linux it never has a name, so even a killed process
+leaves nothing behind) at its first spill and closes it when the sort ends,
+fails or is closed early. Each run is appended to that file and kept as a
+``(start, end)`` byte range, and is read back with ``os.pread`` (POSIX) one
+record at a time, so a merge holds no file, descriptor or read buffer per
+run. A record is stored as an 8-byte length prefix and a pickle of its
+fields as a plain tuple, with the timestamp as its ``isoformat()`` string:
+``datetime.fromisoformat`` gives back the same value and ``utcoffset()``
+for UTC (as ``timezone.utc``), fixed offsets and naive timestamps.
+
+When more than ``MAX_OPEN_RUNS`` runs exist, the oldest runs are first
+merged into longer ones (a cascade merge), each appended to the file as a
+new run, until no more than that many remain, so the records resident
+during a merge stay bounded however long the history is. The ranges a
+cascade has consumed stay in the file until the sort ends, so the file
+holds at most (1 + cascade passes) times the spilled bytes. No cascade
+happens below ``MAX_OPEN_RUNS`` runs, which at the default budget means
+below 6.4M revisions of one page.
 
 The budget bounds the revision records a whole run holds, not only the
 sort's: ingest hands over the records of one 64 KiB chunk of dump text at a
 time, and the pipeline keeps no actions, so the records resident at once are
-the ``max_in_memory_revisions`` in the sort buffer (or one per open run while
+the ``max_in_memory_revisions`` in the sort buffer (or one per run while
 merging) plus those of one chunk.
 """
 
@@ -21,15 +38,19 @@ from __future__ import annotations
 import heapq
 import os
 import pickle
+import struct
 import tempfile
 from dataclasses import dataclass
+from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 from wikitalk.ingest import RevisionRecord
 
 DEFAULT_MAX_IN_MEMORY = 100_000
 MAX_OPEN_RUNS = 64
+
+_LENGTH = struct.Struct("<Q")
 
 
 class SpillDirectoryError(Exception):
@@ -69,27 +90,41 @@ class SortStats:
             self.peak_in_memory_records = resident
 
 
-def _write_run(records: Iterable[RevisionRecord], directory: Path) -> Path:
-    fd, name = tempfile.mkstemp(dir=directory, prefix="wikitalk-run-", suffix=".bin")
-    with os.fdopen(fd, "wb") as fh:
+def _write_run(records: Iterable[RevisionRecord], spill: BinaryIO) -> tuple[int, int]:
+    """Append ``records`` to ``spill``; returns the run's byte range."""
+    start = spill.tell()
+    for rec in records:
         # One pickle per record, here and in _read_run: a shared Pickler or
         # Unpickler memo would keep every record it handled alive.
-        for rec in records:
-            pickle.dump(rec, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    return Path(name)
+        data = pickle.dumps(
+            (*rec[:3], rec.timestamp.isoformat(), *rec[4:]), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        spill.write(_LENGTH.pack(len(data)))
+        spill.write(data)
+    spill.flush()
+    return start, spill.tell()
 
 
-def _read_run(path: Path) -> Iterator[RevisionRecord]:
-    with open(path, "rb") as fh:
-        while True:
-            try:
-                yield pickle.load(fh)
-            except EOFError:
-                return
+def _read_run(fd: int, start: int, end: int) -> Iterator[RevisionRecord]:
+    """The records of the run at ``[start, end)`` of ``fd``. Each ``pread``
+    reads one record and the length prefix of the next."""
+    (size,) = _LENGTH.unpack(os.pread(fd, _LENGTH.size, start))
+    pos = start + _LENGTH.size
+    while True:
+        data = os.pread(fd, size + _LENGTH.size, pos)
+        # pickle.loads stops at the pickle's end, before the next prefix
+        page_id, page_title, revision_id, timestamp, *rest = pickle.loads(data)
+        yield RevisionRecord(
+            page_id, page_title, revision_id, datetime.fromisoformat(timestamp), *rest
+        )
+        pos += size + _LENGTH.size
+        if pos > end:
+            return
+        (size,) = _LENGTH.unpack_from(data, size)
 
 
-def _merge(run_paths: list[Path]) -> Iterator[RevisionRecord]:
-    return heapq.merge(*(_read_run(p) for p in run_paths), key=lambda r: r.sort_key)
+def _merge(runs: list[tuple[int, int]], fd: int) -> Iterator[RevisionRecord]:
+    return heapq.merge(*(_read_run(fd, *run) for run in runs), key=lambda r: r.sort_key)
 
 
 def sort_revisions(
@@ -99,14 +134,15 @@ def sort_revisions(
 ) -> Iterator[RevisionRecord]:
     """Yield one page's revisions in ascending (timestamp, revision_id) order.
 
-    Spill files are private to this call and removed once fully merged.
+    The spill file is private to this call and closed, which removes it,
+    when the sort ends, fails or its generator is closed.
     """
     stats = stats if stats is not None else SortStats()
-    directory = budget.spill_directory
     limit = budget.max_in_memory_revisions
 
     buffer: list[RevisionRecord] = []
-    run_paths: list[Path] = []
+    spill: Optional[BinaryIO] = None
+    runs: list[tuple[int, int]] = []
     try:
         for rec in revisions:
             stats.records += 1
@@ -114,33 +150,34 @@ def sort_revisions(
             stats._track(len(buffer))
             if len(buffer) >= limit:
                 buffer.sort(key=lambda r: r.sort_key)
-                run_paths.append(_write_run(buffer, directory))
+                if spill is None:
+                    spill = tempfile.TemporaryFile(dir=budget.spill_directory)
+                runs.append(_write_run(buffer, spill))
                 stats.runs_spilled += 1
                 buffer = []
         buffer.sort(key=lambda r: r.sort_key)
-        if not run_paths:
+        if spill is None:
             yield from buffer
             return
         if buffer:
-            run_paths.append(_write_run(buffer, directory))
+            runs.append(_write_run(buffer, spill))
             stats.runs_spilled += 1
             buffer = []
+        fd = spill.fileno()
         # Cascade: merge the oldest not yet merged runs, a group at a time,
         # into one run that takes the group's place. Keeping run order keeps
         # the merge stable for records with equal sort keys, as in memory.
         pos = 0
-        while len(run_paths) > MAX_OPEN_RUNS:
-            if pos >= len(run_paths) - 1:
+        while len(runs) > MAX_OPEN_RUNS:
+            if pos >= len(runs) - 1:
                 pos = 0  # the merged runs now outnumber the limit: start again
-            size = min(len(run_paths) - MAX_OPEN_RUNS + 1, MAX_OPEN_RUNS)
-            group = run_paths[pos : pos + size]
+            size = min(len(runs) - MAX_OPEN_RUNS + 1, MAX_OPEN_RUNS)
+            group = runs[pos : pos + size]
             stats._track(len(group))
-            run_paths[pos : pos + len(group)] = [_write_run(_merge(group), directory)]
-            for path in group:
-                path.unlink()
+            runs[pos : pos + len(group)] = [_write_run(_merge(group, fd), spill)]
             pos += 1
-        stats._track(len(run_paths) + 1)
-        yield from _merge(run_paths)
+        stats._track(len(runs) + 1)
+        yield from _merge(runs, fd)
     finally:
-        for path in run_paths:
-            path.unlink(missing_ok=True)
+        if spill is not None:
+            spill.close()

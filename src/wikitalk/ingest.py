@@ -17,7 +17,7 @@ from __future__ import annotations
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterator, NamedTuple, Optional
 
 DELETED_USER_SENTINEL = "[deleted]"
 
@@ -28,8 +28,9 @@ class DumpFormatError(Exception):
     """Malformed dump XML; message carries the failing byte offset."""
 
 
-@dataclass(frozen=True)
-class RevisionRecord:
+class RevisionRecord(NamedTuple):
+    """One revision as ingest reads it; immutable, compared field by field."""
+
     page_id: str
     page_title: str
     revision_id: str

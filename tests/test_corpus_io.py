@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -115,16 +116,46 @@ def test_summarize_one_of_each_type(rng):
 
 
 def test_summarize_excludes_empty_content(rng):
-    actions = [random_action(rng, i) for i in range(200)]
+    # a run's actions come page by page, and conversations are page-scoped
+    actions = sorted((random_action(rng, i) for i in range(200)), key=lambda a: a.page_id)
     stats = summarize(iter(actions))
     kept = [a for a in actions if a.content]
     assert stats.actions == len(kept)
     assert stats.distinct_users == len({a.user_text for a in kept})
     assert stats.pages == len({a.page_id for a in kept})
-    assert stats.conversations == len({a.conversation_id for a in kept})
+    assert stats.revisions == len({(a.page_id, a.revision_id) for a in kept})
+    assert stats.conversations == len({(a.page_id, a.conversation_id) for a in kept})
     counts = Counter(a.type.value for a in kept)
     for name, frac in stats.type_breakdown.items():
         assert abs(frac - counts.get(name, 0) / len(kept)) < 1e-9
+
+
+def test_summary_memory_flat_in_pages(rng):
+    """Only the users set grows with the run: the revision and conversation
+    ids of a page are counted and dropped when the next page starts."""
+
+    def retained(pages):
+        def actions():
+            for page in range(pages):
+                for i in range(20):
+                    a = random_action(rng, i)
+                    a.page_id, a.content = str(page), "kept"
+                    a.revision_id = a.conversation_id = f"{page * 100 + i}.0.1"
+                    yield a
+
+        tracemalloc.start()
+        try:
+            summary = Summary()
+            for action in actions():
+                summary.add(action)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert summary.stats().revisions == summary.stats().conversations == 20 * pages
+        return size
+
+    # keeping every page's ids held about 2.1 MB more at 400 pages
+    assert retained(400) - retained(50) < 20_000
 
 
 def test_reader_skips_comment_lines(rng):

@@ -1,11 +1,19 @@
+import os
 import random
+import signal
+import subprocess
+import sys
 import tracemalloc
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
+import wikitalk
 from tests.conftest import BASE, make_revision
 from wikitalk import extsort
 from wikitalk.extsort import SortBudget, SortStats, SpillDirectoryError, sort_revisions
+from wikitalk.ingest import RevisionRecord
 
 
 def _records(n, shuffle_seed=None):
@@ -51,7 +59,7 @@ def test_spilled_path_equals_in_memory(tmp_path):
     )
     assert spilled == reference
     assert stats.runs_spilled >= 20
-    assert not list(tmp_path.glob("wikitalk-run-*"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_timestamp_ties_break_by_revision_id(tmp_path):
@@ -114,7 +122,7 @@ def test_cascade_merge_equals_global_sort(tmp_path, monkeypatch):
         )
         assert cascaded == reference
         assert stats.runs_spilled == 40
-        assert not list(tmp_path.glob("wikitalk-*"))
+        assert list(tmp_path.iterdir()) == []
         assert stats.peak_in_memory_records <= max(limit, extsort.MAX_OPEN_RUNS + 1)
 
 
@@ -148,3 +156,97 @@ def test_streaming_parse_sort_equals_parse_all_then_sort(tmp_path):
         )
     )
     assert out == oracle
+
+
+_KILLED_CHILD = """
+import sys
+from datetime import datetime, timedelta, timezone
+from wikitalk.extsort import SortBudget, sort_revisions
+from wikitalk.ingest import RevisionRecord
+
+def feed():
+    base = datetime(2016, 3, 1, tzinfo=timezone.utc)
+    for i in range(40):
+        yield RevisionRecord("1", "Talk:K", str(i), base - timedelta(minutes=i), "u", 1, "text")
+    print("spilled", flush=True)
+    sys.stdin.read()
+
+list(sort_revisions(feed(), SortBudget(max_in_memory_revisions=4, spill_directory=sys.argv[1])))
+"""
+
+
+def test_killed_sort_leaves_no_spill_file(tmp_path):
+    spill = tmp_path / "spill"
+    spill.mkdir()
+    path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    with subprocess.Popen(
+        [sys.executable, "-c", _KILLED_CHILD, str(spill)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+    ) as child:
+        try:
+            # ten runs of four are spilled by now, and the child blocks
+            assert child.stdout.readline() == b"spilled\n"
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+    assert list(spill.iterdir()) == []
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_merge_holds_one_spill_descriptor(tmp_path):
+    records = _records(400, shuffle_seed=6)
+    budget = SortBudget(max_in_memory_revisions=10, spill_directory=tmp_path)
+    before = _open_fds()
+    stats = SortStats()
+    drained, held = 0, []
+    for _ in sort_revisions(iter(records), budget, stats):
+        drained += 1
+        if drained % 50 == 1:
+            held.append(_open_fds() - before)
+    assert stats.runs_spilled == 40 and drained == len(records)
+    assert max(held) == 1
+    assert _open_fds() == before
+
+    # closed early, or failing part-way, the sort closes its file too
+    sorter = sort_revisions(iter(records), budget)
+    next(sorter)
+    sorter.close()
+    assert _open_fds() == before
+
+    def failing():
+        yield from records[:100]
+        raise OSError("dump read failed")
+
+    with pytest.raises(OSError, match="dump read failed"):
+        list(sort_revisions(failing(), budget))
+    assert _open_fds() == before
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "tz", [timezone.utc, timezone(timedelta(hours=5, minutes=30)), None], ids=["utc", "ist", "naive"]
+)
+def test_spilled_timestamps_keep_their_offset(tmp_path, tz):
+    base = datetime(2016, 3, 1, 9, 0, 0, 250_000, tzinfo=tz)
+    records = [
+        RevisionRecord("1", "Talk:Tz", str(i), base - timedelta(seconds=i), "alice", None, f"t{i}")
+        for i in range(10)
+    ]
+    stats = SortStats()
+    out = list(
+        sort_revisions(
+            iter(records), SortBudget(max_in_memory_revisions=2, spill_directory=tmp_path), stats
+        )
+    )
+    assert stats.runs_spilled == 5
+    assert out == records[::-1]
+    for back, rec in zip(out, records[::-1]):
+        assert type(back) is type(rec)
+        assert back.timestamp.utcoffset() == rec.timestamp.utcoffset()
+        assert back.timestamp.tzinfo == rec.timestamp.tzinfo

@@ -474,6 +474,14 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
             "must be positive: -2",
         ),
         (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--max-attempts", "0"],
+            "must be positive: 0",
+        ),
+        (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--max-attempts", "-1"],
+            "must be positive: -1",
+        ),
+        (
             ["analytics", "deletion-rate", "--scored", "s", "--subset", "toxic"],
             "--subset toxic requires --toxicity-threshold",
         ),
@@ -486,7 +494,8 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
     ids=[
         "unsorted-horizons", "unknown-horizon-unit", "negative-per-type",
         "one-max-mem-revisions", "negative-max-mem-revisions", "zero-rate-limit",
-        "negative-rate-limit", "toxic-without-threshold", "severe-without-threshold",
+        "negative-rate-limit", "zero-max-attempts", "negative-max-attempts",
+        "toxic-without-threshold", "severe-without-threshold",
     ],
 )
 def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
