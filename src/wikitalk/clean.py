@@ -20,7 +20,7 @@ _QUOTES_RE = re.compile(r"''+")
 _SIGNATURE_RE = re.compile(r"~{3,5}")
 _HTML_COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
 _HTML_TAG_RE = re.compile(r"</?[A-Za-z][^<>\n]*>")
-_HEADING_RE = re.compile(r"^(=+)\s*(.*?)\s*(=+)\s*$")
+HEADING_RE = re.compile(r"^(=+)\s*(.*?)\s*(=+)\s*$")
 _INDENT_RE = re.compile(r"^[:*#]+\s?")
 _EXTERNAL_LINK_RE = re.compile(r"\[(?P<url>(?:https?|ftp)://[^\s\]]+)(?:\s+(?P<label>[^\]]*))?\]")
 
@@ -109,7 +109,7 @@ def _replace_external_links(text: str) -> str:
 
 
 def _clean_line(line: str) -> str:
-    m = _HEADING_RE.match(line)
+    m = HEADING_RE.match(line)
     if m:
         return m.group(2)
     return _INDENT_RE.sub("", line)

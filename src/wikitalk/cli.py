@@ -9,10 +9,17 @@ Subcommands::
     wikitalk analytics eer --labeled labeled.jsonl
     wikitalk analytics deletion-rate --scored F --horizons 1h,1d,7d --subset toxic
 
-Every flag can also be set through an environment variable: the flag name
-upper-snake-cased with a WIKITALK_ prefix (e.g. WIKITALK_MAX_MEM_REVISIONS=100000).
-argparse converts the variable's string like a flag value, so a malformed
-one is a usage error of the subcommand that reads it, and of no other.
+Fifteen flags can also be set through an environment variable: the flag
+name upper-snake-cased with a WIKITALK_ prefix (e.g.
+WIKITALK_MAX_MEM_REVISIONS=100000). They are every flag of ``reconstruct``;
+``--per-type``, ``--seed`` and ``--output`` of ``eval sample``; the six
+scorer flags of ``analytics score``; and ``--horizons``. The twelve input,
+output and subset flags of the analysis subcommands have none (see the
+README). argparse converts the variable's string like a flag value, so a
+malformed one is a usage error of the subcommand that reads it, and of no
+other. The analysis subcommands end a missing input file or a line that is
+not JSON with one ``error:`` line and exit status 1, as ``reconstruct``
+does.
 """
 
 from __future__ import annotations
@@ -33,36 +40,24 @@ def _env(flag: str, default=None):
     return os.environ.get("WIKITALK_" + flag.replace("-", "_").upper(), default)
 
 
-def _non_negative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-    return number
+def _number(kind, ok, message: str):
+    """An argparse type: ``kind`` applied to the value, which ``ok`` must
+    accept; ``message`` says what ``ok`` asks for."""
+
+    def convert(value: str):
+        try:
+            number = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {value!r}") from None
+        if not ok(number):
+            raise argparse.ArgumentTypeError(f"{message}: {value}")
+        return number
+
+    return convert
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {value}")
-    return number
-
-
-def _revision_budget(value: str) -> int:
-    """An in-memory revision budget; the temporal sort needs at least 2."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if number < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2: {value}")
-    return number
-
-
-def _positive_float(value: str) -> float:
-    number = float(value)
-    if not number > 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {value}")
-    return number
+_positive_int = _number(int, lambda n: n > 0, "must be positive")
+_positive_float = _number(float, lambda n: n > 0, "must be positive")
 
 
 def _horizons(value: str) -> list[tuple[str, timedelta]]:
@@ -88,23 +83,30 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--output", required=_env("output") is None, default=_env("output"))
     rec.add_argument(
         "--max-mem-revisions",
-        type=_revision_budget,
+        type=_number(int, lambda n: n >= 2, "must be at least 2"),
         default=_env("max-mem-revisions", DEFAULT_MAX_IN_MEMORY),
     )
     rec.add_argument("--spill-dir", default=_env("spill-dir"))
     rec.add_argument("--stats", default=_env("stats"))
+    rec.set_defaults(run=_cmd_reconstruct)
 
     ev = sub.add_parser("eval", help="reconstruction-quality evaluation")
     ev_sub = ev.add_subparsers(dest="eval_command", required=True)
     ev_sample = ev_sub.add_parser("sample", help="draw a review sample per action type")
     ev_sample.add_argument("--corpus", required=True)
-    ev_sample.add_argument("--per-type", type=_non_negative_int, default=_env("per-type", 100))
+    ev_sample.add_argument(
+        "--per-type",
+        type=_number(int, lambda n: n >= 0, "must not be negative"),
+        default=_env("per-type", 100),
+    )
     ev_sample.add_argument("--seed", type=int, default=_env("seed", 0))
     ev_sample.add_argument("--output", default=_env("output"))
+    ev_sample.set_defaults(run=_cmd_eval_sample)
     ev_score = ev_sub.add_parser("score", help="score a corpus against gold annotations")
     ev_score.add_argument("--corpus", required=True)
     ev_score.add_argument("--gold", required=True)
     ev_score.add_argument("--report", required=True)
+    ev_score.set_defaults(run=_cmd_eval_score)
 
     an = sub.add_parser("analytics", help="moderation analytics over a corpus")
     an_sub = an.add_subparsers(dest="analytics_command", required=True)
@@ -115,10 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     an_score.add_argument("--endpoint", default=_env("endpoint"))
     an_score.add_argument("--api-key", default=_env("api-key"))
     an_score.add_argument("--rate-limit", type=_positive_float, default=_env("rate-limit", 10.0))
-    an_score.add_argument("--timeout", type=float, default=_env("timeout", 10.0))
+    an_score.add_argument("--timeout", type=_positive_float, default=_env("timeout", 10.0))
     an_score.add_argument("--max-attempts", type=_positive_int, default=_env("max-attempts", 3))
+    an_score.set_defaults(run=_cmd_analytics_score)
     an_eer = an_sub.add_parser("eer", help="equal-error-rate threshold from labeled scores")
     an_eer.add_argument("--labeled", required=True)
+    an_eer.set_defaults(run=_cmd_analytics_eer)
     an_rate = an_sub.add_parser("deletion-rate", help="deletion rate per time horizon")
     an_rate.add_argument("--scored", required=True)
     an_rate.add_argument("--horizons", type=_horizons, default=_env("horizons"))
@@ -126,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     an_rate.add_argument("--toxicity-threshold", type=float, default=None)
     an_rate.add_argument("--severe-threshold", type=float, default=None)
     an_rate.add_argument("--output", default=None)
-    an_rate.set_defaults(usage_error=an_rate.error)
+    an_rate.set_defaults(run=_cmd_analytics_deletion_rate, usage_error=an_rate.error)
     return parser
 
 
@@ -223,16 +227,10 @@ def _cmd_analytics_score(args) -> int:
 def _cmd_analytics_eer(args) -> int:
     from wikitalk import analytics
 
-    scores: list[float] = []
-    labels: list[bool] = []
     with open(args.labeled, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            record = json.loads(line)
-            scores.append(float(record["score"]))
-            labels.append(bool(record["label"]))
+        records = list(corpus.read_records(fh))
+    scores = [float(record["score"]) for record in records]
+    labels = [bool(record["label"]) for record in records]
     threshold = analytics.equal_error_threshold(scores, labels)
     print(json.dumps({"threshold": threshold, "n": len(scores)}))
     return 0
@@ -283,17 +281,13 @@ def _cmd_analytics_deletion_rate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "reconstruct":
-        return _cmd_reconstruct(args)
-    if args.command == "eval":
-        if args.eval_command == "sample":
-            return _cmd_eval_sample(args)
-        return _cmd_eval_score(args)
-    if args.analytics_command == "score":
-        return _cmd_analytics_score(args)
-    if args.analytics_command == "eer":
-        return _cmd_analytics_eer(args)
-    return _cmd_analytics_deletion_rate(args)
+    try:
+        return args.run(args)
+    except (OSError, ValueError) as exc:
+        # a missing input or a line that is not a JSON record; reconstruct
+        # reports its own errors the same way
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

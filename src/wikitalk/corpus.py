@@ -17,24 +17,6 @@ from wikitalk.actions import Action, ActionType
 SCHEMA_HEADER = "#wikiconv-schema=1"
 SCORED_SCHEMA_HEADER = "#wikiconv-schema=1-scored"
 
-FIELD_ORDER = (
-    "id",
-    "type",
-    "timestamp",
-    "user_text",
-    "user_id",
-    "page_id",
-    "page_title",
-    "conversation_id",
-    "replyTo_id",
-    "parent_id",
-    "indentation",
-    "content",
-    "raw_markup",
-    "char_start",
-    "char_end",
-)
-
 
 class CorpusWriteError(Exception):
     def __init__(self, written: int, cause: Exception):
@@ -123,11 +105,18 @@ def write_actions(
 
 
 def read_records(source: IO[str]) -> Iterator[dict]:
-    for line in source:
+    """The JSON records of a corpus-shaped file, skipping blank and ``#``
+    lines. A line that is not JSON raises ``ValueError`` naming the line."""
+    for number, line in enumerate(source, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        yield json.loads(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            name = getattr(source, "name", "input")
+            raise ValueError(f"{name}, line {number}: not a JSON record ({exc.msg})") from None
+        yield record
 
 
 def read_actions(source: IO[str]) -> Iterator[Action]:

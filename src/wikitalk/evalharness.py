@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional
 
 from wikitalk.actions import Action, ActionType
+from wikitalk.corpus import read_records
 
 DIMENSIONS = ("boundary", "type", "replyto", "parent")
 
@@ -171,10 +172,4 @@ def write_gold(annotations: Iterable[GoldAnnotation], sink: IO[str]) -> int:
 
 
 def read_gold(source: IO[str]) -> list[GoldAnnotation]:
-    out = []
-    for line in source:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(record_to_gold(json.loads(line)))
-    return out
+    return [record_to_gold(record) for record in read_records(source)]

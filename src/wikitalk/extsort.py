@@ -26,6 +26,11 @@ holds at most (1 + cascade passes) times the spilled bytes. No cascade
 happens below ``MAX_OPEN_RUNS`` runs, which at the default budget means
 below 6.4M revisions of one page.
 
+The budget counts revisions, not bytes: up to ``max_in_memory_revisions``
+of a page's revisions, each with its full text, are held before the sort
+yields the page's first one. On the benchmark's growing-page workload all
+401 revisions of its page (4.3 MB of text) are resident at once.
+
 The budget bounds the revision records a whole run holds, not only the
 sort's: ingest hands over the records of one 64 KiB chunk of dump text at a
 time, and the pipeline keeps no actions, so the records resident at once are

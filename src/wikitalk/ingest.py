@@ -6,7 +6,7 @@ expat ``_READ_SIZE`` (64 KiB) at a time, and the records a chunk completes
 are yielded before the next chunk is read, so the records in flight are
 those of one chunk of dump text plus the revision it ends inside. Records
 missing a page id, a revision id or a parseable timestamp are skipped and
-tallied (pages without ids could not be told apart), and so are revisions
+counted (pages without ids could not be told apart), and so are revisions
 whose text an administrator hid (``<text deleted="deleted">``): their text
 is unknown, not empty. Suppressed contributors are kept with a sentinel
 name so their deletions stay attributable.
@@ -45,13 +45,22 @@ class RevisionRecord(NamedTuple):
 
 
 @dataclass
-class IngestTally:
+class RunReport:
+    """The counts of one run: ingest counts revisions and skips, the
+    reconstructor resynced revisions, the pipeline pages and actions."""
+
+    pages: int = 0
     revisions: int = 0
-    skipped: int = 0
+    actions_written: int = 0
+    # revisions whose diff hit its token cap; the page state resyncs to them
+    skipped_revisions: int = 0
     skip_reasons: dict[str, int] = field(default_factory=dict)
 
+    @property
+    def skipped(self) -> int:
+        return sum(self.skip_reasons.values())
+
     def record_skip(self, reason: str) -> None:
-        self.skipped += 1
         self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
 
 
@@ -77,8 +86,8 @@ class _RevisionAccumulator:
 
 
 class _DumpHandler:
-    def __init__(self, tally: IngestTally):
-        self.tally = tally
+    def __init__(self, report: RunReport):
+        self.report = report
         self.stack: list[str] = []
         self.page_id: list[str] = []
         self.page_title: list[str] = []
@@ -135,21 +144,21 @@ class _DumpHandler:
         rev_id = "".join(rev.rev_id).strip()
         ts_raw = "".join(rev.timestamp).strip()
         if not page_id:
-            self.tally.record_skip("missing_page_id")
+            self.report.record_skip("missing_page_id")
             return
         if not rev_id:
-            self.tally.record_skip("missing_revision_id")
+            self.report.record_skip("missing_revision_id")
             return
         if not ts_raw:
-            self.tally.record_skip("missing_timestamp")
+            self.report.record_skip("missing_timestamp")
             return
         try:
             timestamp = parse_timestamp(ts_raw)
         except ValueError:
-            self.tally.record_skip("bad_timestamp")
+            self.report.record_skip("bad_timestamp")
             return
         if rev.text_deleted:
-            self.tally.record_skip("text_deleted")
+            self.report.record_skip("text_deleted")
             return
         username = "".join(rev.username).strip()
         ip = "".join(rev.ip).strip()
@@ -163,7 +172,7 @@ class _DumpHandler:
         else:
             user_text = ip
             user_id = None
-        self.tally.revisions += 1
+        self.report.revisions += 1
         self.completed.append(
             RevisionRecord(
                 page_id=page_id,
@@ -179,16 +188,15 @@ class _DumpHandler:
 
 def parse_dump_stream(
     stream: BinaryIO,
-    tally: Optional[IngestTally] = None,
+    report: Optional[RunReport] = None,
     read_size: int = _READ_SIZE,
 ) -> Iterator[RevisionRecord]:
     """Yield revision records from a decompressed dump, in document order.
 
-    ``tally`` (when provided) is updated in place with parsed/skipped
-    counts as the stream is consumed.
+    ``report`` (when provided) counts the revisions read and the records
+    skipped as the stream is consumed.
     """
-    tally = tally if tally is not None else IngestTally()
-    handler = _DumpHandler(tally)
+    handler = _DumpHandler(report if report is not None else RunReport())
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
     parser.StartElementHandler = handler.start

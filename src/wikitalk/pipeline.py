@@ -8,13 +8,15 @@ beside their outputs and renamed into place only when complete.
 
 The corpus is in canonical order (page_id ascending, numbers compared as
 numbers; within-page action order), so it does not depend on the order of
-pages in the dump. Pages are written in dump order, and the order key and
-action count of each is recorded. When the dump lists its pages in
-canonical order, as MediaWiki exports do, the file is renamed as it is.
-Otherwise one copy pass writes the header and then the pages' byte ranges
-in canonical order to a second temporary file, which takes the first one's
-place. (The ranges are found by counting lines in that pass: asking the
-sink for its position after every page would flush it every page.)
+pages in the dump. Pages are written in dump order and their action counts
+kept by page id, which rejects a page that comes back after another (it
+would be rebuilt from empty state); each page's order key is compared with
+the previous page's only. When the dump lists its pages in canonical
+order, as MediaWiki exports do, the file is renamed as it is. Otherwise one
+copy pass writes the header and then the pages' byte ranges in canonical
+order to a second temporary file. (The ranges are found by counting lines
+in that pass: asking the sink for its position after every page would
+flush it every page.)
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
@@ -37,7 +39,7 @@ from wikitalk.extsort import (
     SpillDirectoryError,
     sort_revisions,
 )
-from wikitalk.ingest import DumpFormatError, IngestTally, RevisionRecord, parse_dump_stream
+from wikitalk.ingest import DumpFormatError, RevisionRecord, RunReport, parse_dump_stream
 from wikitalk.reconstruct import Reconstructor, reconstruct_page
 
 
@@ -58,29 +60,20 @@ class PipelineConfig:
             self.stats_path = Path(self.stats_path)
 
 
-@dataclass
-class PipelineReport:
-    pages: int = 0
-    actions_written: int = 0
-    ingest: IngestTally = field(default_factory=IngestTally)
-    skipped_revisions: int = 0
-
-
 def _process_page(
     page_revisions: Iterable[RevisionRecord],
     budget: SortBudget,
     sink: TextIO,
     summary: Optional[corpus.Summary],
-) -> tuple[int, int]:
-    """Reconstruct one page straight into ``sink`` (and ``summary``);
-    returns the actions written and the revisions resynced."""
-    recon = Reconstructor()
+    report: RunReport,
+) -> int:
+    """Reconstruct one page straight into ``sink`` (and ``summary``), counting
+    into ``report``; returns the actions written."""
     ordered = sort_revisions(iter(page_revisions), budget, SortStats())
-    actions = reconstruct_page(ordered, recon)
+    actions = reconstruct_page(ordered, Reconstructor(report))
     if summary is not None:
         actions = summary.fed(actions)
-    written = corpus.write_actions(actions, sink, header=None)
-    return written, recon.tally.skipped_revisions
+    return corpus.write_actions(actions, sink, header=None)
 
 
 _DIGIT_RUNS_RE = re.compile(r"[0-9]+|[^0-9]+")
@@ -95,17 +88,6 @@ def _page_order_key(page_id: str) -> tuple:
         for run in _DIGIT_RUNS_RE.findall(page_id)
     )
     return runs, page_id
-
-
-def _page_groups(records: Iterable[RevisionRecord]):
-    """Group consecutive records by page; a page id that comes back after
-    another page would otherwise be reconstructed twice from empty state."""
-    seen: set[str] = set()
-    for page_id, revs in itertools.groupby(records, key=lambda r: r.page_id):
-        if page_id in seen:
-            raise DumpFormatError(f"page {page_id} reappears after another page")
-        seen.add(page_id)
-        yield page_id, revs
 
 
 @contextmanager
@@ -123,30 +105,30 @@ def _replacing(path: Path):
         raise
 
 
-def _reorder(sink: TextIO, pages: list[tuple[tuple, int]]) -> None:
+def _reorder(sink: TextIO, pages: dict[str, int]) -> None:
     """Replace the file behind ``sink``, which holds the corpus header and
-    then ``pages`` (order key and action count, one line per action) in
-    dump order, with a copy that holds the header and then the pages in key
-    order. One page's bytes are in memory at a time."""
+    then ``pages`` (page id to action count, one line per action) in dump
+    order, with a copy that holds the header and then the pages in
+    canonical order. One page's bytes are in memory at a time."""
     sink.flush()
     path = Path(sink.name)
     with open(path, "rb") as unordered, _replacing(path) as ordered:
         header = unordered.readline()
         ranges = []
         end = len(header)
-        for key, count in pages:
+        for page_id, count in pages.items():
             start = end
             end += sum(len(unordered.readline()) for _ in range(count))
-            ranges.append((key, start, end))
+            ranges.append((_page_order_key(page_id), start, end))
         ordered.buffer.write(header)
         for _, start, end in sorted(ranges):
             unordered.seek(start)
             ordered.buffer.write(unordered.read(end - start))
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineReport:
+def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run the full reconstruction; raises on fatal input/output problems."""
-    report = PipelineReport()
+    report = RunReport()
     if not config.input_path.exists():
         raise FileNotFoundError(f"input dump not found: {config.input_path}")
     budget = SortBudget(
@@ -160,19 +142,23 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     stats_file = _replacing(config.stats_path) if config.stats_path is not None else nullcontext()
     with _replacing(config.output_path) as sink, stats_file as stats_sink:
         sink.write(corpus.SCHEMA_HEADER + "\n")
-        pages: list[tuple[tuple, int]] = []
+        pages: dict[str, int] = {}  # page id to actions written, in dump order
+        in_order, last_key = True, ()
         with open(config.input_path, "rb") as stream:
-            for page_id, revs in _page_groups(parse_dump_stream(stream, tally=report.ingest)):
+            records = parse_dump_stream(stream, report)
+            for page_id, revs in itertools.groupby(records, key=lambda r: r.page_id):
+                if page_id in pages:
+                    raise DumpFormatError(f"page {page_id} reappears after another page")
+                key = _page_order_key(page_id)
+                in_order, last_key = in_order and last_key < key, key
                 try:
-                    written, skipped = _process_page(revs, budget, sink, summary)
+                    pages[page_id] = _process_page(revs, budget, sink, summary, report)
                 except corpus.CorpusWriteError as exc:
                     cause = exc.__cause__
                     raise corpus.CorpusWriteError(report.actions_written + exc.written, cause) from cause
-                report.actions_written += written
-                report.skipped_revisions += skipped
+                report.actions_written += pages[page_id]
                 report.pages += 1
-                pages.append((_page_order_key(page_id), written))
-        if pages != sorted(pages):
+        if not in_order:
             _reorder(sink, pages)
         if stats_sink is not None:
             json.dump(summary.stats().to_dict(), stats_sink, indent=2)
@@ -190,15 +176,15 @@ def run_pipeline_cli(config: PipelineConfig) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if report.ingest.skipped or report.skipped_revisions:
+    if report.skipped or report.skipped_revisions:
         print(
-            f"completed with {report.ingest.skipped} skipped dump records "
-            f"({report.ingest.skip_reasons}) and {report.skipped_revisions} "
+            f"completed with {report.skipped} skipped dump records "
+            f"({report.skip_reasons}) and {report.skipped_revisions} "
             "resynced revisions",
             file=sys.stderr,
         )
     print(
-        f"pages={report.pages} revisions={report.ingest.revisions} "
+        f"pages={report.pages} revisions={report.revisions} "
         f"actions={report.actions_written}",
         file=sys.stderr,
     )

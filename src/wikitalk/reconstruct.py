@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from wikitalk.actions import Action, ActionType
-from wikitalk.clean import clean_markup
+from wikitalk.clean import HEADING_RE, clean_markup
 from wikitalk.diff import ChangeOp, DiffOp, DiffTokenLimitError, EqualOp, lcs_diff
-from wikitalk.ingest import RevisionRecord
+from wikitalk.ingest import RevisionRecord, RunReport
 from wikitalk.store import DeletedCommentStore
 from wikitalk.tokenizer import TokenSequence, tokenize
 
-_HEADING_LINE_RE = re.compile(r"^(=+)\s*(.*?)\s*(=+)\s*\r?$")
 _INDENT_PREFIX_RE = re.compile(r"^[:*#]+")
 _SIGNATURE_END_RE = re.compile(r"(~{3,5}|\(UTC\))\s*\r?$")
 
@@ -44,7 +43,7 @@ DELETION_TOKEN_FRACTION = 0.5
 
 
 def _is_heading_line(line: str) -> bool:
-    m = _HEADING_LINE_RE.match(line)
+    m = HEADING_RE.match(line)
     return bool(m and m.group(2))
 
 
@@ -399,14 +398,10 @@ def _attribute_changes(
     return edits, standalone
 
 
-@dataclass
-class ReconstructionTally:
-    skipped_revisions: int = 0
-
-
 class Reconstructor:
-    def __init__(self):
-        self.tally = ReconstructionTally()
+    def __init__(self, report: Optional[RunReport] = None):
+        # the run's report, which counts the resynced revisions
+        self.tally = report if report is not None else RunReport()
 
     # -- id scheme: <revision_id>.<token offset>.<page_id>, bumped
     # deterministically in the rare case two actions of one revision share

@@ -9,12 +9,30 @@ import pytest
 from tests.conftest import random_action
 from wikitalk.actions import ActionType
 from wikitalk.corpus import (
-    FIELD_ORDER,
     SCHEMA_HEADER,
     CorpusWriteError,
     Summary,
     read_actions,
     write_actions,
+)
+
+# the key order of every corpus record
+FIELD_ORDER = (
+    "id",
+    "type",
+    "timestamp",
+    "user_text",
+    "user_id",
+    "page_id",
+    "page_title",
+    "conversation_id",
+    "replyTo_id",
+    "parent_id",
+    "indentation",
+    "content",
+    "raw_markup",
+    "char_start",
+    "char_end",
 )
 
 

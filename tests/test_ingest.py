@@ -6,7 +6,7 @@ import pytest
 from wikitalk.ingest import (
     DELETED_USER_SENTINEL,
     DumpFormatError,
-    IngestTally,
+    RunReport,
     parse_dump_stream,
     parse_timestamp,
 )
@@ -72,7 +72,7 @@ def test_missing_timestamp_skipped_and_tallied():
     dump = DUMP.replace(
         "<timestamp>2017-05-01T10:05:00Z</timestamp>", ""
     )
-    tally = IngestTally()
+    tally = RunReport()
     records = list(parse_dump_stream(_stream(dump), tally))
     assert [r.revision_id for r in records] == ["101", "103"]
     assert tally.skipped == 1
@@ -81,7 +81,7 @@ def test_missing_timestamp_skipped_and_tallied():
 
 def test_missing_revision_id_skipped():
     dump = DUMP.replace("<id>102</id>", "", 1)
-    tally = IngestTally()
+    tally = RunReport()
     records = list(parse_dump_stream(_stream(dump), tally))
     assert [r.revision_id for r in records] == ["101", "103"]
     assert tally.skip_reasons == {"missing_revision_id": 1}
@@ -94,7 +94,7 @@ def test_revisions_of_pages_without_id_are_skipped():
     second = no_id[no_id.index("  <page>") : no_id.index("</page>") + len("</page>\n")]
     second = second.replace("Talk:Alpha", "Talk:Beta").replace("<id>10", "<id>20")
     dump = no_id.replace("</mediawiki>", second + DUMP[DUMP.index("  <page>") :])
-    tally = IngestTally()
+    tally = RunReport()
     records = list(parse_dump_stream(_stream(dump), tally))
     assert [r.page_id for r in records] == ["11"] * 3
     assert tally.skip_reasons == {"missing_page_id": 6}

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import wikitalk
-from wikitalk import cli, corpus, pipeline
+from wikitalk import cli, corpus, diff, pipeline
 from wikitalk.actions import Action, ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
 from wikitalk.evalharness import write_gold
@@ -118,20 +119,76 @@ def _page_xml(page_id, rev_id, minute, text):
 
 
 def test_page_split_across_dump_fails(tmp_path):
+    """A page that comes back after another page fails the run, also when
+    the dump has already left canonical order before it comes back."""
     dump = tmp_path / "split.xml"
+    out = tmp_path / "corpus.jsonl"
+    for split, other in ((1, 2), (2, 1)):
+        dump.write_text(
+            '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">\n'
+            + _page_xml(split, 11, 0, "== Thread ==\nfirst comment ~~~~")
+            + _page_xml(other, 21, 1, "== Other ==")
+            + _page_xml(split, 12, 2, "== Thread ==\nfirst comment ~~~~\n:a reply ~~~~")
+            + "</mediawiki>\n"
+        )
+        with pytest.raises(DumpFormatError, match=f"page {split} "):
+            run_pipeline(PipelineConfig(input_path=dump, output_path=out))
+        rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
+
+def test_index_memory_per_page_is_small(tmp_path):
+    """The run keeps one small entry per page: from 500 to 5,000
+    one-revision pages in canonical order, its tracemalloc peak grows by at
+    most 200 bytes a page."""
+    peaks = {}
+    for n in (500, 5000):
+        dump = tmp_path / f"{n}.xml"
+        dump.write_text(
+            "<mediawiki>\n"
+            + "".join(_page_xml(i, i * 10, 0, "== T ==\nc ~~~~") for i in range(1, n + 1))
+            + "</mediawiki>\n"
+        )
+        tracemalloc.start()
+        try:
+            run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / f"{n}.jsonl"))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[5000] - peaks[500]) / 4500 <= 200, peaks
+
+
+def test_run_report_counts_every_stage(tmp_path, monkeypatch, capsys):
+    """One report holds a run's pages, revisions, actions, skipped records
+    and resynced revisions, and the CLI's summary lines are read from it."""
+    words = " ".join(f"word{i}" for i in range(40))
+    dump = tmp_path / "dump.xml"
     dump.write_text(
         '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">\n'
         + _page_xml(1, 11, 0, "== Thread ==\nfirst comment ~~~~")
-        + _page_xml(2, 21, 1, "== Other ==")
-        + _page_xml(1, 12, 2, "== Thread ==\nfirst comment ~~~~\n:a reply ~~~~")
+        + _page_xml(2, 21, 1, f"== Long ==\n{words} ~~~~").replace(
+            "</page>",
+            "<revision><id>22</id><timestamp>2017-05-01T10:02:00Z</timestamp>"
+            "<contributor><username>admin</username></contributor>"
+            '<text deleted="deleted" /></revision></page>',
+        )
         + "</mediawiki>\n"
     )
+    monkeypatch.setattr(diff, "MAX_DIFF_TOKENS", 25)
     out = tmp_path / "corpus.jsonl"
-    with pytest.raises(DumpFormatError, match="page 1 "):
-        run_pipeline(PipelineConfig(input_path=dump, output_path=out))
-    rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
-    assert rc == 1
-    assert not out.exists()
+    report = run_pipeline(PipelineConfig(input_path=dump, output_path=out))
+    actions = len(out.read_text().splitlines()) - 1
+    assert (report.pages, report.revisions, report.actions_written) == (2, 2, actions)
+    assert actions > 0
+    assert report.skip_reasons == {"text_deleted": 1}
+    assert report.skipped_revisions == 1
+    capsys.readouterr()
+    assert pipeline.run_pipeline_cli(PipelineConfig(input_path=dump, output_path=out)) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "completed with 1 skipped dump records ({'text_deleted': 1}) and 1 resynced revisions",
+        f"pages=2 revisions=2 actions={actions}",
+    ]
 
 
 def test_pages_are_written_in_numeric_id_order(tmp_path):
@@ -203,7 +260,7 @@ def test_revision_with_hidden_text_is_skipped(tmp_path):
         dump.write_text(xml, encoding="utf-8")
         report = run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / f"{name}.jsonl"))
         corpora.append((tmp_path / f"{name}.jsonl").read_bytes())
-        skips.append(report.ingest.skip_reasons)
+        skips.append(report.skip_reasons)
     assert corpora[0] == corpora[1]
     assert skips == [{}, {"text_deleted": 1}]
 
@@ -481,6 +538,23 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
             ["analytics", "score", "--corpus", "c", "--output", "o", "--max-attempts", "-1"],
             "must be positive: -1",
         ),
+        (["eval", "sample", "--corpus", "c", "--per-type", "abc"], "invalid int value: 'abc'"),
+        (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--max-attempts", "x"],
+            "invalid int value: 'x'",
+        ),
+        (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--rate-limit", "fast"],
+            "invalid float value: 'fast'",
+        ),
+        (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--timeout", "0"],
+            "must be positive: 0",
+        ),
+        (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--timeout", "-1"],
+            "must be positive: -1",
+        ),
         (
             ["analytics", "deletion-rate", "--scored", "s", "--subset", "toxic"],
             "--subset toxic requires --toxicity-threshold",
@@ -495,6 +569,8 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
         "unsorted-horizons", "unknown-horizon-unit", "negative-per-type",
         "one-max-mem-revisions", "negative-max-mem-revisions", "zero-rate-limit",
         "negative-rate-limit", "zero-max-attempts", "negative-max-attempts",
+        "non-number-per-type", "non-number-max-attempts", "non-number-rate-limit",
+        "zero-timeout", "negative-timeout",
         "toxic-without-threshold", "severe-without-threshold",
     ],
 )
@@ -504,6 +580,29 @@ def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "sample", "--corpus", "{}"],
+        ["eval", "score", "--corpus", "{}", "--gold", "{}", "--report", "report.json"],
+        ["analytics", "score", "--corpus", "{}", "--output", "scored.jsonl"],
+        ["analytics", "eer", "--labeled", "{}"],
+        ["analytics", "deletion-rate", "--scored", "{}"],
+    ],
+    ids=["eval-sample", "eval-score", "analytics-score", "analytics-eer", "deletion-rate"],
+)
+def test_bad_analysis_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    """A missing input file, or a line that is not JSON, ends an analysis
+    subcommand with one error line and exit status 1."""
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(SCHEMA_HEADER + "\nnot json\n")
+    for path, message in ((tmp_path / "missing.jsonl", "No such file"), (bad, "line 2: not a JSON")):
+        assert cli.main([str(path) if arg == "{}" else arg for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1, err
 
 
 def test_spill_budget_flags(tmp_path):
