@@ -9,17 +9,17 @@ Subcommands::
     wikitalk analytics eer --labeled labeled.jsonl
     wikitalk analytics deletion-rate --scored F --horizons 1h,1d,7d --subset toxic
 
-Fifteen flags can also be set through an environment variable: the flag
-name upper-snake-cased with a WIKITALK_ prefix (e.g.
-WIKITALK_MAX_MEM_REVISIONS=100000). They are every flag of ``reconstruct``;
-``--per-type``, ``--seed`` and ``--output`` of ``eval sample``; the six
-scorer flags of ``analytics score``; and ``--horizons``. The twelve input,
-output and subset flags of the analysis subcommands have none (see the
-README). argparse converts the variable's string like a flag value, so a
-malformed one is a usage error of the subcommand that reads it, and of no
-other. The analysis subcommands end a missing input file or a line that is
-not JSON with one ``error:`` line and exit status 1, as ``reconstruct``
-does.
+Three flags can also be set through an environment variable:
+``--max-mem-revisions`` (WIKITALK_MAX_MEM_REVISIONS) and ``--spill-dir``
+(WIKITALK_SPILL_DIR) of ``reconstruct``, which size a run to its host, and
+``--api-key`` (WIKITALK_API_KEY) of ``analytics score``, which keeps a
+credential off the command line. A flag given on the command line wins.
+argparse converts the variable's string like a flag value, so a malformed
+one is a usage error of the subcommand that reads it, and of no other.
+
+Every subcommand ends a run it cannot complete (a missing input, an
+unwritable output, a malformed dump, a line that is not a JSON record or
+lacks a field) with one ``error:`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ from pathlib import Path
 
 from wikitalk import corpus
 from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY
-from wikitalk.pipeline import PipelineConfig, run_pipeline_cli
-
-
-def _env(flag: str, default=None):
-    return os.environ.get("WIKITALK_" + flag.replace("-", "_").upper(), default)
+from wikitalk.pipeline import PipelineConfig, run_pipeline
 
 
 def _number(kind, ok, message: str):
@@ -79,15 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rec = sub.add_parser("reconstruct", help="rebuild a conversation corpus from a dump")
-    rec.add_argument("--input", required=_env("input") is None, default=_env("input"))
-    rec.add_argument("--output", required=_env("output") is None, default=_env("output"))
+    rec.add_argument("--input", required=True)
+    rec.add_argument("--output", required=True)
     rec.add_argument(
         "--max-mem-revisions",
         type=_number(int, lambda n: n >= 2, "must be at least 2"),
-        default=_env("max-mem-revisions", DEFAULT_MAX_IN_MEMORY),
+        default=os.environ.get("WIKITALK_MAX_MEM_REVISIONS", DEFAULT_MAX_IN_MEMORY),
     )
-    rec.add_argument("--spill-dir", default=_env("spill-dir"))
-    rec.add_argument("--stats", default=_env("stats"))
+    rec.add_argument("--spill-dir", default=os.environ.get("WIKITALK_SPILL_DIR"))
+    rec.add_argument("--stats")
     rec.set_defaults(run=_cmd_reconstruct)
 
     ev = sub.add_parser("eval", help="reconstruction-quality evaluation")
@@ -95,12 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev_sample = ev_sub.add_parser("sample", help="draw a review sample per action type")
     ev_sample.add_argument("--corpus", required=True)
     ev_sample.add_argument(
-        "--per-type",
-        type=_number(int, lambda n: n >= 0, "must not be negative"),
-        default=_env("per-type", 100),
+        "--per-type", type=_number(int, lambda n: n >= 0, "must not be negative"), default=100
     )
-    ev_sample.add_argument("--seed", type=int, default=_env("seed", 0))
-    ev_sample.add_argument("--output", default=_env("output"))
+    ev_sample.add_argument("--seed", type=int, default=0)
+    ev_sample.add_argument("--output")
     ev_sample.set_defaults(run=_cmd_eval_sample)
     ev_score = ev_sub.add_parser("score", help="score a corpus against gold annotations")
     ev_score.add_argument("--corpus", required=True)
@@ -113,19 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
     an_score = an_sub.add_parser("score", help="attach toxicity scores to comments")
     an_score.add_argument("--corpus", required=True)
     an_score.add_argument("--output", required=True)
-    an_score.add_argument("--scorer", choices=["stub", "http"], default=_env("scorer", "stub"))
-    an_score.add_argument("--endpoint", default=_env("endpoint"))
-    an_score.add_argument("--api-key", default=_env("api-key"))
-    an_score.add_argument("--rate-limit", type=_positive_float, default=_env("rate-limit", 10.0))
-    an_score.add_argument("--timeout", type=_positive_float, default=_env("timeout", 10.0))
-    an_score.add_argument("--max-attempts", type=_positive_int, default=_env("max-attempts", 3))
-    an_score.set_defaults(run=_cmd_analytics_score)
+    an_score.add_argument("--scorer", choices=["stub", "http"], default="stub")
+    an_score.add_argument("--endpoint")
+    an_score.add_argument("--api-key", default=os.environ.get("WIKITALK_API_KEY"))
+    an_score.add_argument("--rate-limit", type=_positive_float, default=10.0)
+    an_score.add_argument("--timeout", type=_positive_float, default=10.0)
+    an_score.add_argument("--max-attempts", type=_positive_int, default=3)
+    an_score.set_defaults(run=_cmd_analytics_score, usage_error=an_score.error)
     an_eer = an_sub.add_parser("eer", help="equal-error-rate threshold from labeled scores")
     an_eer.add_argument("--labeled", required=True)
     an_eer.set_defaults(run=_cmd_analytics_eer)
     an_rate = an_sub.add_parser("deletion-rate", help="deletion rate per time horizon")
     an_rate.add_argument("--scored", required=True)
-    an_rate.add_argument("--horizons", type=_horizons, default=_env("horizons"))
+    an_rate.add_argument("--horizons", type=_horizons)
     an_rate.add_argument("--subset", choices=["all", "toxic", "severe"], default="all")
     an_rate.add_argument("--toxicity-threshold", type=float, default=None)
     an_rate.add_argument("--severe-threshold", type=float, default=None)
@@ -135,14 +129,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_reconstruct(args) -> int:
-    config = PipelineConfig(
-        input_path=Path(args.input),
-        output_path=Path(args.output),
-        max_in_memory_revisions=args.max_mem_revisions,
-        spill_dir=Path(args.spill_dir) if args.spill_dir else None,
-        stats_path=Path(args.stats) if args.stats else None,
+    report = run_pipeline(
+        PipelineConfig(
+            input_path=args.input,
+            output_path=args.output,
+            max_in_memory_revisions=args.max_mem_revisions,
+            spill_dir=args.spill_dir or None,
+            stats_path=args.stats or None,
+        )
     )
-    return run_pipeline_cli(config)
+    if report.skipped or report.skipped_revisions:
+        print(
+            f"completed with {report.skipped} skipped dump records "
+            f"({report.skip_reasons}) and {report.skipped_revisions} "
+            "resynced revisions",
+            file=sys.stderr,
+        )
+    print(
+        f"pages={report.pages} revisions={report.revisions} "
+        f"actions={report.actions_written}",
+        file=sys.stderr,
+    )
+    return 0
 
 
 def _cmd_eval_sample(args) -> int:
@@ -195,8 +203,7 @@ def _cmd_analytics_score(args) -> int:
 
     if args.scorer == "http":
         if not args.endpoint:
-            print("error: --endpoint required for the http scorer", file=sys.stderr)
-            return 2
+            args.usage_error("--scorer http requires --endpoint")
         scorer = analytics.HttpScorer(
             endpoint=args.endpoint,
             api_key=args.api_key,
@@ -228,9 +235,9 @@ def _cmd_analytics_eer(args) -> int:
     from wikitalk import analytics
 
     with open(args.labeled, encoding="utf-8") as fh:
-        records = list(corpus.read_records(fh))
-    scores = [float(record["score"]) for record in records]
-    labels = [bool(record["label"]) for record in records]
+        pairs = list(corpus.read_records(fh, lambda r: (float(r["score"]), bool(r["label"]))))
+    scores = [score for score, _ in pairs]
+    labels = [label for _, label in pairs]
     threshold = analytics.equal_error_threshold(scores, labels)
     print(json.dumps({"threshold": threshold, "n": len(scores)}))
     return 0
@@ -248,16 +255,16 @@ def _cmd_analytics_deletion_rate(args) -> int:
     pairs = args.horizons
     if pairs is None:
         pairs = _horizons(",".join(analytics.DEFAULT_HORIZONS))
+
+    def with_scores(record):
+        return corpus.record_to_action(record), (record.get("toxicity"), record.get("severe_toxicity"))
+
     with open(args.scored, encoding="utf-8") as fh:
         actions = []
         extras = {}
-        for record in corpus.read_records(fh):
-            action = corpus.record_to_action(record)
+        for action, scores in corpus.read_records(fh, with_scores):
             actions.append(action)
-            extras[action.action_id] = (
-                record.get("toxicity"),
-                record.get("severe_toxicity"),
-            )
+            extras[action.action_id] = scores
 
     _, scored = analytics.comments_with_deletions(actions)
     for comment in scored:
@@ -284,8 +291,6 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (OSError, ValueError) as exc:
-        # a missing input or a line that is not a JSON record; reconstruct
-        # reports its own errors the same way
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,8 @@ any ``#``-prefixed line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Any, Callable, Iterable, Iterator, Optional
 
 from wikitalk.actions import Action, ActionType
 
@@ -18,7 +17,7 @@ SCHEMA_HEADER = "#wikiconv-schema=1"
 SCORED_SCHEMA_HEADER = "#wikiconv-schema=1-scored"
 
 
-class CorpusWriteError(Exception):
+class CorpusWriteError(OSError):
     def __init__(self, written: int, cause: Exception):
         super().__init__(f"write failed after {written} actions: {cause}")
         self.written = written
@@ -82,19 +81,12 @@ def serialize_action(action: Action, extra: Optional[dict] = None) -> str:
     return _ENCODER.encode(record)
 
 
-def write_actions(
-    actions: Iterable[Action], sink: IO[str], header: Optional[str] = SCHEMA_HEADER
-) -> int:
-    """Write actions as line-delimited records, after ``header`` unless it
-    is None; returns the count written. A failed write raises
+def write_actions(actions: Iterable[Action], sink: IO[str]) -> int:
+    """Write actions as line-delimited records; returns the count written.
+    The caller writes the header. A failed write raises
     ``CorpusWriteError``; an error raised while producing ``actions`` passes
     through unchanged."""
     written = 0
-    if header is not None:
-        try:
-            sink.write(header + "\n")
-        except OSError as exc:
-            raise CorpusWriteError(written, exc) from exc
     for action in actions:
         try:
             sink.write(serialize_action(action) + "\n")
@@ -104,9 +96,11 @@ def write_actions(
     return written
 
 
-def read_records(source: IO[str]) -> Iterator[dict]:
-    """The JSON records of a corpus-shaped file, skipping blank and ``#``
-    lines. A line that is not JSON raises ``ValueError`` naming the line."""
+def read_records(source: IO[str], convert: Callable[[dict], Any]) -> Iterator:
+    """``convert`` of the JSON record on each line of a corpus-shaped file,
+    skipping blank and ``#`` lines. A line that is not JSON, or whose record
+    lacks a field ``convert`` reads, raises ``ValueError`` naming the line."""
+    name = getattr(source, "name", "input")
     for number, line in enumerate(source, 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -114,34 +108,16 @@ def read_records(source: IO[str]) -> Iterator[dict]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            name = getattr(source, "name", "input")
             raise ValueError(f"{name}, line {number}: not a JSON record ({exc.msg})") from None
-        yield record
+        try:
+            item = convert(record)
+        except KeyError as exc:
+            raise ValueError(f"{name}, line {number}: missing field {exc.args[0]!r}") from None
+        yield item
 
 
 def read_actions(source: IO[str]) -> Iterator[Action]:
-    for record in read_records(source):
-        yield record_to_action(record)
-
-
-@dataclass
-class SummaryStats:
-    distinct_users: int = 0
-    pages: int = 0
-    revisions: int = 0
-    conversations: int = 0
-    actions: int = 0
-    type_breakdown: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "distinct_users": self.distinct_users,
-            "pages": self.pages,
-            "revisions": self.revisions,
-            "conversations": self.conversations,
-            "actions": self.actions,
-            "type_breakdown": self.type_breakdown,
-        }
+    return read_records(source, record_to_action)
 
 
 class Summary:
@@ -185,17 +161,18 @@ class Summary:
             self.add(action)
             yield action
 
-    def stats(self) -> SummaryStats:
+    def stats(self) -> dict:
+        """The summary as ``--stats`` writes it."""
         total = self.total
         breakdown = {
             name: (count / total if total else 0.0) for name, count in self.type_counts.items()
         }
-        return SummaryStats(
-            distinct_users=len(self.users),
-            pages=self.pages,
-            revisions=self.revisions + len(self.page_revisions),
-            conversations=self.conversations + len(self.page_conversations),
-            actions=total,
-            type_breakdown=breakdown,
-        )
+        return {
+            "distinct_users": len(self.users),
+            "pages": self.pages,
+            "revisions": self.revisions + len(self.page_revisions),
+            "conversations": self.conversations + len(self.page_conversations),
+            "actions": total,
+            "type_breakdown": breakdown,
+        }
 

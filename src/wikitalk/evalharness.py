@@ -172,4 +172,4 @@ def write_gold(annotations: Iterable[GoldAnnotation], sink: IO[str]) -> int:
 
 
 def read_gold(source: IO[str]) -> list[GoldAnnotation]:
-    return [record_to_gold(record) for record in read_records(source)]
+    return list(read_records(source, record_to_gold))

@@ -58,7 +58,7 @@ MAX_OPEN_RUNS = 64
 _LENGTH = struct.Struct("<Q")
 
 
-class SpillDirectoryError(Exception):
+class SpillDirectoryError(OSError):
     pass
 
 

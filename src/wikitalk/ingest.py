@@ -24,7 +24,7 @@ DELETED_USER_SENTINEL = "[deleted]"
 _READ_SIZE = 64 << 10
 
 
-class DumpFormatError(Exception):
+class DumpFormatError(ValueError):
     """Malformed dump XML; message carries the failing byte offset."""
 
 

@@ -17,6 +17,11 @@ copy pass writes the header and then the pages' byte ranges in canonical
 order to a second temporary file. (The ranges are found by counting lines
 in that pass: asking the sink for its position after every page would
 flush it every page.)
+
+A run that cannot complete raises: an ``OSError`` for a missing input, an
+unwritable output, stats file or spill directory, or a failed write, and a
+``ValueError`` for a malformed dump. ``wikitalk reconstruct`` prints it as
+one ``error:`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -25,20 +30,13 @@ import itertools
 import json
 import os
 import re
-import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, TextIO
 
 from wikitalk import corpus
-from wikitalk.extsort import (
-    DEFAULT_MAX_IN_MEMORY,
-    SortBudget,
-    SortStats,
-    SpillDirectoryError,
-    sort_revisions,
-)
+from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY, SortBudget, sort_revisions
 from wikitalk.ingest import DumpFormatError, RevisionRecord, RunReport, parse_dump_stream
 from wikitalk.reconstruct import Reconstructor, reconstruct_page
 
@@ -69,11 +67,11 @@ def _process_page(
 ) -> int:
     """Reconstruct one page straight into ``sink`` (and ``summary``), counting
     into ``report``; returns the actions written."""
-    ordered = sort_revisions(iter(page_revisions), budget, SortStats())
+    ordered = sort_revisions(iter(page_revisions), budget)
     actions = reconstruct_page(ordered, Reconstructor(report))
     if summary is not None:
         actions = summary.fed(actions)
-    return corpus.write_actions(actions, sink, header=None)
+    return corpus.write_actions(actions, sink)
 
 
 _DIGIT_RUNS_RE = re.compile(r"[0-9]+|[^0-9]+")
@@ -161,31 +159,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         if not in_order:
             _reorder(sink, pages)
         if stats_sink is not None:
-            json.dump(summary.stats().to_dict(), stats_sink, indent=2)
+            json.dump(summary.stats(), stats_sink, indent=2)
             stats_sink.write("\n")
 
     return report
 
-
-def run_pipeline_cli(config: PipelineConfig) -> int:
-    """CLI wrapper: returns a process exit status instead of raising."""
-    try:
-        report = run_pipeline(config)
-    except (
-        DumpFormatError, SpillDirectoryError, corpus.CorpusWriteError, OSError, ValueError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if report.skipped or report.skipped_revisions:
-        print(
-            f"completed with {report.skipped} skipped dump records "
-            f"({report.skip_reasons}) and {report.skipped_revisions} "
-            "resynced revisions",
-            file=sys.stderr,
-        )
-    print(
-        f"pages={report.pages} revisions={report.revisions} "
-        f"actions={report.actions_written}",
-        file=sys.stderr,
-    )
-    return 0

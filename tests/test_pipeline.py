@@ -17,6 +17,7 @@ from wikitalk import cli, corpus, diff, pipeline
 from wikitalk.actions import Action, ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
 from wikitalk.evalharness import write_gold
+from wikitalk.extsort import SortStats
 from wikitalk.ingest import DumpFormatError
 from wikitalk.pipeline import PipelineConfig, run_pipeline
 from wikitalk.synth import (
@@ -184,7 +185,7 @@ def test_run_report_counts_every_stage(tmp_path, monkeypatch, capsys):
     assert report.skip_reasons == {"text_deleted": 1}
     assert report.skipped_revisions == 1
     capsys.readouterr()
-    assert pipeline.run_pipeline_cli(PipelineConfig(input_path=dump, output_path=out)) == 0
+    assert cli.main(["reconstruct", "--input", str(dump), "--output", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == [
         "completed with 1 skipped dump records ({'text_deleted': 1}) and 1 resynced revisions",
         f"pages=2 revisions=2 actions={actions}",
@@ -500,15 +501,70 @@ def test_env_var_overrides_flag_default(tmp_path, monkeypatch, capsys):
 def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypatch, capsys):
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     argv = ["reconstruct", "--input", str(dump), "--output", str(tmp_path / "corpus.jsonl")]
-    monkeypatch.setenv("WIKITALK_RATE_LIMIT", "fast")  # only analytics score reads it
-    monkeypatch.setenv("WIKITALK_HORIZONS", "1x")  # only analytics deletion-rate
-    monkeypatch.setenv("WIKITALK_PER_TYPE", "-1")  # only eval sample
+    monkeypatch.setenv("WIKITALK_RATE_LIMIT", "fast")  # read by no subcommand
+    monkeypatch.setenv("WIKITALK_HORIZONS", "1x")
+    monkeypatch.setenv("WIKITALK_PER_TYPE", "-1")
     assert cli.main(argv) == 0
     monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "abc")
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert "invalid int value" in capsys.readouterr().err
+
+
+def test_spill_variables_reach_reconstruct(tmp_path, monkeypatch):
+    """WIKITALK_MAX_MEM_REVISIONS and WIKITALK_SPILL_DIR are how the
+    benchmark sets a run's budget: a budget of 2 spills a shuffled
+    multi-revision dump into a new nested directory, which the run creates,
+    and gives the corpus bytes of the default budget."""
+    scripts = [random_tree_script(seed, n_comments=12)[0] for seed in range(3)]
+    dump = write_dump(scripts, tmp_path / "dump.xml", shuffle_seed=4)
+    argv = ["reconstruct", "--input", str(dump), "--output"]
+    assert cli.main(argv + [str(tmp_path / "default.jsonl")]) == 0
+    spill = tmp_path / "spill" / "new" / "nested"
+    spilled = []
+    original = pipeline.sort_revisions
+
+    def counting(revisions, budget, *_):
+        stats = SortStats()
+        yield from original(revisions, budget, stats)
+        spilled.append((budget.max_in_memory_revisions, budget.spill_directory, stats.runs_spilled))
+
+    monkeypatch.setattr(pipeline, "sort_revisions", counting)
+    monkeypatch.setenv("WIKITALK_MAX_MEM_REVISIONS", "2")
+    monkeypatch.setenv("WIKITALK_SPILL_DIR", str(spill))
+    assert cli.main(argv + [str(tmp_path / "budget.jsonl")]) == 0
+    assert spill.is_dir()
+    assert [(budget, directory) for budget, directory, _ in spilled] == [(2, spill)] * 3
+    assert all(runs > 0 for _, _, runs in spilled), spilled
+    assert (tmp_path / "budget.jsonl").read_bytes() == (tmp_path / "default.jsonl").read_bytes()
+
+
+def test_api_key_variable_is_the_flag_default(monkeypatch):
+    argv = ["analytics", "score", "--corpus", "c", "--output", "o"]
+    monkeypatch.setenv("WIKITALK_API_KEY", "from-env")
+    assert cli.build_parser().parse_args(argv).api_key == "from-env"
+    assert cli.build_parser().parse_args(argv + ["--api-key", "k"]).api_key == "k"
+
+
+def test_output_variables_are_not_read(tmp_path, monkeypatch, capsys):
+    """Only WIKITALK_MAX_MEM_REVISIONS, WIKITALK_SPILL_DIR and
+    WIKITALK_API_KEY are read. WIKITALK_OUTPUT names no output: ``eval sample`` writes to stdout and leaves a corpus of that
+    name as it was, and ``reconstruct`` still asks for its flags."""
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert cli.main(["reconstruct", "--input", str(dump), "--output", str(corpus_path)]) == 0
+    before = corpus_path.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setenv("WIKITALK_INPUT", str(dump))
+    monkeypatch.setenv("WIKITALK_OUTPUT", str(corpus_path))
+    assert cli.main(["eval", "sample", "--corpus", str(corpus_path), "--per-type", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert corpus_path.read_bytes() == before
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reconstruct"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --input, --output" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -556,6 +612,10 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
             "must be positive: -1",
         ),
         (
+            ["analytics", "score", "--corpus", "c", "--output", "o", "--scorer", "http"],
+            "--scorer http requires --endpoint",
+        ),
+        (
             ["analytics", "deletion-rate", "--scored", "s", "--subset", "toxic"],
             "--subset toxic requires --toxicity-threshold",
         ),
@@ -570,7 +630,7 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
         "one-max-mem-revisions", "negative-max-mem-revisions", "zero-rate-limit",
         "negative-rate-limit", "zero-max-attempts", "negative-max-attempts",
         "non-number-per-type", "non-number-max-attempts", "non-number-rate-limit",
-        "zero-timeout", "negative-timeout",
+        "zero-timeout", "negative-timeout", "http-without-endpoint",
         "toxic-without-threshold", "severe-without-threshold",
     ],
 )
@@ -594,12 +654,19 @@ def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
     ids=["eval-sample", "eval-score", "analytics-score", "analytics-eer", "deletion-rate"],
 )
 def test_bad_analysis_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
-    """A missing input file, or a line that is not JSON, ends an analysis
-    subcommand with one error line and exit status 1."""
+    """A missing input file, a line that is not JSON, or a record that lacks
+    a field the subcommand reads ends an analysis subcommand with one error
+    line, naming the file and line, and exit status 1."""
     monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.jsonl"
     bad.write_text(SCHEMA_HEADER + "\nnot json\n")
-    for path, message in ((tmp_path / "missing.jsonl", "No such file"), (bad, "line 2: not a JSON")):
+    fieldless = tmp_path / "fieldless.jsonl"
+    fieldless.write_text('{"a": 1}\n')
+    for path, message in (
+        (tmp_path / "missing.jsonl", "No such file"),
+        (bad, "line 2: not a JSON"),
+        (fieldless, f"{fieldless}, line 1: missing field '"),
+    ):
         assert cli.main([str(path) if arg == "{}" else arg for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1, err
