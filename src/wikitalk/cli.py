@@ -18,8 +18,8 @@ argparse converts the variable's string like a flag value, so a malformed
 one is a usage error of the subcommand that reads it, and of no other.
 
 Every subcommand ends a run it cannot complete (a missing input, an
-unwritable output, a malformed dump, a line that is not a JSON record or
-lacks a field) with one ``error:`` line and exit status 1.
+unwritable output, a malformed dump or input record) with one ``error:``
+line and exit status 1.
 """
 
 from __future__ import annotations

@@ -98,8 +98,8 @@ def write_actions(actions: Iterable[Action], sink: IO[str]) -> int:
 
 def read_records(source: IO[str], convert: Callable[[dict], Any]) -> Iterator:
     """``convert`` of the JSON record on each line of a corpus-shaped file,
-    skipping blank and ``#`` lines. A line that is not JSON, or whose record
-    lacks a field ``convert`` reads, raises ``ValueError`` naming the line."""
+    skipping blank and ``#`` lines. A line that is not a JSON object, or
+    whose fields ``convert`` cannot read, raises ``ValueError`` naming it."""
     name = getattr(source, "name", "input")
     for number, line in enumerate(source, 1):
         line = line.strip()
@@ -109,10 +109,14 @@ def read_records(source: IO[str], convert: Callable[[dict], Any]) -> Iterator:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{name}, line {number}: not a JSON record ({exc.msg})") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{name}, line {number}: not a JSON object")
         try:
             item = convert(record)
         except KeyError as exc:
             raise ValueError(f"{name}, line {number}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}, line {number}: bad field value ({exc})") from None
         yield item
 
 

@@ -1,14 +1,14 @@
-"""Token-level diffing between consecutive revisions.
+"""Token-level diffing between consecutive revisions, anchored on lines.
 
-The differ computes a longest-common-subsequence alignment with Myers'
-O(ND) divide-and-conquer strategy, as the matching blocks ``(old_start,
-new_start, length)`` of the two token sequences. Long inputs go through a
-line-level prepass (lines are atoms, split at newline tokens) and only the
-gaps between matching lines are refined at token level. Output is
-deterministic: equal tokens are matched leftmost-first in the old
-sequence, touching blocks become one EqualOp, and each gap between blocks
-becomes one ChangeOp, which replaces an old token span with a new one
-(either may be empty, never both).
+Lines (split at newline tokens) are matched whole first, and only the gaps
+between matching lines are aligned token by token: a whole-page token
+alignment lets one comment's tokens match another comment's. Both
+alignments are longest common subsequences found with Myers' O(ND)
+divide-and-conquer strategy, as matching blocks ``(old_start, new_start,
+length)``. Output is deterministic: equal tokens are matched leftmost-first
+in the old sequence, touching blocks become one EqualOp, and each gap
+between blocks becomes one ChangeOp, which replaces an old token span with
+a new one (either may be empty, never both).
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from wikitalk.tokenizer import TokenSequence, common_prefix, common_suffix
 # Inputs larger than this are refused outright rather than diffed slowly
 # and nondeterministically under time pressure.
 MAX_DIFF_TOKENS = 2_000_000
-
-# Above this many tokens on either side the line-level prepass kicks in.
-_LINE_PREPASS_MIN_TOKENS = 4_000
 
 # Changed regions bigger than this (old + new tokens) are emitted as a
 # wholesale replace instead of being aligned token by token.
@@ -307,10 +304,6 @@ def lcs_diff(old: TokenSequence, new: TokenSequence) -> DiffScript:
             f"input exceeds {MAX_DIFF_TOKENS} tokens ({len(old)} old, {len(new)} new)"
         )
     a, b = old.tokens, new.tokens
-    if max(len(a), len(b)) > _LINE_PREPASS_MIN_TOKENS:
-        blocks = _diff_with_prepass(a, b)
-    else:
-        blocks = _diff_tokens(a, b)
-    ops = _slide_pure_runs(_normalize(blocks, len(a), len(b)), a, b)
+    ops = _slide_pure_runs(_normalize(_diff_with_prepass(a, b), len(a), len(b)), a, b)
     return DiffScript(ops=tuple(ops), old_len=len(a), new_len=len(b))
 

@@ -91,15 +91,17 @@ def _page_order_key(page_id: str) -> tuple:
 @contextmanager
 def _replacing(path: Path):
     """A text sink on a new file beside ``path``, renamed over ``path`` when
-    the block completes and removed when it fails. The file is created with
-    the mode ``open(path, "w")`` would give (0o666 less the umask)."""
+    the block completes and removed when it fails (an error names ``path``).
+    Its mode is what ``open(path, "w")`` would give (0o666 less the umask)."""
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as sink:
             yield sink
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -92,8 +92,9 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_unwritable_output_fails(tmp_path, monkeypatch):
-    """An unwritable output fails the run before any page is reconstructed."""
+def test_unwritable_output_fails(tmp_path, monkeypatch, capsys):
+    """An unwritable output fails the run before any page is reconstructed,
+    with one error line that names the output, not a temporary file."""
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     calls = []
     original = pipeline._process_page
@@ -103,11 +104,12 @@ def test_unwritable_output_fails(tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(pipeline, "_process_page", counting)
-    rc = cli.main(
-        ["reconstruct", "--input", str(dump), "--output", str(tmp_path / "no-dir" / "o.jsonl")]
-    )
+    out = tmp_path / "no-dir" / "o.jsonl"
+    rc = cli.main(["reconstruct", "--input", str(dump), "--output", str(out)])
     assert rc == 1
     assert calls == []
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and str(out) in err and ".tmp" not in err, err
 
 
 def _page_xml(page_id, rev_id, minute, text):
@@ -432,9 +434,10 @@ def test_corpus_write_failure_exits_with_error(tmp_path, monkeypatch, capsys):
     assert [p.name for p in out_dir.iterdir()] == ["corpus.jsonl"]
 
 
-def test_unwritable_stats_fails_before_any_page(tmp_path, monkeypatch):
+def test_unwritable_stats_fails_before_any_page(tmp_path, monkeypatch, capsys):
     """An unwritable ``--stats`` fails the run before any page is
-    reconstructed and leaves no corpus behind."""
+    reconstructed and leaves no corpus behind. Its one error line names the
+    stats path, not a temporary file."""
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     out = tmp_path / "corpus.jsonl"
     calls = []
@@ -445,15 +448,15 @@ def test_unwritable_stats_fails_before_any_page(tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(pipeline, "_process_page", counting)
+    stats = tmp_path / "missing-dir" / "stats.json"
     rc = cli.main(
-        [
-            "reconstruct", "--input", str(dump), "--output", str(out),
-            "--stats", str(tmp_path / "missing-dir" / "stats.json"),
-        ]
+        ["reconstruct", "--input", str(dump), "--output", str(out), "--stats", str(stats)]
     )
     assert rc == 1
     assert calls == []
     assert [p.name for p in tmp_path.iterdir()] == ["dump.xml"]
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and str(stats) in err and ".tmp" not in err, err
 
 
 def test_output_file_mode_follows_umask(tmp_path):
@@ -647,26 +650,47 @@ def test_bad_flag_value_is_a_usage_error(argv, message, capsys):
     [
         ["eval", "sample", "--corpus", "{}"],
         ["eval", "score", "--corpus", "{}", "--gold", "{}", "--report", "report.json"],
+        ["eval", "score", "--corpus", "empty.jsonl", "--gold", "{}", "--report", "report.json"],
         ["analytics", "score", "--corpus", "{}", "--output", "scored.jsonl"],
         ["analytics", "eer", "--labeled", "{}"],
         ["analytics", "deletion-rate", "--scored", "{}"],
     ],
-    ids=["eval-sample", "eval-score", "analytics-score", "analytics-eer", "deletion-rate"],
+    ids=[
+        "eval-sample", "eval-score", "eval-score-gold", "analytics-score", "analytics-eer",
+        "deletion-rate",
+    ],
 )
 def test_bad_analysis_input_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
-    """A missing input file, a line that is not JSON, or a record that lacks
-    a field the subcommand reads ends an analysis subcommand with one error
-    line, naming the file and line, and exit status 1."""
+    """A missing input file, a line that is not a JSON object, or a record
+    that lacks a field the subcommand reads or holds one of the wrong type
+    ends an analysis subcommand with one error line, naming the file and
+    line, and exit status 1."""
     monkeypatch.chdir(tmp_path)
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(SCHEMA_HEADER + "\nnot json\n")
-    fieldless = tmp_path / "fieldless.jsonl"
-    fieldless.write_text('{"a": 1}\n')
-    for path, message in (
-        (tmp_path / "missing.jsonl", "No such file"),
-        (bad, "line 2: not a JSON"),
-        (fieldless, f"{fieldless}, line 1: missing field '"),
-    ):
+    (tmp_path / "empty.jsonl").write_text(SCHEMA_HEADER + "\n")
+    lines = {
+        "bad": (SCHEMA_HEADER + "\nnot json", "line 2: not a JSON record"),
+        "fieldless": ('{"a": 1}', "line 1: missing field '"),
+        "list": ("[1, 2]", "line 1: not a JSON object"),
+        "string": ('"text"', "line 1: not a JSON object"),
+        # a wrong value in the first field each reader converts: score (eer),
+        # timestamp (corpus actions) and gold_type (gold annotations)
+        "null": (
+            '{"score": null, "label": true, "timestamp": null, "action_id": "1.0.1",'
+            ' "gold_type": null}',
+            "line 1: bad field value (",
+        ),
+        "bad-time": (
+            '{"score": "high", "label": true, "timestamp": "yesterday", "action_id": "1.0.1",'
+            ' "gold_type": "BOGUS"}',
+            "line 1: bad field value (",
+        ),
+    }
+    cases = [(tmp_path / "missing.jsonl", "No such file")]
+    for name, (text, message) in lines.items():
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text + "\n")
+        cases.append((path, f"{path}, {message}"))
+    for path, message in cases:
         assert cli.main([str(path) if arg == "{}" else arg for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1, err

@@ -107,6 +107,28 @@ def test_majority_removal_is_deletion():
     assert ActionType.DELETION in kinds
 
 
+def test_deletion_keeps_a_look_alike_comment_that_stays():
+    # A whole-page token alignment matched the kept comment's tokens to its
+    # neighbours' and deleted all three comments.
+    base = (
+        "== T ==\n:Deeper reply 11 text ~~~~\n"
+        ":Deeper reply 13 text ~~~~\n::Deeper reply 13 text ~~~~\n"
+    )
+    revs = [
+        make_revision(1, base),
+        make_revision(2, "== T ==\n:Deeper reply 13 text ~~~~\n", minutes=5),
+        make_revision(3, "== T ==\n:Deeper reply 13 text, amended ~~~~\n", minutes=10),
+    ]
+    _, actions = fold(revs)
+    kept = next(a for a in actions if a.raw_markup == ":Deeper reply 13 text ~~~~")
+    by_rev = {rev: [a for a in actions if a.revision_id == rev] for rev in ("2", "3")}
+    assert [a.type for a in by_rev["2"]] == [ActionType.DELETION] * 2
+    assert kept.action_id not in {a.parent_id for a in by_rev["2"]}
+    [edit] = by_rev["3"]
+    assert edit.type is ActionType.MODIFICATION
+    assert edit.parent_id == kept.action_id
+
+
 def test_long_deleted_comment_not_stored():
     long_comment = "word " * 320  # ~1600 chars cleaned
     rev1 = make_revision(1, f"== T ==\n{long_comment.strip()} ~~~~\n")
