@@ -62,7 +62,6 @@ def test_lcs_length_matches_dp_oracle(a, b):
 
 @given(doc, doc)
 @settings(max_examples=200)
-@example("alpha beta\ngamma delta\nepsilon\n", "alpha beta\nzeta eta\nepsilon theta\n")
 def test_round_trip(a, b):
     sa, sb = tokenize(a), tokenize(b)
     script = lcs_diff(sa, sb)
@@ -139,6 +138,13 @@ def test_apply_diff_mismatch_names_op_index():
     assert err.value.op_index == 1
 
 
+def test_prepass_path_round_trips():
+    a = tokenize("alpha beta\ngamma delta\nepsilon\n")
+    b = tokenize("alpha beta\nzeta eta\nepsilon theta\n")
+    script = lcs_diff(a, b)
+    assert apply_diff(a, b, script).tokens == b.tokens
+
+
 def test_oversized_region_falls_back_to_replace(monkeypatch):
     monkeypatch.setattr(diff_mod, "_REGION_TOKEN_CAP", 4)
     a = tokenize("p q r s t")
@@ -168,13 +174,25 @@ def _script_fields(script, new):
     return [fields for op in script.ops for fields in _op_fields(op, new)]
 
 
-# sha256 of the edit scripts below as the line-anchored diff produced them
-# when it split every line of both pages, before it learned to split only
-# the changed middle into lines. The trim must not change a single op.
-PINNED_GOLD_SCRIPTS_SHA256 = "3ecd8c70df6400ef8dde3b6cfabd91a9aa8261a44947f9ba80db22c9dd2611d8"
+# sha256 of the edit scripts below, by middle-snake search depth. At the
+# default depth, as the line-anchored diff produced them when it split every
+# line of both pages, before it learned to split only the changed middle
+# into lines: the trim must not change a single op. At depth 0 every search
+# bails out, so each changed middle left after the common prefix and suffix
+# are cut off is one wholesale replace.
+PINNED_GOLD_SCRIPTS_SHA256 = {
+    0: "52076a606972273586c5914c11009973369da4353eabff6362e0c1c7e5592120",
+    diff_mod._MAX_SEARCH_DEPTH: "3ecd8c70df6400ef8dde3b6cfabd91a9aa8261a44947f9ba80db22c9dd2611d8",
+}
+
+# The middle-snake search as it runs by default, and with every search
+# bailing out at once, so each changed window becomes a wholesale replace.
+search_depths = pytest.mark.parametrize("search_depth", [0, diff_mod._MAX_SEARCH_DEPTH])
 
 
-def test_gold_suite_scripts_are_pinned():
+@search_depths
+def test_gold_suite_scripts_are_pinned(monkeypatch, search_depth):
+    monkeypatch.setattr(diff_mod, "_MAX_SEARCH_DEPTH", search_depth)
     digest = hashlib.sha256()
     for script in gold_fixture_suite():
         prev = tokenize("")
@@ -183,7 +201,7 @@ def test_gold_suite_scripts_are_pinned():
             ops = _script_fields(lcs_diff(prev, cur), cur)
             digest.update(json.dumps(ops).encode() + b"\n")
             prev = cur
-    assert digest.hexdigest() == PINNED_GOLD_SCRIPTS_SHA256
+    assert digest.hexdigest() == PINNED_GOLD_SCRIPTS_SHA256[search_depth]
 
 
 # The differ as it was before it kept only matching blocks: _myers emitted
@@ -532,27 +550,32 @@ def reference_fields(old, new):
     return fields
 
 
-def assert_matches_reference(old, new):
-    assert _script_fields(lcs_diff(old, new), new) == reference_fields(old, new)
+def assert_matches_reference(old, new, search_depth):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diff_mod, "_MAX_SEARCH_DEPTH", search_depth)
+        assert _script_fields(lcs_diff(old, new), new) == reference_fields(old, new)
 
 
+@search_depths
 @given(doc, doc)
 @settings(max_examples=150)
-def test_change_ops_match_reference_on_docs(a, b):
-    assert_matches_reference(tokenize(a), tokenize(b))
+def test_change_ops_match_reference_on_docs(search_depth, a, b):
+    assert_matches_reference(tokenize(a), tokenize(b), search_depth)
 
 
+@search_depths
 @given(shared_middle())
 @settings(max_examples=150)
-def test_change_ops_match_reference_on_shared_middle(pair):
+def test_change_ops_match_reference_on_shared_middle(search_depth, pair):
     a, b = ("".join(tok if tok == "\n" else f" {tok}" for tok in side) for side in pair)
-    assert_matches_reference(tokenize(a), tokenize(b))
+    assert_matches_reference(tokenize(a), tokenize(b), search_depth)
 
 
-def test_change_ops_match_reference_on_tree_pages():
+@search_depths
+def test_change_ops_match_reference_on_tree_pages(search_depth):
     for seed in range(10):
         prev = tokenize("")
         for rev in revision_records(random_tree_script(seed)[0]):
             cur = tokenize(rev.wikitext)
-            assert_matches_reference(prev, cur)
+            assert_matches_reference(prev, cur, search_depth)
             prev = cur
