@@ -9,6 +9,11 @@ length)``. Output is deterministic: equal tokens are matched leftmost-first
 in the old sequence, touching blocks become one EqualOp, and each gap
 between blocks becomes one ChangeOp, which replaces an old token span with
 a new one (either may be empty, never both).
+
+The searches for the common prefix and suffix start from the head and
+tail tokens that ``tokenize(text, prev)`` reports it reused, and only the
+lines between them are copied out of the token chunks and aligned, so
+tokenize plus diff cost what the edit costs, not what the page costs.
 """
 
 from __future__ import annotations
@@ -151,11 +156,12 @@ def _diff_tokens(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
     return out
 
 
-def _lines(tokens, lo: int, hi: int, interned: dict[tuple, int]) -> tuple[list[int], list[int]]:
-    """The newline-terminated lines of tokens[lo:hi] (the last may lack a
+def _lines(tokens: list[str], interned: dict[tuple, int]) -> tuple[list[int], list[int]]:
+    """The newline-terminated lines of ``tokens`` (the last may lack a
     newline) as bounds, line k being tokens[bounds[k]:bounds[k + 1]], and
     one id per line from ``interned``, equal for equal lines."""
-    bounds, ids = [lo], []
+    bounds, ids = [0], []
+    lo, hi = 0, len(tokens)
     while lo < hi:
         try:
             end = tokens.index("\n", lo, hi) + 1
@@ -166,11 +172,22 @@ def _lines(tokens, lo: int, hi: int, interned: dict[tuple, int]) -> tuple[list[i
     return bounds, ids
 
 
-def _diff_with_prepass(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
+def _diff_with_prepass(
+    a: TokenSequence | list[str], b: TokenSequence | list[str], head: int, tail: int
+) -> list[tuple[int, int, int]]:
     n, m = len(a), len(b)
-    pre = common_prefix(a, 0, n, b, 0, m)
-    if pre == n == m:
-        return [(0, 0, n)] if n else []
+    # The first head and the last tail tokens of the two sides are equal,
+    # so the searches for the common prefix and suffix start from there.
+    pre = min(head, n, m)
+    if n == m:
+        # The shared tails sit at the same indices, so a common prefix that
+        # reaches them runs to the end.
+        tail = min(tail, n - pre)
+        pre += common_prefix(a, pre, n - tail, b, pre, m - tail)
+        if pre == n - tail:
+            return [(0, 0, n)] if n else []
+    else:
+        pre += common_prefix(a, pre, n, b, pre, m)
     # The line-level diff first strips the whole lines the two sides share
     # at either end. Those are the lines inside the common token prefix
     # and suffix, so they are cut off here and only the middle is split
@@ -178,33 +195,39 @@ def _diff_with_prepass(a: Sequence, b: Sequence) -> list[tuple[int, int, int]]:
     # it holds the first difference (or runs past the end of one side).
     while pre and a[pre - 1] != "\n":
         pre -= 1
-    suf = common_suffix(a, pre, n, b, pre, m)
+    tail = min(tail, n - pre, m - pre)
+    suf = tail + common_suffix(a, pre, n - tail, b, pre, m - tail)
     # The line suffix must start at a line start on both sides. Inside the
     # token suffix the sides agree, so only its first boundary can fail
     # that; then the line suffix starts after the suffix's first newline.
     a_line_start = suf == n - pre or a[n - suf - 1] == "\n"
     b_line_start = suf == m - pre or b[m - suf - 1] == "\n"
     if not (a_line_start and b_line_start):
-        try:
-            suf = n - a.index("\n", n - suf, n) - 1
-        except ValueError:
-            suf = 0
+        i = n - suf
+        while i < n and a[i] != "\n":
+            i += 1
+        suf = n - i - 1 if i < n else 0
     a_end, b_end = n - suf, m - suf
+    # Only the tokens between the line prefix and suffix are aligned, from
+    # flat lists of them, in indices relative to pre.
+    a_mid, b_mid = a[pre:a_end], b[pre:b_end]
     interned: dict[tuple, int] = {}
-    a_lines, a_ids = _lines(a, pre, a_end, interned)
-    b_lines, b_ids = _lines(b, pre, b_end, interned)
-    out = [(0, 0, pre)] if pre else []
-    i = j = pre  # token ends of the last line block
+    a_lines, a_ids = _lines(a_mid, interned)
+    b_lines, b_ids = _lines(b_mid, interned)
+    mid: list[tuple[int, int, int]] = []
+    i = j = 0  # token ends of the last line block
     # an empty block after the last lines closes the final gap
     for la, lb, size in [*_diff_tokens(a_ids, b_ids), (len(a_ids), len(b_ids), 0)]:
         alo, blo = a_lines[la], b_lines[lb]
         # The changed lines since the last block are one token-level
         # subproblem, unless together they exceed the region cap.
         if (alo - i) + (blo - j) <= _REGION_TOKEN_CAP:
-            _myers(a, i, alo, b, j, blo, out)
+            _myers(a_mid, i, alo, b_mid, j, blo, mid)
         i, j = a_lines[la + size], b_lines[lb + size]
         if size:
-            out.append((alo, blo, i - alo))
+            mid.append((alo, blo, i - alo))
+    out = [(0, 0, pre)] if pre else []
+    out += [(x + pre, y + pre, size) for x, y, size in mid]
     if suf:
         out.append((a_end, b_end, suf))
     return out
@@ -230,7 +253,9 @@ def _normalize(blocks: list[tuple[int, int, int]], n: int, m: int) -> list[DiffO
     return ops
 
 
-def _slide_pure_runs(ops: list[DiffOp], a: tuple, b: tuple) -> list[DiffOp]:
+def _slide_pure_runs(
+    ops: list[DiffOp], a: TokenSequence | list[str], b: TokenSequence | list[str]
+) -> list[DiffOp]:
     """Rotate pure insert/delete runs onto line boundaries where possible.
 
     An edit run flanked by equal tokens can sit at several equal-cost
@@ -298,12 +323,19 @@ def _slide_pure_runs(ops: list[DiffOp], a: tuple, b: tuple) -> list[DiffOp]:
     return [op for op in ops if op.old_hi > op.old_lo or op.new_hi > op.new_lo]
 
 
-def lcs_diff(old: TokenSequence, new: TokenSequence) -> DiffScript:
-    if len(old) > MAX_DIFF_TOKENS or len(new) > MAX_DIFF_TOKENS:
-        raise DiffTokenLimitError(
-            f"input exceeds {MAX_DIFF_TOKENS} tokens ({len(old)} old, {len(new)} new)"
-        )
-    a, b = old.tokens, new.tokens
-    ops = _slide_pure_runs(_normalize(_diff_with_prepass(a, b), len(a), len(b)), a, b)
-    return DiffScript(ops=tuple(ops), old_len=len(a), new_len=len(b))
+def lcs_diff(
+    old: TokenSequence, new: TokenSequence, shared: tuple[int, int] = (0, 0)
+) -> DiffScript:
+    """The edit script from ``old`` to ``new``. ``shared`` is ``(head,
+    tail)``: ``new`` is known to begin with ``old``'s first ``head`` tokens
+    and end with its last ``tail``, as ``tokenize(text, old)`` reports them.
+    The two may overlap; the result is the same for any true counts."""
+    n, m = len(old), len(new)
+    if n > MAX_DIFF_TOKENS or m > MAX_DIFF_TOKENS:
+        raise DiffTokenLimitError(f"input exceeds {MAX_DIFF_TOKENS} tokens ({n} old, {m} new)")
+    # A sequence of one chunk is read through that chunk's list, in C.
+    a = old.chunk_tokens[0] if len(old.chunk_tokens) == 1 else old
+    b = new.chunk_tokens[0] if len(new.chunk_tokens) == 1 else new
+    ops = _slide_pure_runs(_normalize(_diff_with_prepass(a, b, *shared), n, m), a, b)
+    return DiffScript(ops=tuple(ops), old_len=n, new_len=m)
 

@@ -25,7 +25,8 @@ _READ_SIZE = 64 << 10
 
 
 class DumpFormatError(ValueError):
-    """Malformed dump XML; message carries the failing byte offset."""
+    """Malformed dump XML, whose message carries the failing byte offset,
+    or a compressed dump cut short."""
 
 
 class RevisionRecord(NamedTuple):
@@ -205,7 +206,10 @@ def parse_dump_stream(
 
     saw_content = False
     while True:
-        chunk = stream.read(read_size)
+        try:
+            chunk = stream.read(read_size)
+        except EOFError as exc:  # a compressed dump cut short
+            raise DumpFormatError(f"truncated dump: {exc}") from exc
         if not chunk:
             break
         if isinstance(chunk, str):

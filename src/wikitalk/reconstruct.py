@@ -160,15 +160,31 @@ class LiveComments:
         op it meets, so only its comments that other equal ops keep are
         rewritten, a run at a time. An edited comment is never inside one
         equal op; its range spans the tokens it kept and the tokens
-        inserted into it."""
-        k = 0
-        for block in self.blocks:
+        inserted into it.
+
+        Only the blocks an edit touches are walked comment by comment. When
+        the script starts with an equal op at token 0 of both sides, the
+        blocks before the one that op ends in lie inside it and keep their
+        place, so the walk starts there; once a block and all after it lie
+        inside one equal op, they all take its shift."""
+        blocks, k, bi = self.blocks, 0, 0
+        if not blocks:
+            return
+        last_end = blocks[-1].comments[-1].tok_range[1] + blocks[-1].delta
+        if equal_ops and equal_ops[0].old_lo == equal_ops[0].new_lo == 0:
+            bi = max(bisect.bisect_right(blocks, equal_ops[0].old_hi, key=_Block.start) - 1, 0)
+        for bi in range(bi, len(blocks)):
+            block = blocks[bi]
             comments, d = block.comments, block.delta
             lo = comments[0].tok_range[0] + d
             while k < len(equal_ops) and equal_ops[k].old_hi <= lo:
                 k += 1
             op = equal_ops[k] if k < len(equal_ops) else None
             ref = op.new_lo - op.old_lo if op is not None else 0
+            if op is not None and op.old_lo <= lo and last_end <= op.old_hi:
+                for later in blocks[bi:]:
+                    later.delta += ref
+                return
             block.delta = d + ref
             if op is not None and op.old_lo <= lo and comments[-1].tok_range[1] + d <= op.old_hi:
                 continue
@@ -275,7 +291,7 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
     not start at a line break inherits the indentation of the line it lands
     on. Blank lines separate segments and belong to none.
     """
-    text, tokens = seq.text, seq.tokens
+    text, tokens = seq.text, seq[tok_lo:tok_hi]
     segments: list[Segment] = []
     open_seg: Optional[list[int]] = None  # [tok_lo, tok_hi, indent] of a comment
     prev_signed = False
@@ -295,7 +311,7 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
     lo = tok_lo
     while lo < tok_hi:
         try:  # the line's content tokens are [lo, hi)
-            hi = tokens.index("\n", lo, tok_hi)
+            hi = tok_lo + tokens.index("\n", lo - tok_lo)
         except ValueError:
             hi = tok_hi
         if lo == hi:
@@ -417,9 +433,9 @@ class Reconstructor:
     def process_revision(self, state: PageState, rev: RevisionRecord) -> tuple[PageState, list[Action]]:
         """Advance the page state by one revision, returning emitted actions."""
         old_seq = state.tokens
-        new_seq = tokenize(rev.wikitext, old_seq)
+        new_seq, head, tail = tokenize(rev.wikitext, old_seq)
         try:
-            script = lcs_diff(old_seq, new_seq)
+            script = lcs_diff(old_seq, new_seq, shared=(head, tail))
         except DiffTokenLimitError:
             self.tally.skipped_revisions += 1
             self._resync(state, rev, new_seq)

@@ -8,8 +8,12 @@ structure; all other whitespace lives in the gaps between tokens.
 
 Given the previous revision's sequence, :func:`tokenize` rescans only the
 window between the common character prefix and suffix of the two texts and
-splices the old tokens back in around it, so a revision costs what its edit
-costs rather than what the page costs.
+splices the old token chunks back in around it. It reports how many tokens
+at either end it reused, and ``diff.lcs_diff`` starts its searches for the
+common prefix and suffix there, so tokenize plus diff cost what the edit
+costs rather than what the page costs. What still grows with the page is
+the character comparison of the two texts, done in C, and one new base per
+chunk after the edit.
 """
 
 from __future__ import annotations
@@ -17,15 +21,26 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import overload
 
 # One alternative per significant punctuation run, newline on its own,
 # then maximal runs of everything else that is not whitespace/punctuation.
 _TOKEN_RE = re.compile(r"\n|=+|:+|\*+|\[+|\]+|\{+|\}+|[^\s=:*\[\]{}]+")
 
 # Windows shorter than this are compared element by element; longer ones
-# by slice equality, which runs at C speed.
+# by slice equality, which runs at C speed, in slices that double in length
+# up to _LONG_WINDOW: a longer slice costs more to copy than the steps it
+# saves.
 _SHORT_WINDOW = 16
+_LONG_WINDOW = 1 << 16
+
+
+def _same(a, i: int, b, j: int, size: int) -> bool:
+    """Whether a[i:i + size] == b[j:j + size]. Strings are compared in
+    place on ``b``'s side, so only ``a``'s slice is copied."""
+    if isinstance(b, str):
+        return b.startswith(a[i : i + size], j)
+    return a[i : i + size] == b[j : j + size]
 
 
 def common_prefix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
@@ -34,7 +49,7 @@ def common_prefix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
     Works on any sliceable sequence (strings, lists of tokens). After a
     short element-wise scan, it gallops forward in doubling slices and
     bisects inside the first slice that differs, so the cost is O(prefix)
-    element comparisons done in C.
+    element comparisons done in C, with O(prefix) elements copied.
     """
     n = min(ahi - alo, bhi - blo)
     k = 0
@@ -46,17 +61,17 @@ def common_prefix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
     step = _SHORT_WINDOW
     while k < n:
         hi = min(n, k + step)
-        if a[alo + k : alo + hi] != b[blo + k : blo + hi]:
+        if not _same(a, alo + k, b, blo + k, hi - k):
             # the first difference lies in [k, hi): bisect for it
             while hi - k > 1:
                 mid = (k + hi) // 2
-                if a[alo + k : alo + mid] == b[blo + k : blo + mid]:
+                if _same(a, alo + k, b, blo + k, mid - k):
                     k = mid
                 else:
                     hi = mid
             return k
         k = hi
-        step *= 2
+        step = min(2 * step, _LONG_WINDOW)
     return k
 
 
@@ -73,22 +88,23 @@ def common_suffix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
     step = _SHORT_WINDOW
     while k < n:
         hi = min(n, k + step)
-        if a[ahi - hi : ahi - k] != b[bhi - hi : bhi - k]:
+        if not _same(a, ahi - hi, b, bhi - hi, hi - k):
             while hi - k > 1:
                 mid = (k + hi) // 2
-                if a[ahi - mid : ahi - k] == b[bhi - mid : bhi - k]:
+                if _same(a, ahi - mid, b, bhi - mid, mid - k):
                     k = mid
                 else:
                     hi = mid
             return k
         k = hi
-        step *= 2
+        step = min(2 * step, _LONG_WINDOW)
     return k
 
 
-# Token offsets are stored in chunks of at least this many tokens (fewer
-# only in a text's last chunk), each with one base offset, so an edit
-# re-bases the chunks after it instead of shifting every later offset.
+# Tokens and their offsets are stored in chunks of at least this many
+# tokens (fewer only in a text's last chunk), each with one base offset, so
+# an edit re-bases the chunks after it instead of shifting every later
+# offset, and the chunks it does not touch are shared with the old text.
 CHUNK_SIZE = 128
 
 
@@ -96,39 +112,62 @@ CHUNK_SIZE = 128
 class TokenSequence:
     """A tokenized text with per-token character offsets.
 
-    :meth:`start` and :meth:`end` delimit token ``i`` in ``text``. Invariant:
-    joining ``tokens`` with the inter-token gaps of ``text`` reproduces
-    ``text`` exactly; offsets are strictly increasing and non-overlapping.
+    ``seq[i]`` is token ``i`` and ``seq[lo:hi]`` a list of tokens;
+    :meth:`start` and :meth:`end` delimit token ``i`` in ``text``.
+    Invariant: joining the tokens with the inter-token gaps of ``text``
+    reproduces ``text`` exactly; offsets are strictly increasing and
+    non-overlapping.
 
     Only start offsets are stored, since a token ends where its text does.
-    They are held in chunks: chunk ``c`` holds tokens from ``firsts[c]``
-    on, and token ``firsts[c] + k`` starts at ``bases[c] +
-    chunk_starts[c][k]``. No chunk is empty. A sequence and its offset
-    lists are shared between revisions and must not be mutated. (The class
-    is not frozen because a frozen dataclass takes four times as long to
-    build, once per revision.)
+    Tokens and offsets are held in chunks: chunk ``c`` holds tokens from
+    ``firsts[c]`` on, token ``firsts[c] + k`` is ``chunk_tokens[c][k]`` and
+    starts at ``bases[c] + chunk_starts[c][k]``. No chunk is empty. A
+    sequence and its lists are shared between revisions and must not be
+    mutated. (The class is not frozen because a frozen dataclass takes four
+    times as long to build, once per revision.)
     """
 
     text: str
-    tokens: tuple[str, ...]
     firsts: list[int]
     bases: list[int]
     chunk_starts: list[list[int]]
+    chunk_tokens: list[list[str]]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return self.firsts[-1] + len(self.chunk_tokens[-1]) if self.firsts else 0
+
+    def __getitem__(self, i):
+        """Token ``i``, or the tokens of a slice as a list, at the cost of
+        the slice's length. Slice bounds lie in [0, len(self)], indices
+        below it, and a slice has no step."""
+        firsts = self.firsts
+        if isinstance(i, slice):
+            lo = i.start or 0
+            hi = len(self) if i.stop is None else i.stop
+            out: list[str] = []
+            c = bisect.bisect_right(firsts, lo) - 1
+            while lo < hi:
+                chunk = self.chunk_tokens[c]
+                out += chunk[lo - firsts[c] : hi - firsts[c]]
+                c += 1
+                lo = firsts[c] if c < len(firsts) else hi
+            return out
+        c = bisect.bisect_right(firsts, i) - 1
+        return self.chunk_tokens[c][i - firsts[c]]
 
     def start(self, i: int) -> int:
         c = bisect.bisect_right(self.firsts, i) - 1
         return self.bases[c] + self.chunk_starts[c][i - self.firsts[c]]
 
     def end(self, i: int) -> int:
-        return self.start(i) + len(self.tokens[i])
+        c = bisect.bisect_right(self.firsts, i) - 1
+        k = i - self.firsts[c]
+        return self.bases[c] + self.chunk_starts[c][k] + len(self.chunk_tokens[c][k])
 
     def char_span(self, lo: int, hi: int) -> tuple[int, int]:
         """Character span covering tokens [lo, hi); zero-width at lo when empty."""
         if lo >= hi:
-            pos = self.start(lo) if lo < len(self.tokens) else len(self.text)
+            pos = self.start(lo) if lo < len(self) else len(self.text)
             return pos, pos
         return self.start(lo), self.end(hi - 1)
 
@@ -146,21 +185,41 @@ class TokenSequence:
         return self.firsts[c] + bisect.bisect_left(chunks[c], char_pos - bases[c])
 
 
-def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
-    """Tokenize ``text``, reusing ``prev`` (the tokens of an earlier text)
-    outside the changed window. The result equals ``tokenize(text)``.
+@overload
+def tokenize(text: str) -> TokenSequence: ...
+
+
+@overload
+def tokenize(text: str, prev: TokenSequence) -> tuple[TokenSequence, int, int]: ...
+
+
+def tokenize(text: str, prev: TokenSequence | None = None):
+    """Tokenize ``text``. Given ``prev`` (the tokens of an earlier text),
+    reuse it outside the changed window and return ``(seq, head, tail)``:
+    ``seq`` equals ``tokenize(text)``, and its first ``head`` and last
+    ``tail`` tokens are ``prev``'s (both are ``len(prev)``, and ``seq`` is
+    ``prev``, when the text is the same).
 
     The chunks before the one the window starts in are reused as they are,
-    and the chunks after the one it ends in get a new base. The offsets in
-    between are chunked anew, relative to the base of the first of them,
-    together with the next chunk when they are too few to fill one.
+    and the chunks after the one it ends in get a new base. The tokens in
+    between are chunked anew, with offsets relative to the base of the
+    first of them, together with the next chunk when they are too few to
+    fill one.
     """
-    if prev is not None and text == prev.text:
-        return prev
-    if prev is None or not prev.firsts:
-        prev = _EMPTY
+    if prev is None:
+        return _splice(text, _EMPTY)[0]
+    if text == prev.text:
+        return prev, len(prev), len(prev)
+    return _splice(text, prev)
+
+
+def _splice(text: str, prev: TokenSequence) -> tuple[TokenSequence, int, int]:
+    """:func:`tokenize`'s ``(seq, head, tail)`` for a text other than
+    ``prev``'s."""
+    if not prev.firsts:
         keep = h = base = 0
         starts: list[int] = []
+        toks: list[str] = []
         pos = 0
         tail_from = len(text) + 1  # no shared suffix: scan to the end
     else:
@@ -177,12 +236,12 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
         h = bisect.bisect_right(prev.firsts, keep) - 1
         base = prev.bases[h]
         starts = prev.chunk_starts[h][: keep - prev.firsts[h]]
+        toks = prev.chunk_tokens[h][: keep - prev.firsts[h]]
         pos = prev.end(keep - 1) if keep else 0
         tail_from = len(text) - s
         delta = len(text) - len(old)
-        n_old = len(prev.tokens)
+        n_old = len(prev)
         j = prev.token_at_or_after(tail_from - delta)
-    mid: list[str] = []
     for m in _TOKEN_RE.finditer(text, pos):
         start = m.start()
         if start >= tail_from:
@@ -193,11 +252,10 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
                 j += 1
             if j < n_old and old_start == target:
                 break
-        mid.append(m.group())
+        toks.append(m.group())
         starts.append(start - base)
     else:  # no shared tail
-        tokens = prev.tokens[:keep] + tuple(mid)
-        return _join(text, tokens, prev, h, base, starts, len(prev.firsts), 0)
+        return _join(text, prev, h, base, starts, toks, len(prev.firsts), 0), keep, 0
     # The old tokens from j on follow, moved by delta characters; the rest
     # of j's chunk, and more chunks up to a full one, join the window's.
     c = bisect.bisect_right(prev.firsts, j) - 1
@@ -205,46 +263,48 @@ def tokenize(text: str, prev: Optional[TokenSequence] = None) -> TokenSequence:
     while True:
         shift = prev.bases[c] + delta - base
         starts += [x + shift for x in prev.chunk_starts[c][lo:]]
+        toks += prev.chunk_tokens[c][lo:]
         c, lo = c + 1, 0
         if len(starts) >= CHUNK_SIZE or c == len(prev.firsts):
             break
-    tokens = prev.tokens[:keep] + (tuple(mid) + prev.tokens[j:])
-    return _join(text, tokens, prev, h, base, starts, c, delta)
+    return _join(text, prev, h, base, starts, toks, c, delta), keep, n_old - j
 
 
 def _join(
     text: str,
-    tokens: tuple[str, ...],
     prev: TokenSequence,
     h: int,
     base: int,
     starts: list[int],
+    toks: list[str],
     c: int,
     delta: int,
 ) -> TokenSequence:
-    """The sequence whose offsets are ``prev``'s chunks before ``h``, then
-    ``starts`` (relative to ``base``) cut into chunks, then
-    ``prev``'s chunks from ``c`` on moved by ``delta`` characters."""
+    """The sequence whose chunks are ``prev``'s before ``h``, then ``toks``
+    with their ``starts`` (relative to ``base``) cut into chunks, then
+    ``prev``'s from ``c`` on moved by ``delta`` characters."""
     n = len(starts)
     if h == 0 and c == len(prev.firsts) and 0 < n < 2 * CHUNK_SIZE:  # one chunk in all
-        return TokenSequence(text, tokens, [0], [base], [starts])
+        return TokenSequence(text, [0], [base], [starts], [toks])
     first = prev.firsts[h] if h < len(prev.firsts) else 0
     firsts, bases = prev.firsts[:h], prev.bases[:h]
-    chunk_starts = prev.chunk_starts[:h]
+    chunk_starts, chunk_tokens = prev.chunk_starts[:h], prev.chunk_tokens[:h]
     # chunks of CHUNK_SIZE, the last one with the remainder; one chunk of
     # fewer when there are fewer in all, and the lists themselves when one
     for a in range(0, n - CHUNK_SIZE + 1, CHUNK_SIZE) or range(min(n, 1)):
         b = a + CHUNK_SIZE if a + 2 * CHUNK_SIZE <= n else n
         firsts.append(first + a)
         bases.append(base)
-        chunk_starts.append(starts[a:b] if a or b < n else starts)
+        whole = not a and b == n
+        chunk_starts.append(starts if whole else starts[a:b])
+        chunk_tokens.append(toks if whole else toks[a:b])
     if c < len(prev.firsts):
         shift = first + n - prev.firsts[c]
         firsts += [f + shift for f in prev.firsts[c:]]
         bases += [b + delta for b in prev.bases[c:]]
         chunk_starts += prev.chunk_starts[c:]
-    return TokenSequence(text, tokens, firsts, bases, chunk_starts)
+        chunk_tokens += prev.chunk_tokens[c:]
+    return TokenSequence(text, firsts, bases, chunk_starts, chunk_tokens)
 
 
-_EMPTY = TokenSequence("", (), [], [], [])
-
+_EMPTY = TokenSequence("", [], [], [], [])

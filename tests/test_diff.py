@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import wikitalk.diff as diff_mod
 from tests.conftest import DiffApplyError, apply_diff, equal_token_count, revision_records
+from wikitalk import tokenizer
 from wikitalk.diff import ChangeOp, DiffScript, DiffTokenLimitError, EqualOp, lcs_diff
 from wikitalk.synth import gold_fixture_suite, random_tree_script
 from wikitalk.tokenizer import common_prefix, common_suffix, tokenize
@@ -45,7 +46,7 @@ def test_empty_old_single_insert():
     assert len(script.ops) == 1
     op = script.ops[0]
     assert isinstance(op, ChangeOp)
-    assert list(new.tokens[op.new_lo : op.new_hi]) == ["a", "b"]
+    assert new[op.new_lo : op.new_hi] == ["a", "b"]
 
 
 def test_empty_new_single_delete():
@@ -57,7 +58,7 @@ def test_empty_new_single_delete():
 def test_lcs_length_matches_dp_oracle(a, b):
     sa, sb = tokenize(a), tokenize(b)
     script = lcs_diff(sa, sb)
-    assert equal_token_count(script) == dp_lcs_len(sa.tokens, sb.tokens)
+    assert equal_token_count(script) == dp_lcs_len(sa[:], sb[:])
 
 
 @given(doc, doc)
@@ -65,7 +66,7 @@ def test_lcs_length_matches_dp_oracle(a, b):
 def test_round_trip(a, b):
     sa, sb = tokenize(a), tokenize(b)
     script = lcs_diff(sa, sb)
-    assert apply_diff(sa, sb, script).tokens == sb.tokens
+    assert apply_diff(sa, sb, script)[:] == sb[:]
 
 
 # On one line the line-anchored diff is one exact token LCS, which inserts
@@ -127,7 +128,7 @@ def test_token_cap_errors_loudly(monkeypatch):
 
 def test_apply_diff_empty_on_empty():
     empty = tokenize("")
-    assert apply_diff(empty, empty, lcs_diff(empty, empty)).tokens == ()
+    assert apply_diff(empty, empty, lcs_diff(empty, empty))[:] == []
 
 
 def test_apply_diff_mismatch_names_op_index():
@@ -142,7 +143,39 @@ def test_prepass_path_round_trips():
     a = tokenize("alpha beta\ngamma delta\nepsilon\n")
     b = tokenize("alpha beta\nzeta eta\nepsilon theta\n")
     script = lcs_diff(a, b)
-    assert apply_diff(a, b, script).tokens == b.tokens
+    assert apply_diff(a, b, script)[:] == b[:]
+
+
+@st.composite
+def edited_doc(draw):
+    """A doc and a copy with one slice (possibly empty, possibly at either
+    end) replaced by another doc (possibly empty)."""
+    a = draw(doc)
+    lo = draw(st.integers(0, len(a)))
+    hi = draw(st.integers(lo, len(a)))
+    return a, a[:lo] + draw(doc) + a[hi:]
+
+
+@pytest.mark.parametrize("chunk_size", [tokenizer.CHUNK_SIZE, 2])
+@given(edited_doc())
+@settings(max_examples=150)
+@example(("aa bb\ncc", "aa bb\ncc"))
+@example(("aa bb\ncc", "== aa bb\ncc"))
+@example(("aa bb\ncc", "aa bb\ncc ::"))
+@example(("aa bb\ncc", "aa bb"))
+@example(("a a", "a a a"))
+@example(("aa\naa\n", "aa\naa\naa\n"))
+@example(("aa\n\naa\n", "aa\n"))
+def test_shared_counts_give_the_fresh_diff(chunk_size, pair):
+    """The diff of an incrementally tokenized pair, given the head and tail
+    tokenize reports, is the diff of two fresh sequences, op for op."""
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokenizer, "CHUNK_SIZE", chunk_size)
+        for x, y in ((a, b), (b, a)):
+            old = tokenize(x)
+            new, head, tail = tokenize(y, old)
+            assert lcs_diff(old, new, shared=(head, tail)) == lcs_diff(old, tokenize(y))
 
 
 def test_oversized_region_falls_back_to_replace(monkeypatch):
@@ -150,7 +183,7 @@ def test_oversized_region_falls_back_to_replace(monkeypatch):
     a = tokenize("p q r s t")
     b = tokenize("v w x y z")
     script = lcs_diff(a, b)
-    assert apply_diff(a, b, script).tokens == b.tokens
+    assert apply_diff(a, b, script)[:] == b[:]
     assert equal_token_count(script) == 0
 
 
@@ -399,7 +432,13 @@ def shared_middle(draw):
 @example(([], ["a", "\n"]))
 def test_prepass_trim_matches_full_line_prepass(pair):
     a, b = pair
-    assert diff_mod._diff_with_prepass(a, b) == reference_diff_with_prepass(a, b)
+    want = reference_diff_with_prepass(a, b)
+    # any true counts of shared head and tail tokens, even overlapping ones
+    prefix = common_prefix(a, 0, len(a), b, 0, len(b))
+    suffix = common_suffix(a, 0, len(a), b, 0, len(b))
+    for head in {0, prefix // 2, prefix}:
+        for tail in {0, suffix // 2, suffix}:
+            assert diff_mod._diff_with_prepass(a, b, head, tail) == want
 
 
 # The normal form as it was before each changed region became one ChangeOp:
@@ -454,7 +493,7 @@ def reference_normalize(raw_ops, new):
             if ins_hi > ins_lo:
                 start, end = new.char_span(ins_lo, ins_hi)
                 ops.append(
-                    RefInsertOp(del_hi, ins_lo, ins_hi, new.tokens[ins_lo:ins_hi], new.text[start:end])
+                    RefInsertOp(del_hi, ins_lo, ins_hi, tuple(new[ins_lo:ins_hi]), new.text[start:end])
                 )
             old_cursor, new_cursor = del_hi, ins_hi
             i = j
@@ -516,7 +555,7 @@ def reference_slide_pure_runs(ops, a, b, new):
             n_lo, n_hi = op.new_lo + shift, op.new_hi + shift
             start, end = new.char_span(n_lo, n_hi)
             ops[i] = RefInsertOp(
-                op.old_pos + shift, n_lo, n_hi, new.tokens[n_lo:n_hi], new.text[start:end]
+                op.old_pos + shift, n_lo, n_hi, tuple(new[n_lo:n_hi]), new.text[start:end]
             )
         else:
             ops[i] = RefDeleteOp(op.old_lo + shift, op.old_hi + shift, op.new_pos + shift)
@@ -536,9 +575,9 @@ def reference_slide_pure_runs(ops, a, b, new):
 
 
 def reference_fields(old, new):
-    a, b = list(old.tokens), list(new.tokens)
-    raw = tagged_ops(diff_mod._diff_with_prepass(a, b), len(a), len(b))
-    ops = reference_slide_pure_runs(reference_normalize(raw, new), old.tokens, new.tokens, new)
+    a, b = old[:], new[:]
+    raw = tagged_ops(diff_mod._diff_with_prepass(a, b, 0, 0), len(a), len(b))
+    ops = reference_slide_pure_runs(reference_normalize(raw, new), a, b, new)
     fields = []
     for op in ops:
         if isinstance(op, EqualOp):

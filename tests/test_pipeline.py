@@ -1,4 +1,6 @@
+import bz2
 import gc
+import gzip
 import hashlib
 import json
 import os
@@ -484,6 +486,51 @@ def test_stats_output(tmp_path):
     assert stats["pages"] == 1
     assert stats["conversations"] == 1
     assert abs(sum(stats["type_breakdown"].values()) - 1.0) < 1e-9
+
+
+def test_compressed_dumps_give_the_plain_dumps_output(tmp_path):
+    """A bz2 copy of a shuffled dump, in two streams as Wikimedia's
+    multistream files are, and a gzip copy give the plain dump's corpus and
+    ``--stats`` bytes."""
+    scripts = [random_tree_script(seed, n_comments=12)[0] for seed in range(4)]
+    dump = write_dump(scripts, tmp_path / "dump.xml", shuffle_seed=6)
+    data = dump.read_bytes()
+    half = len(data) // 2
+    copies = {
+        "plain": dump,
+        "bz2": tmp_path / "dump.xml.bz2",
+        "gzip": tmp_path / "dump.xml.gz",
+    }
+    copies["bz2"].write_bytes(bz2.compress(data[:half]) + bz2.compress(data[half:]))
+    copies["gzip"].write_bytes(gzip.compress(data))
+    outputs = {}
+    for name, path in copies.items():
+        out, stats = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+        argv = ["reconstruct", "--input", str(path), "--output", str(out), "--stats", str(stats)]
+        assert cli.main(argv) == 0, name
+        outputs[name] = (out.read_bytes(), stats.read_bytes())
+    assert outputs["plain"][0].count(b"\n") > 50
+    assert outputs["bz2"] == outputs["plain"]
+    assert outputs["gzip"] == outputs["plain"]
+
+
+def test_7z_and_truncated_dumps_are_one_error_line(tmp_path, capsys):
+    """A 7z file is refused with a request to decompress it, and a
+    compressed dump cut short is a malformed dump: one error line, exit 1,
+    no output."""
+    data = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml").read_bytes()
+    cases = {
+        "dump.7z": (b"7z\xbc\xaf\x27\x1c\x00\x04" + bytes(64), "is a 7z archive: decompress it first"),
+        "cut.xml.bz2": (bz2.compress(data)[:-40], "truncated dump"),
+        "cut.xml.gz": (gzip.compress(data)[:-40], "truncated dump"),
+    }
+    for name, (content, message) in cases.items():
+        path, out = tmp_path / name, tmp_path / f"{name}.jsonl"
+        path.write_bytes(content)
+        assert cli.main(["reconstruct", "--input", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1, err
+        assert not out.exists()
 
 
 def test_env_var_overrides_flag_default(tmp_path, monkeypatch, capsys):

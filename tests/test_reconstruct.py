@@ -306,12 +306,12 @@ def test_insert_partition_covered_by_action_spans():
                 if not isinstance(op, ChangeOp):
                     continue
                 for tok_idx in range(op.new_lo, op.new_hi):
-                    if new_seq.tokens[tok_idx] == "\n":
+                    if new_seq[tok_idx] == "\n":
                         continue
                     lo, hi = new_offsets[tok_idx]
                     assert any(s <= lo and hi <= e for s, e in spans), (
                         rev.revision_id,
-                        new_seq.tokens[tok_idx],
+                        new_seq[tok_idx],
                     )
             prev = new_seq
 
@@ -502,3 +502,58 @@ def test_segment_text_unsigned_same_indent_merges():
     seq = tokenize(":first words\n:more of the same comment\n")
     segments = segment_text(seq, 0, len(seq))
     assert len(segments) == 1
+
+
+def talk_page_lines(threads):
+    """Threads of a heading and ten signed comments at indents 0-3, each
+    line about 80 characters: 11 live comments a thread."""
+    lines = []
+    for t in range(threads):
+        lines.append(f"== Thread {t} about the article's sourcing and neutrality ==\n")
+        lines += [
+            f"{':' * (c % 4)}Comment {c} in thread {t} on the lead section "
+            f"[[User:U{c}|U{c}]] 12:0{c}, 3 May 2017 (UTC)\n"
+            for c in range(10)
+        ]
+    return lines
+
+
+# The tokens a reply's diff may search past the shared head and tail that
+# tokenize hands over: about a line's worth, whatever the page's size.
+REPLY_SEARCH_BOUND = 16
+
+
+def test_appending_replies_costs_the_reply_not_the_page(monkeypatch):
+    """Replies appended to a thread in the middle of a 220-comment and of a
+    14,080-comment (1 MB) page: each is one ADDITION, the diff's prefix
+    and suffix searches cover the same few tokens on both pages, and the
+    new sequence keeps all but a few of the old token chunks."""
+    searched = [0]
+
+    def counting(search):
+        def wrapper(*args):
+            k = search(*args)
+            searched[0] += k
+            return k
+
+        return wrapper
+
+    monkeypatch.setattr(diff_mod, "common_prefix", counting(diff_mod.common_prefix))
+    monkeypatch.setattr(diff_mod, "common_suffix", counting(diff_mod.common_suffix))
+    for threads in (20, 1280):
+        lines = talk_page_lines(threads)
+        recon, state = Reconstructor(), PageState(page_id="1", page_title="Talk:Big")
+        recon.process_revision(state, make_revision(0, "".join(lines)))
+        assert len(list(with_ranges(state.live))) == threads * 11
+        at = 11 * (threads // 2)  # after the last comment of a middle thread
+        for k in range(1, 21):
+            lines.insert(at + k - 1, f"::Reply {k} to the thread above, agreeing with the previous point ~~~~\n")
+            old = state.tokens
+            searched[0] = 0
+            _, actions = recon.process_revision(state, make_revision(k, "".join(lines), minutes=k))
+            assert [a.type for a in actions] == [ActionType.ADDITION]
+            assert searched[0] <= REPLY_SEARCH_BOUND, (threads, k)
+            # re-chunked: the one the reply lands in, and one or two after it
+            old_chunks = {id(chunk) for chunk in old.chunk_tokens}
+            kept = sum(id(chunk) in old_chunks for chunk in state.tokens.chunk_tokens)
+            assert kept >= len(old.chunk_tokens) - 3, (threads, k)

@@ -13,35 +13,35 @@ wiki_text = st.text(alphabet=st.sampled_from(ALPHABET), max_size=1000)
 
 def test_empty():
     seq = tokenize("")
-    assert seq.tokens == ()
+    assert seq[:] == []
     assert offsets(seq) == ()
 
 
 def test_heading_example():
     seq = tokenize("== Heading ==")
-    assert list(seq.tokens) == ["==", "Heading", "=="]
+    assert seq[:] == ["==", "Heading", "=="]
     assert list(offsets(seq)) == [(0, 2), (3, 10), (11, 13)]
 
 
 def test_newline_is_own_token():
     seq = tokenize("a\n\nb")
-    assert list(seq.tokens) == ["a", "\n", "\n", "b"]
+    assert seq[:] == ["a", "\n", "\n", "b"]
 
 
 def test_punctuation_runs_group_same_char():
     seq = tokenize("[[Foo]]{{x}}::*")
-    assert list(seq.tokens) == ["[[", "Foo", "]]", "{{", "x", "}}", "::", "*"]
+    assert seq[:] == ["[[", "Foo", "]]", "{{", "x", "}}", "::", "*"]
 
 
 def test_mixed_run_splits_between_different_chars():
-    assert list(tokenize(":*:").tokens) == [":", "*", ":"]
+    assert tokenize(":*:")[:] == [":", "*", ":"]
 
 
 def detokenize(seq):
     """Rebuild the source text from tokens plus the gaps recorded in offsets."""
     parts = []
     pos = 0
-    for tok, (start, end) in zip(seq.tokens, offsets(seq)):
+    for tok, (start, end) in zip(seq[:], offsets(seq)):
         parts.append(seq.text[pos:start])
         parts.append(tok)
         pos = end
@@ -58,7 +58,7 @@ def test_round_trip(text):
 def test_offsets_strictly_increasing_and_match_tokens(text):
     seq = tokenize(text)
     prev_end = -1
-    for tok, (start, end) in zip(seq.tokens, offsets(seq)):
+    for tok, (start, end) in zip(seq[:], offsets(seq)):
         assert start >= prev_end + (0 if prev_end < 0 else 0)
         assert start >= prev_end
         assert end > start
@@ -69,8 +69,8 @@ def test_offsets_strictly_increasing_and_match_tokens(text):
 @given(st.lists(wiki_text, max_size=6))
 def test_join_fragments_preserves_token_streams(fragments):
     joined = tokenize(join_fragments(fragments))
-    expected = [t for frag in fragments for t in tokenize(frag).tokens]
-    assert list(joined.tokens) == expected
+    expected = [t for frag in fragments for t in tokenize(frag)[:]]
+    assert joined[:] == expected
 
 
 def token_range_for_span(seq, start, end):
@@ -78,7 +78,7 @@ def token_range_for_span(seq, start, end):
     lo = seq.token_at_or_after(start)
     hi = lo
     seq_offsets = offsets(seq)
-    while hi < len(seq.tokens) and seq_offsets[hi][1] <= end:
+    while hi < len(seq) and seq_offsets[hi][1] <= end:
         hi += 1
     return lo, hi
 
@@ -86,7 +86,7 @@ def token_range_for_span(seq, start, end):
 def test_char_span_and_token_range():
     seq = tokenize(":see here\nmore")
     lo, hi = token_range_for_span(seq, 0, 9)
-    assert list(seq.tokens[lo:hi]) == [":", "see", "here"]
+    assert seq[lo:hi] == [":", "see", "here"]
     assert seq.char_span(lo, hi) == (0, 9)
     assert seq.char_span(2, 2) == (5, 5)
 
@@ -106,7 +106,8 @@ def edited(draw):
 
 def assert_same_tokens(got, want):
     assert got.text == want.text
-    assert got.tokens == want.tokens
+    assert [t for chunk in got.chunk_tokens for t in chunk] == want[:]
+    assert got[:] == want[:]
     assert offsets(got) == offsets(want)
     assert [got.start(i) for i in range(len(got))] == [want.start(i) for i in range(len(want))]
     assert [got.end(i) for i in range(len(got))] == [want.end(i) for i in range(len(want))]
@@ -117,6 +118,7 @@ def assert_chunked(seq):
     """The chunks tile the tokens in order, and only the last one holds
     fewer than CHUNK_SIZE offsets."""
     sizes = [len(c) for c in seq.chunk_starts]
+    assert [len(c) for c in seq.chunk_tokens] == sizes
     assert seq.firsts == [sum(sizes[:k]) for k in range(len(sizes))]
     assert sum(sizes) == len(seq) and all(sizes)
     assert all(n >= tokenizer.CHUNK_SIZE for n in sizes[:-1]), sizes
@@ -140,14 +142,20 @@ def test_incremental_tokenize_equals_full(pair):
     a, b = pair
     for chunk_size in (tokenizer.CHUNK_SIZE, 2):
         with mock.patch.object(tokenizer, "CHUNK_SIZE", chunk_size):
-            prev = tokenize(a)
-            assert_same_tokens(tokenize(b, prev), tokenize(b))
-            assert_same_tokens(tokenize(a, tokenize(b)), prev)
+            for old, text in ((tokenize(a), b), (tokenize(b), a)):
+                seq, head, tail = tokenize(text, old)
+                assert_same_tokens(seq, tokenize(text))
+                # the reported head and tail are old's tokens, and overlap
+                # only when the text is the same
+                assert head + tail <= min(len(old), len(seq)) or text == old.text
+                assert seq[:head] == old[:head]
+                assert seq[len(seq) - tail :] == old[len(old) - tail :]
 
 
 def test_incremental_tokenize_reuses_identical_text():
     prev = tokenize("== h ==\nbody")
-    assert tokenize("== h ==\nbody", prev) is prev
+    seq, head, tail = tokenize("== h ==\nbody", prev)
+    assert seq is prev and head == tail == len(prev) == 5
 
 
 def naive_prefix(a, alo, ahi, b, blo, bhi):
