@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from datetime import timedelta
 from pathlib import Path
 
@@ -168,17 +169,9 @@ def _cmd_eval_sample(args) -> int:
                 file=sys.stderr,
             )
     sampled = evalharness.sample_for_review(actions, args.per_type, args.seed)
-    out = sys.stdout
-    close = False
-    if args.output:
-        out = open(args.output, "w", encoding="utf-8")
-        close = True
-    try:
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as out:
         for action in sampled:
             out.write(corpus.serialize_action(action) + "\n")
-    finally:
-        if close:
-            out.close()
     print(f"sampled {len(sampled)} actions", file=sys.stderr)
     return 0
 

@@ -115,7 +115,7 @@ def read_records(source: IO[str], convert: Callable[[dict], Any]) -> Iterator:
             item = convert(record)
         except KeyError as exc:
             raise ValueError(f"{name}, line {number}: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:  # a field of the wrong type
             raise ValueError(f"{name}, line {number}: bad field value ({exc})") from None
         yield item
 

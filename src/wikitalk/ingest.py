@@ -1,27 +1,46 @@
-"""Streaming parser for MediaWiki page-revision history dumps.
+"""Streaming reader for MediaWiki page-revision history dumps.
 
-Consumes decompressed export XML (the pages-meta-history shape) and yields
-one record per ``<revision>`` element in document order. The dump is fed to
-expat ``_READ_SIZE`` (64 KiB) at a time, and the records a chunk completes
-are yielded before the next chunk is read, so the records in flight are
-those of one chunk of dump text plus the revision it ends inside. Records
-missing a page id, a revision id or a parseable timestamp are skipped and
-counted (pages without ids could not be told apart), and so are revisions
-whose text an administrator hid (``<text deleted="deleted">``): their text
-is unknown, not empty. Suppressed contributors are kept with a sentinel
-name so their deletions stay attributable.
+``open_dump`` opens a dump file as plain XML or compressed as Wikimedia
+publishes it: a bz2 file (multistream too) or a gzip file, told apart by
+their first bytes and decompressed as they are read. A 7z file is refused.
+
+``parse_dump_stream`` consumes the export XML (the pages-meta-history
+shape) and yields one record per ``<revision>`` element in document order.
+It reads eight elements, one row each of ``_FIELDS``: the page's ``<id>``
+and ``<title>``, the revision's ``<id>``, ``<timestamp>`` and ``<text>``,
+and the contributor's ``<username>``, ``<id>`` and ``<ip>``, plus the
+``deleted`` attribute of ``<contributor>`` and ``<text>``. Expat's
+character data handler is set only while one of those elements is open,
+so the text of every other element (``<siteinfo>``, ``<comment>``,
+``<sha1>``, ...) and the whitespace between elements never reach Python.
+
+The dump is fed to expat ``_READ_SIZE`` (64 KiB) at a time, and the
+records a chunk completes are yielded before the next chunk is read, so
+the records in flight are those of one chunk of dump text plus the
+revision it ends inside. Records missing a page id, a revision id or a
+parseable timestamp are skipped and counted (pages without ids could not
+be told apart), and so are revisions whose text an administrator hid
+(``<text deleted="deleted">``): their text is unknown, not empty.
+Suppressed contributors are kept with a sentinel name so their deletions
+stay attributable.
 """
 
 from __future__ import annotations
 
+import bz2
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple, Optional
 
 DELETED_USER_SENTINEL = "[deleted]"
 
 _READ_SIZE = 64 << 10
+
+_BZIP2_MAGIC = b"BZh"
+_GZIP_MAGIC = b"\x1f\x8b"
+_7Z_MAGIC = b"7z\xbc\xaf\x27\x1c"
 
 
 class DumpFormatError(ValueError):
@@ -65,6 +84,22 @@ class RunReport:
         self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
 
 
+def open_dump(path: Path) -> BinaryIO:
+    """The dump's XML bytes, decompressed as they are read when the file
+    starts with the bz2 or gzip magic bytes."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_7Z_MAGIC))
+    if magic.startswith(_BZIP2_MAGIC):
+        return bz2.open(path, "rb")  # reads every stream of a multistream file
+    if magic.startswith(_GZIP_MAGIC):
+        import gzip  # imported here, so a run on plain XML does not pay for it
+
+        return gzip.open(path, "rb")
+    if magic == _7Z_MAGIC:
+        raise ValueError(f"{path} is a 7z archive: decompress it first and pass the XML file")
+    return open(path, "rb")
+
+
 def parse_timestamp(value: str) -> datetime:
     ts = datetime.fromisoformat(value.strip().replace("Z", "+00:00"))
     if ts.tzinfo is None:
@@ -72,78 +107,70 @@ def parse_timestamp(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-class _RevisionAccumulator:
-    """Collects character data for one revision while expat walks it."""
+_FIELDS = {
+    ("page", "id"): "page_id",
+    ("page", "title"): "page_title",
+    ("revision", "id"): "revision_id",
+    ("revision", "timestamp"): "timestamp",
+    ("revision", "text"): "wikitext",
+    ("contributor", "username"): "username",
+    ("contributor", "id"): "user_id",
+    ("contributor", "ip"): "ip",
+}
 
-    def __init__(self):
-        self.rev_id: list[str] = []
-        self.timestamp: list[str] = []
-        self.username: list[str] = []
-        self.ip: list[str] = []
-        self.user_id: list[str] = []
-        self.text: list[str] = []
-        self.contributor_deleted = False
-        self.text_deleted = False
+
+def _joined(fields: dict, field: str) -> str:
+    return "".join(fields.get(field, ())).strip()
 
 
 class _DumpHandler:
+    """Reads the elements in ``_FIELDS`` into a page's and a revision's
+    dicts of text parts, and completes a record at each ``</revision>``.
+
+    The character data handler is the current field's ``list.append``,
+    set in ``start`` and cleared in ``end``. That is safe because, with
+    ``buffer_text``, expat flushes its buffered text before it calls any
+    start or end handler: each field gets exactly its own text, however
+    many buffers it spans, and the whitespace between elements never
+    reaches Python.
+    """
+
     def __init__(self, report: RunReport):
         self.report = report
         self.stack: list[str] = []
-        self.page_id: list[str] = []
-        self.page_title: list[str] = []
-        self.rev: Optional[_RevisionAccumulator] = None
-        self.capture: Optional[list[str]] = None
+        self.page: dict[str, list[str]] = {}
+        self.rev: dict[str, object] = {}  # text parts, and "<name> deleted" marks
         self.completed: list[RevisionRecord] = []
+        self.parser = xml.parsers.expat.ParserCreate()
+        self.parser.buffer_text = True
+        self.parser.StartElementHandler = self.start
+        self.parser.EndElementHandler = self.end
 
     def start(self, name: str, attrs: dict) -> None:
+        parent = self.stack[-1] if self.stack else ""
         self.stack.append(name)
-        parent = self.stack[-2] if len(self.stack) >= 2 else ""
         if name == "page":
-            self.page_id = []
-            self.page_title = []
-        elif name == "revision" and parent == "page":
-            self.rev = _RevisionAccumulator()
-        elif name == "contributor" and self.rev is not None:
-            if attrs.get("deleted") == "deleted":
-                self.rev.contributor_deleted = True
-        elif self.rev is not None and parent == "revision":
-            if name == "id":
-                self.capture = self.rev.rev_id
-            elif name == "timestamp":
-                self.capture = self.rev.timestamp
-            elif name == "text":
-                self.capture = self.rev.text
-                self.rev.text_deleted = attrs.get("deleted") == "deleted"
-        elif self.rev is not None and parent == "contributor":
-            if name == "username":
-                self.capture = self.rev.username
-            elif name == "id":
-                self.capture = self.rev.user_id
-            elif name == "ip":
-                self.capture = self.rev.ip
-        elif parent == "page":
-            if name == "id":
-                self.capture = self.page_id
-            elif name == "title":
-                self.capture = self.page_title
+            self.page = {}
+        elif name == "revision":
+            self.rev = {}
+        elif attrs.get("deleted") == "deleted":  # <contributor> or <text>
+            self.rev[f"{name} deleted"] = True
+        field = _FIELDS.get((parent, name))
+        if field is not None:
+            fields = self.page if parent == "page" else self.rev
+            self.parser.CharacterDataHandler = fields.setdefault(field, []).append
 
     def end(self, name: str) -> None:
         self.stack.pop()
-        self.capture = None
-        if name == "revision" and self.rev is not None:
+        self.parser.CharacterDataHandler = None
+        if name == "revision":
             self._finish_revision()
-            self.rev = None
-
-    def chars(self, data: str) -> None:
-        if self.capture is not None:
-            self.capture.append(data)
 
     def _finish_revision(self) -> None:
         rev = self.rev
-        page_id = "".join(self.page_id).strip()
-        rev_id = "".join(rev.rev_id).strip()
-        ts_raw = "".join(rev.timestamp).strip()
+        page_id = _joined(self.page, "page_id")
+        rev_id = _joined(rev, "revision_id")
+        ts_raw = _joined(rev, "timestamp")
         if not page_id:
             self.report.record_skip("missing_page_id")
             return
@@ -158,18 +185,19 @@ class _DumpHandler:
         except ValueError:
             self.report.record_skip("bad_timestamp")
             return
-        if rev.text_deleted:
+        if "text deleted" in rev:
             self.report.record_skip("text_deleted")
             return
-        username = "".join(rev.username).strip()
-        ip = "".join(rev.ip).strip()
-        if rev.contributor_deleted or (not username and not ip):
+        username = _joined(rev, "username")
+        ip = _joined(rev, "ip")
+        if "contributor deleted" in rev or (not username and not ip):
             user_text = DELETED_USER_SENTINEL
             user_id = None
         elif username:
             user_text = username
-            raw_uid = "".join(rev.user_id).strip()
-            user_id = int(raw_uid) if raw_uid.isdigit() else None
+            raw_uid = _joined(rev, "user_id")
+            # isdecimal, not isdigit: "²" is a digit that int() refuses
+            user_id = int(raw_uid) if raw_uid.isdecimal() else None
         else:
             user_text = ip
             user_id = None
@@ -177,60 +205,45 @@ class _DumpHandler:
         self.completed.append(
             RevisionRecord(
                 page_id=page_id,
-                page_title="".join(self.page_title).strip(),
+                page_title=_joined(self.page, "page_title"),
                 revision_id=rev_id,
                 timestamp=timestamp,
                 user_text=user_text,
                 user_id=user_id,
-                wikitext="".join(rev.text),
+                wikitext="".join(rev.get("wikitext", ())),
             )
         )
 
 
-def parse_dump_stream(
-    stream: BinaryIO,
-    report: Optional[RunReport] = None,
-    read_size: int = _READ_SIZE,
-) -> Iterator[RevisionRecord]:
+def parse_dump_stream(stream: BinaryIO, report: Optional[RunReport] = None) -> Iterator[RevisionRecord]:
     """Yield revision records from a decompressed dump, in document order.
 
     ``report`` (when provided) counts the revisions read and the records
     skipped as the stream is consumed.
     """
     handler = _DumpHandler(report if report is not None else RunReport())
-    parser = xml.parsers.expat.ParserCreate()
-    parser.buffer_text = True
-    parser.StartElementHandler = handler.start
-    parser.EndElementHandler = handler.end
-    parser.CharacterDataHandler = handler.chars
+    parser = handler.parser
 
-    saw_content = False
-    while True:
+    def parse(chunk: bytes, final: bool) -> None:
         try:
-            chunk = stream.read(read_size)
-        except EOFError as exc:  # a compressed dump cut short
-            raise DumpFormatError(f"truncated dump: {exc}") from exc
-        if not chunk:
-            break
-        if isinstance(chunk, str):
-            chunk = chunk.encode("utf-8")
-        if chunk.strip():
-            saw_content = True
-        try:
-            parser.Parse(chunk, False)
+            parser.Parse(chunk, final)
         except xml.parsers.expat.ExpatError as exc:
             raise DumpFormatError(
                 f"malformed dump XML at byte offset {parser.ErrorByteIndex}: {exc}"
             ) from exc
-        if handler.completed:
-            yield from handler.completed
-            handler.completed = []
-    if not saw_content:
-        return
-    try:
-        parser.Parse(b"", True)
-    except xml.parsers.expat.ExpatError as exc:
-        raise DumpFormatError(
-            f"malformed dump XML at byte offset {parser.ErrorByteIndex}: {exc}"
-        ) from exc
-    yield from handler.completed
+
+    saw_content = False
+    while True:
+        try:
+            chunk = stream.read(_READ_SIZE)
+        except EOFError as exc:  # a compressed dump cut short
+            raise DumpFormatError(f"truncated dump: {exc}") from exc
+        if not chunk:
+            break
+        saw_content = saw_content or not chunk.isspace()
+        parse(chunk, False)
+        yield from handler.completed
+        handler.completed.clear()
+    if saw_content:  # expat refuses a document without an element
+        parse(b"", True)
+        yield from handler.completed

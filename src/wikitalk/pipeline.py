@@ -18,9 +18,8 @@ order to a second temporary file. (The ranges are found by counting lines
 in that pass: asking the sink for its position after every page would
 flush it every page.)
 
-The dump may be plain XML, or compressed as Wikimedia publishes it: a bz2
-file (multistream too) or a gzip file, told apart by their first bytes and
-decompressed as they are read. A 7z file is refused.
+The dump is read through ``ingest.open_dump``, so it may be plain XML or
+a bz2 or gzip file.
 
 A run that cannot complete raises: an ``OSError`` for a missing input, an
 unwritable output, stats file or spill directory, or a failed write, and a
@@ -30,7 +29,6 @@ reconstruct`` prints it as one ``error:`` line and exits 1.
 
 from __future__ import annotations
 
-import bz2
 import itertools
 import json
 import os
@@ -38,11 +36,11 @@ import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from wikitalk import corpus
 from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY, SortBudget, sort_revisions
-from wikitalk.ingest import DumpFormatError, RevisionRecord, RunReport, parse_dump_stream
+from wikitalk.ingest import DumpFormatError, RevisionRecord, RunReport, open_dump, parse_dump_stream
 from wikitalk.reconstruct import Reconstructor, reconstruct_page
 
 
@@ -131,27 +129,6 @@ def _reorder(sink: TextIO, pages: dict[str, int]) -> None:
             ordered.buffer.write(unordered.read(end - start))
 
 
-_BZIP2_MAGIC = b"BZh"
-_GZIP_MAGIC = b"\x1f\x8b"
-_7Z_MAGIC = b"7z\xbc\xaf\x27\x1c"
-
-
-def _open_dump(path: Path) -> BinaryIO:
-    """The dump's XML bytes, decompressed as they are read when the file
-    starts with the bz2 or gzip magic bytes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_7Z_MAGIC))
-    if magic.startswith(_BZIP2_MAGIC):
-        return bz2.open(path, "rb")  # reads every stream of a multistream file
-    if magic.startswith(_GZIP_MAGIC):
-        import gzip  # imported here, so a run on plain XML does not pay for it
-
-        return gzip.open(path, "rb")
-    if magic == _7Z_MAGIC:
-        raise ValueError(f"{path} is a 7z archive: decompress it first and pass the XML file")
-    return open(path, "rb")
-
-
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run the full reconstruction; raises on fatal input/output problems."""
     report = RunReport()
@@ -170,7 +147,7 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         sink.write(corpus.SCHEMA_HEADER + "\n")
         pages: dict[str, int] = {}  # page id to actions written, in dump order
         in_order, last_key = True, ()
-        with _open_dump(config.input_path) as stream:
+        with open_dump(config.input_path) as stream:
             records = parse_dump_stream(stream, report)
             for page_id, revs in itertools.groupby(records, key=lambda r: r.page_id):
                 if page_id in pages:

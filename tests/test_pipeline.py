@@ -743,6 +743,32 @@ def test_bad_analysis_input_is_one_error_line(tmp_path, monkeypatch, capsys, arg
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "sample", "--corpus", "{}"],
+        ["eval", "score", "--corpus", "{}", "--gold", "{}", "--report", "report.json"],
+        ["analytics", "score", "--corpus", "{}", "--output", "scored.jsonl"],
+        ["analytics", "deletion-rate", "--scored", "{}"],
+    ],
+    ids=["eval-sample", "eval-score", "analytics-score", "deletion-rate"],
+)
+def test_corpus_record_with_non_string_id_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    """Every subcommand that reads corpus actions ends with one error line,
+    naming the file and line, on a full record whose ``id`` is a number."""
+    monkeypatch.chdir(tmp_path)
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
+    header, first, *_ = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(first)
+    record["id"] = 5
+    path = tmp_path / "int-id.jsonl"
+    path.write_text(f"{header}\n{json.dumps(record)}\n", encoding="utf-8")
+    assert cli.main([str(path) if arg == "{}" else arg for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 2: bad field value (") and len(err.splitlines()) == 1, err
+
+
 def test_spill_budget_flags(tmp_path):
     script = PageScript("55", "Talk:Spill")
     t = script.new_thread("Spill test thread")
