@@ -1,6 +1,7 @@
 """A gold-free replay oracle: random talk-page edit histories, checked
 against what the emitted actions say about each revision."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import make_revision
 from wikitalk.actions import ActionType
+from wikitalk.corpus import serialize_action
 from wikitalk.reconstruct import PageState, Reconstructor
 
 
@@ -52,14 +54,45 @@ def random_history(rng, moves):
     return ["\n".join(lines) + "\n" for lines in states]
 
 
+def char_edit_history(rng):
+    """The texts of 5-40 revisions of one page, edited by characters rather
+    than by whole lines. Each edit changes only whitespace (a space or a
+    newline inserted, dropped or doubled), inserts a word in the middle of
+    a line, or appends text to a line; with probability 0.1 the page
+    instead reverts to an earlier state."""
+    text = "".join(random_line(rng) + "\n" for _ in range(rng.randrange(1, 8)))
+    texts = [text]
+    for _ in range(rng.randrange(4, 40)):
+        roll = rng.random()
+        if roll < 0.1:
+            text = rng.choice(texts)
+        elif roll < 0.4:
+            gaps = [i for i, ch in enumerate(text) if ch in " \n"]
+            i = rng.choice(gaps) if gaps else len(text)
+            if rng.random() < 0.5:
+                text = text[:i] + rng.choice([" ", "\n", "  ", " \n"]) + text[i:]
+            else:
+                text = text[:i] + text[i + 1 :]
+        elif roll < 0.7:
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(["word ", " more", "[[Link]]", ":", "=="]) + text[i:]
+        else:
+            ends = [i for i, ch in enumerate(text) if ch == "\n"] or [len(text)]
+            i = rng.choice(ends)
+            text = text[:i] + rng.choice([" and more", " also ~~~~", " {{tl}}"]) + text[i:]
+        texts.append(text)
+    return texts
+
+
 def non_blank_lines(text):
     return Counter(line.strip() for line in text.split("\n") if line.strip())
 
 
-def replay(texts):
+def replay(texts, digest=None):
     """Reconstruct ``texts`` as one page, check the invariants that hold on
     every history, and return the number of revisions whose live comments,
-    as the actions tell them, do not tile the page's non-blank lines."""
+    as the actions tell them, do not tile the page's non-blank lines. Each
+    action is serialized into ``digest``, when given, one line each."""
     recon = Reconstructor()
     state = PageState(page_id="1", page_title="Talk:Replay")
     seen: set[str] = set()
@@ -69,6 +102,8 @@ def replay(texts):
         rev = make_revision(i + 1, text, minutes=i, user=f"u{i % 3}")
         _, actions = recon.process_revision(state, rev)
         for a in actions:
+            if digest is not None:
+                digest.update(serialize_action(a).encode() + b"\n")
             assert a.action_id not in seen, a.action_id
             for ref in (a.parent_id, a.replyto_id):
                 assert ref is None or ref in seen, (a.action_id, ref)
@@ -104,3 +139,27 @@ def test_line_tiling_failures_on_fixed_seeds():
             replay(random_history(random.Random(seed), moves)) > 0 for seed in range(200)
         )
         assert failed <= bound, (moves, failed)
+
+
+# sha256 of the serialized actions of the fixed seed set, by history kind.
+# These messy histories reach diff paths that clean synth pages do not (the
+# slide of pure insert and delete runs, whitespace-only edits, edits inside
+# a line), so a change to these bytes is a change to reconstruction.
+PINNED_REPLAY_ACTIONS_SHA256 = {
+    "lines": "82852e2b1b8848f1c72b6a9bc248eea2c31684fd2713d7829d2dbdd77af8e85d",
+    "moves": "8e496bb213e0659484c07a3da01f8dc006292b3ec44ae3630fc8ebf07cb404f5",
+    "chars": "6a37cd3429c9b4268ee8496c5808e17fb51843f7b1d01993cb8a1155f7edda9a",
+}
+
+
+def test_replayed_action_bytes_are_pinned():
+    histories = {
+        "lines": lambda rng: random_history(rng, False),
+        "moves": lambda rng: random_history(rng, True),
+        "chars": char_edit_history,
+    }
+    for kind, history in histories.items():
+        digest = hashlib.sha256()
+        for seed in range(200):
+            replay(history(random.Random(seed)), digest)
+        assert digest.hexdigest() == PINNED_REPLAY_ACTIONS_SHA256[kind], kind
