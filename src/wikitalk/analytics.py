@@ -276,6 +276,7 @@ _HORIZON_UNITS = {
 
 def parse_horizon(text: str) -> timedelta:
     text = text.strip().lower()
-    if len(text) < 2 or text[-1] not in _HORIZON_UNITS or not text[:-1].isdigit():
+    # isdecimal, not isdigit: "²" is a digit that int() refuses
+    if len(text) < 2 or text[-1] not in _HORIZON_UNITS or not text[:-1].isdecimal():
         raise ValueError(f"bad horizon {text!r}; use forms like 1h, 6h, 1d, 7d, 1y")
     return int(text[:-1]) * _HORIZON_UNITS[text[-1]]

@@ -10,10 +10,12 @@ in the old sequence, touching blocks become one EqualOp, and each gap
 between blocks becomes one ChangeOp, which replaces an old token span with
 a new one (either may be empty, never both).
 
-The searches for the common prefix and suffix start from the head and
-tail tokens that ``tokenize(text, prev)`` reports it reused, and only the
-lines between them are copied out of the token chunks and aligned, so
-tokenize plus diff cost what the edit costs, not what the page costs.
+``tokenize(text, prev)`` decides what the edit left unchanged, and the diff
+trusts it: the search for the common prefix starts after the head tokens
+it reports, and the tail it reports, whole lines on both sides, is one
+matching block without a search. Only the lines between the two are
+copied out of the token chunks and aligned, so tokenize plus diff cost
+what the edit costs, not what the page costs.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _diff_with_prepass(
 ) -> list[tuple[int, int, int]]:
     n, m = len(a), len(b)
     # The first head and the last tail tokens of the two sides are equal,
-    # so the searches for the common prefix and suffix start from there.
+    # so the search for the common prefix starts from there.
     pre = min(head, n, m)
     if n == m:
         # The shared tails sit at the same indices, so a common prefix that
@@ -189,24 +191,15 @@ def _diff_with_prepass(
     else:
         pre += common_prefix(a, pre, n, b, pre, m)
     # The line-level diff first strips the whole lines the two sides share
-    # at either end. Those are the lines inside the common token prefix
-    # and suffix, so they are cut off here and only the middle is split
-    # into lines. The prefix ends after its last newline: the line after
-    # it holds the first difference (or runs past the end of one side).
+    # at either end, so the lines inside the common token prefix and the
+    # shared tail are cut off here and only the middle is split into lines.
+    # The prefix ends after its last newline: the line after it holds the
+    # first difference (or runs past the end of one side). The tail is
+    # whole lines on both sides, and so is what the prefix leaves of it;
+    # the line diff of the middle finds any further equal lines.
     while pre and a[pre - 1] != "\n":
         pre -= 1
-    tail = min(tail, n - pre, m - pre)
-    suf = tail + common_suffix(a, pre, n - tail, b, pre, m - tail)
-    # The line suffix must start at a line start on both sides. Inside the
-    # token suffix the sides agree, so only its first boundary can fail
-    # that; then the line suffix starts after the suffix's first newline.
-    a_line_start = suf == n - pre or a[n - suf - 1] == "\n"
-    b_line_start = suf == m - pre or b[m - suf - 1] == "\n"
-    if not (a_line_start and b_line_start):
-        i = n - suf
-        while i < n and a[i] != "\n":
-            i += 1
-        suf = n - i - 1 if i < n else 0
+    suf = min(tail, n - pre, m - pre)
     a_end, b_end = n - suf, m - suf
     # Only the tokens between the line prefix and suffix are aligned, from
     # flat lists of them, in indices relative to pre.
@@ -328,8 +321,9 @@ def lcs_diff(
 ) -> DiffScript:
     """The edit script from ``old`` to ``new``. ``shared`` is ``(head,
     tail)``: ``new`` is known to begin with ``old``'s first ``head`` tokens
-    and end with its last ``tail``, as ``tokenize(text, old)`` reports them.
-    The two may overlap; the result is the same for any true counts."""
+    and end with its last ``tail``, which start a line in both (whole lines),
+    as ``tokenize(text, old)`` reports them. The two may overlap; the result
+    is the same for any such counts."""
     n, m = len(old), len(new)
     if n > MAX_DIFF_TOKENS or m > MAX_DIFF_TOKENS:
         raise DiffTokenLimitError(f"input exceeds {MAX_DIFF_TOKENS} tokens ({n} old, {m} new)")

@@ -23,8 +23,10 @@ a bz2 or gzip file.
 
 A run that cannot complete raises: an ``OSError`` for a missing input, an
 unwritable output, stats file or spill directory, or a failed write, and a
-``ValueError`` for a malformed or truncated dump or a 7z file. ``wikitalk
-reconstruct`` prints it as one ``error:`` line and exits 1.
+``ValueError`` for a malformed or truncated dump, a 7z file, or an output
+or stats path that names the input dump (or stats that name the output),
+refused before anything is written. ``wikitalk reconstruct`` prints it as
+one ``error:`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -134,6 +136,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
     report = RunReport()
     if not config.input_path.exists():
         raise FileNotFoundError(f"input dump not found: {config.input_path}")
+    # an output written over the dump, or stats over either, would replace it
+    dump, output = config.input_path.resolve(), config.output_path.resolve()
+    if output == dump:
+        raise ValueError(f"output {config.output_path} is the input dump")
+    if config.stats_path is not None and config.stats_path.resolve() in (dump, output):
+        raise ValueError(f"stats file {config.stats_path} is the input dump or the output")
     budget = SortBudget(
         max_in_memory_revisions=config.max_in_memory_revisions,
         spill_directory=config.spill_dir,

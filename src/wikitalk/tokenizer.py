@@ -6,14 +6,18 @@ markup-significant punctuation (``=``, ``:``, ``*``, ``[``, ``]``, ``{``,
 (``==``, ``[[``). Each newline is its own token so that diffs respect line
 structure; all other whitespace lives in the gaps between tokens.
 
-Given the previous revision's sequence, :func:`tokenize` rescans only the
-window between the common character prefix and suffix of the two texts and
-splices the old token chunks back in around it. It reports how many tokens
-at either end it reused, and ``diff.lcs_diff`` starts its searches for the
-common prefix and suffix there, so tokenize plus diff cost what the edit
-costs rather than what the page costs. What still grows with the page is
-the character comparison of the two texts, done in C, and one new base per
-chunk after the edit.
+Given the previous revision's sequence, :func:`tokenize` is the one place
+that decides what an edit left unchanged. No token spans a space or a
+newline, so it rescans only from the last of those in the common character
+prefix of the two texts to the first in their common suffix, and splices
+the old token chunks back in around that window. It reports the tokens it
+reused before the window (the head) and those of the whole lines after the
+common suffix's first newline (the tail), which start a line in both
+texts. ``diff.lcs_diff`` starts its search for the common prefix after the
+head and takes the tail as equal lines without searching it, so tokenize
+plus diff cost what the edit costs rather than what the page costs. What
+still grows with the page is the character comparison of the two texts,
+done in C, and one new base per chunk after the edit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import overload
 # One alternative per significant punctuation run, newline on its own,
 # then maximal runs of everything else that is not whitespace/punctuation.
 _TOKEN_RE = re.compile(r"\n|=+|:+|\*+|\[+|\]+|\{+|\}+|[^\s=:*\[\]{}]+")
+_GAP_RE = re.compile("[ \n]")
 
 # Windows shorter than this are compared element by element; longer ones
 # by slice equality, which runs at C speed, in slices that double in length
@@ -197,8 +202,9 @@ def tokenize(text: str, prev: TokenSequence | None = None):
     """Tokenize ``text``. Given ``prev`` (the tokens of an earlier text),
     reuse it outside the changed window and return ``(seq, head, tail)``:
     ``seq`` equals ``tokenize(text)``, and its first ``head`` and last
-    ``tail`` tokens are ``prev``'s (both are ``len(prev)``, and ``seq`` is
-    ``prev``, when the text is the same).
+    ``tail`` tokens are ``prev``'s. The tail starts a line in both, so it is
+    whole lines (both are ``len(prev)``, and ``seq`` is ``prev``, when the
+    text is the same).
 
     The chunks before the one the window starts in are reused as they are,
     and the chunks after the one it ends in get a new base. The tokens in
@@ -210,54 +216,35 @@ def tokenize(text: str, prev: TokenSequence | None = None):
         return _splice(text, _EMPTY)[0]
     if text == prev.text:
         return prev, len(prev), len(prev)
-    return _splice(text, prev)
+    return _splice(text, prev or _EMPTY)
 
 
 def _splice(text: str, prev: TokenSequence) -> tuple[TokenSequence, int, int]:
     """:func:`tokenize`'s ``(seq, head, tail)`` for a text other than
     ``prev``'s."""
-    if not prev.firsts:
-        keep = h = base = 0
-        starts: list[int] = []
-        toks: list[str] = []
-        pos = 0
-        tail_from = len(text) + 1  # no shared suffix: scan to the end
-    else:
-        old = prev.text
-        p = common_prefix(old, 0, len(old), text, 0, len(text))
-        s = common_suffix(old, p, len(old), text, p, len(text))
-        # A kept token's next character lies in the shared prefix, so the
-        # maximal-run rule ends it in the same place in the new text. Those
-        # are the tokens that start below p, less the last of them if it
-        # reaches p (offsets do not overlap, so no earlier one can).
-        keep = prev.token_at_or_after(p)
-        if keep and prev.end(keep - 1) >= p:
-            keep -= 1
-        h = bisect.bisect_right(prev.firsts, keep) - 1
-        base = prev.bases[h]
-        starts = prev.chunk_starts[h][: keep - prev.firsts[h]]
-        toks = prev.chunk_tokens[h][: keep - prev.firsts[h]]
-        pos = prev.end(keep - 1) if keep else 0
-        tail_from = len(text) - s
-        delta = len(text) - len(old)
-        n_old = len(prev)
-        j = prev.token_at_or_after(tail_from - delta)
-    for m in _TOKEN_RE.finditer(text, pos):
-        start = m.start()
-        if start >= tail_from:
-            # Inside the shared suffix, a match at the shifted start of an
-            # old token begins the same scan as the old text's from there.
-            target = start - delta
-            while j < n_old and (old_start := prev.start(j)) < target:
-                j += 1
-            if j < n_old and old_start == target:
-                break
+    old = prev.text
+    delta = len(text) - len(old)
+    p = common_prefix(old, 0, len(old), text, 0, len(text))
+    t = len(old) - common_suffix(old, p, len(old), text, p, len(text))
+    # No token spans a space or a newline (a newline is a token of its own),
+    # so a scan that starts at one, or just after one, finds the same tokens
+    # whatever came before it. The old tokens up to the last one in the
+    # shared prefix are kept, the new text is scanned from there to the
+    # first one in the shared suffix, and the old tokens from there on
+    # follow, moved by delta characters.
+    pos = max(old.rfind(" ", 0, p), old.rfind("\n", 0, p)) + 1
+    gap = _GAP_RE.search(old, t)
+    stop = gap.start() if gap else len(old)
+    keep, j = prev.token_at_or_after(pos), prev.token_at_or_after(stop)
+    h = bisect.bisect_right(prev.firsts, keep) - 1
+    base = prev.bases[h]
+    starts = prev.chunk_starts[h][: keep - prev.firsts[h]]
+    toks = prev.chunk_tokens[h][: keep - prev.firsts[h]]
+    for m in _TOKEN_RE.finditer(text, pos, stop + delta):
         toks.append(m.group())
-        starts.append(start - base)
-    else:  # no shared tail
-        return _join(text, prev, h, base, starts, toks, len(prev.firsts), 0), keep, 0
-    # The old tokens from j on follow, moved by delta characters; the rest
-    # of j's chunk, and more chunks up to a full one, join the window's.
+        starts.append(m.start() - base)
+    # The rest of j's chunk, and more chunks up to a full one, join the
+    # window's.
     c = bisect.bisect_right(prev.firsts, j) - 1
     lo = j - prev.firsts[c]
     while True:
@@ -267,7 +254,10 @@ def _splice(text: str, prev: TokenSequence) -> tuple[TokenSequence, int, int]:
         c, lo = c + 1, 0
         if len(starts) >= CHUNK_SIZE or c == len(prev.firsts):
             break
-    return _join(text, prev, h, base, starts, toks, c, delta), keep, n_old - j
+    # The tail reported is the whole lines after the suffix's first newline.
+    newline = old.find("\n", t)
+    tail = len(prev) - prev.token_at_or_after(newline + 1) if newline >= 0 else 0
+    return _join(text, prev, h, base, starts, toks, c, delta), keep, tail
 
 
 def _join(
@@ -286,7 +276,7 @@ def _join(
     n = len(starts)
     if h == 0 and c == len(prev.firsts) and 0 < n < 2 * CHUNK_SIZE:  # one chunk in all
         return TokenSequence(text, [0], [base], [starts], [toks])
-    first = prev.firsts[h] if h < len(prev.firsts) else 0
+    first = prev.firsts[h]
     firsts, bases = prev.firsts[:h], prev.bases[:h]
     chunk_starts, chunk_tokens = prev.chunk_starts[:h], prev.chunk_tokens[:h]
     # chunks of CHUNK_SIZE, the last one with the remainder; one chunk of
@@ -307,4 +297,7 @@ def _join(
     return TokenSequence(text, firsts, bases, chunk_starts, chunk_tokens)
 
 
-_EMPTY = TokenSequence("", [], [], [], [])
+# A sequence without tokens is spliced as the empty text in one empty chunk,
+# so that _splice finds a chunk to start and to end in; the sequences that
+# tokenize returns have no empty chunk.
+_EMPTY = TokenSequence("", [0], [0], [[]], [[]])

@@ -230,6 +230,8 @@ def test_parse_horizon():
     assert parse_horizon("1y") == timedelta(days=365)
     with pytest.raises(ValueError):
         parse_horizon("soon")
+    with pytest.raises(ValueError, match="bad horizon"):
+        parse_horizon("²h")
     assert [parse_horizon(h) for h in DEFAULT_HORIZONS] == sorted(
         parse_horizon(h) for h in DEFAULT_HORIZONS
     )

@@ -166,6 +166,7 @@ def edited_doc(draw):
 @example(("a a", "a a a"))
 @example(("aa\naa\n", "aa\naa\naa\n"))
 @example(("aa\n\naa\n", "aa\n"))
+@example(("a  x\nc\n", "a x\nc\nc\n"))
 def test_shared_counts_give_the_fresh_diff(chunk_size, pair):
     """The diff of an incrementally tokenized pair, given the head and tail
     tokenize reports, is the diff of two fresh sequences, op for op."""
@@ -432,13 +433,23 @@ def shared_middle(draw):
 @example(([], ["a", "\n"]))
 def test_prepass_trim_matches_full_line_prepass(pair):
     a, b = pair
-    want = reference_diff_with_prepass(a, b)
-    # any true counts of shared head and tail tokens, even overlapping ones
-    prefix = common_prefix(a, 0, len(a), b, 0, len(b))
-    suffix = common_suffix(a, 0, len(a), b, 0, len(b))
+    n, m = len(a), len(b)
+    want = diff_mod._normalize(reference_diff_with_prepass(a, b), n, m)
+    # any true counts of shared head tokens, and of shared tail tokens that
+    # start a line on both sides, as tokenize reports them, even overlapping
+    # ones; the shared tail and a touching block of the line diff are two
+    # blocks, so the blocks are compared as ops
+    prefix = common_prefix(a, 0, n, b, 0, m)
+    suffix = common_suffix(a, 0, n, b, 0, m)
+
+    def starts_line(tokens, i):
+        return i == 0 or tokens[i - 1] == "\n"
+
+    tails = [t for t in range(suffix + 1) if t == 0 or starts_line(a, n - t) and starts_line(b, m - t)]
     for head in {0, prefix // 2, prefix}:
-        for tail in {0, suffix // 2, suffix}:
-            assert diff_mod._diff_with_prepass(a, b, head, tail) == want
+        for tail in tails:
+            got = diff_mod._diff_with_prepass(a, b, head, tail)
+            assert diff_mod._normalize(got, n, m) == want
 
 
 # The normal form as it was before each changed region became one ChangeOp:

@@ -461,6 +461,30 @@ def test_unwritable_stats_fails_before_any_page(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and str(stats) in err and ".tmp" not in err, err
 
 
+@pytest.mark.parametrize(
+    "output, stats",
+    [("dump.xml", None), ("./dump.xml", None), ("link.xml", None),
+     ("corpus.jsonl", "dump.xml"), ("corpus.jsonl", "corpus.jsonl"), ("corpus.jsonl", "link.jsonl")],
+)
+def test_output_or_stats_naming_an_earlier_file_is_refused(tmp_path, monkeypatch, capsys, output, stats):
+    """An output that resolves to the input dump, or a stats file that
+    resolves to the dump or to the output, would be replaced by what is
+    written after it. The run is refused with one error line, and every
+    file is left as it was."""
+    monkeypatch.chdir(tmp_path)
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    (tmp_path / "corpus.jsonl").write_text("old corpus\n")
+    (tmp_path / "link.xml").symlink_to(dump)
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "corpus.jsonl")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["reconstruct", "--input", "dump.xml", "--output", output]
+    rc = cli.main(argv + (["--stats", stats] if stats else []))
+    assert rc == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and str(Path(stats or output)) in err, err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_output_file_mode_follows_umask(tmp_path):
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     out = tmp_path / "corpus.jsonl"

@@ -150,6 +150,9 @@ def test_incremental_tokenize_equals_full(pair):
                 assert head + tail <= min(len(old), len(seq)) or text == old.text
                 assert seq[:head] == old[:head]
                 assert seq[len(seq) - tail :] == old[len(old) - tail :]
+                # a reported tail starts a line on both sides
+                for side in (old, seq):
+                    assert tail in (0, len(side)) or side[len(side) - tail - 1] == "\n"
 
 
 def test_incremental_tokenize_reuses_identical_text():
