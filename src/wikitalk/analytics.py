@@ -5,19 +5,25 @@ by a pluggable classifier client: either a rate-limited, retrying HTTP
 client or a deterministic hash-based stub so the full analytics path runs
 offline. Deletion metadata is joined from the corpus's deletion actions by
 following parent chains back to the action that created each comment.
+The module needs nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from wikitalk.actions import Action, ActionType
 
 _SCORE_ATTRIBUTES = ("toxicity", "severe_toxicity")
+_BACKOFF_S = 0.5  # wait after the first failed attempt; doubles after each later one
 
 
 @dataclass
@@ -36,7 +42,7 @@ class ScoredComment:
 
 
 class ScorerError(Exception):
-    pass
+    """A comment that could not be scored, after every attempt."""
 
 
 class StubScorer:
@@ -50,11 +56,32 @@ class StubScorer:
         return out
 
 
+def _post_json(url: str, payload: dict, timeout: float) -> dict:
+    """HttpScorer's default transport: POST ``payload`` as JSON, read the
+    JSON answer. A status of 400 or above raises ``HTTPError``."""
+    # imported here so that only scoring over HTTP loads urllib.request
+    import urllib.error
+    import urllib.request
+
+    body = json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return json.load(response)
+    except urllib.error.HTTPError as exc:
+        exc.close()  # the error holds the answer, and with it the connection, open
+        raise
+
+
 class HttpScorer:
     """Wire client: POSTs comment text, expects a probability per attribute.
 
-    Never exceeds ``rate_limit`` requests/sec; failures are retried with
-    exponential backoff and surface as ScorerError after the last attempt.
+    The payload is ``{"text": ...}``, with ``"api_key"`` when one is set;
+    the default transport sends it as JSON with ``urllib.request``, and
+    HTTPS checks the server against the system's CA store. Never exceeds
+    ``rate_limit`` requests/sec; failures, an HTTP status of 400 or above
+    among them, are retried after 0.5 s, 1 s, 2 s, ... and surface as
+    ScorerError after the last attempt.
     """
 
     def __init__(
@@ -64,7 +91,6 @@ class HttpScorer:
         rate_limit: float = 10.0,
         timeout: float = 10.0,
         max_attempts: int = 3,
-        backoff: float = 0.5,
         transport: Optional[Callable] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -75,18 +101,9 @@ class HttpScorer:
         self.min_interval = 1.0 / rate_limit
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.backoff = backoff
         self.sleep = sleep
         self._last_request = 0.0
-        if transport is None:
-            import requests
-
-            def transport(url, payload, timeout):
-                response = requests.post(url, json=payload, timeout=timeout)
-                response.raise_for_status()
-                return response.json()
-
-        self.transport = transport
+        self.transport = transport or _post_json
 
     def score(self, text: str) -> dict[str, float]:
         payload = {"text": text}
@@ -104,14 +121,8 @@ class HttpScorer:
             except Exception as exc:  # noqa: BLE001 - every failure is retryable
                 last_error = exc
                 if attempt + 1 < self.max_attempts:
-                    self.sleep(self.backoff * 2**attempt)
+                    self.sleep(_BACKOFF_S * 2**attempt)
         raise ScorerError(f"scoring failed after {self.max_attempts} attempts: {last_error}")
-
-
-@dataclass
-class ScoringTally:
-    scored: int = 0
-    failed: int = 0
 
 
 def _comment_roots(actions: list[Action]) -> dict[str, str]:
@@ -165,23 +176,17 @@ def comments_with_deletions(actions: Iterable[Action]) -> tuple[list[Action], li
     return comment_actions, out
 
 
-def score_comments(
-    actions: Iterable[Action],
-    scorer,
-    tally: Optional[ScoringTally] = None,
-) -> list[ScoredComment]:
+def score_comments(actions: Iterable[Action], scorer) -> list[ScoredComment]:
     """Score every creation/addition with nonempty content and join each
-    comment's earliest deletion, if any. Scoring failures leave the scores
-    absent; such comments are excluded from threshold-dependent analyses."""
-    tally = tally if tally is not None else ScoringTally()
+    comment's earliest deletion, if any. A scoring failure leaves the
+    comment's scores ``None``, so its ``toxicity is None`` exactly when it
+    failed; such comments are excluded from threshold-dependent analyses."""
     comment_actions, out = comments_with_deletions(actions)
     for action, comment in zip(comment_actions, out):
         try:
             scores = scorer.score(action.content)
-            tally.scored += 1
         except ScorerError:
             scores = {attr: None for attr in _SCORE_ATTRIBUTES}
-            tally.failed += 1
         comment.toxicity = scores["toxicity"]
         comment.severe_toxicity = scores["severe_toxicity"]
     return out
@@ -191,32 +196,31 @@ def equal_error_threshold(scores: Iterable[float], labels: Iterable[bool]) -> fl
     """Threshold t (classify positive at score >= t) minimizing |FP - FN|.
 
     Candidates are the observed score values; ties break toward the larger
-    threshold. Requires both classes to be present.
+    threshold. Requires both classes to be present and no NaN score.
     """
-    # imported here so that reconstructing a corpus does not load numpy
-    import numpy as np
-
-    s = np.asarray(list(scores), dtype=float)
-    y = np.asarray(list(labels), dtype=bool)
-    if s.shape != y.shape or s.size == 0:
+    scores = [float(s) for s in scores]
+    labels = [bool(y) for y in labels]
+    if len(scores) != len(labels) or not scores:
         raise ValueError("scores and labels must be equal-length and nonempty")
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == y.size:
+    if any(math.isnan(s) for s in scores):
+        raise ValueError("scores must not be NaN")
+    n_pos = sum(labels)
+    if n_pos == 0 or n_pos == len(labels):
         raise ValueError("both classes must be present to balance FP against FN")
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    # At threshold t, everything with score >= t is classified positive.
-    cum_fp = np.cumsum(~y_sorted)
-    cum_tp = np.cumsum(y_sorted)
-    candidates = np.unique(s)  # ascending
-    last_at_or_above = np.searchsorted(-s_sorted, -candidates, side="right") - 1
-    fps = cum_fp[last_at_or_above]
-    fns = n_pos - cum_tp[last_at_or_above]
-    gaps = np.abs(fps - fns)
-    best = gaps.min()
-    return float(candidates[gaps == best].max())
+    # Walking down the groups of equal scores, everything passed so far is
+    # classified positive at the current group's score.
+    fp = tp = 0
+    best_gap, best = len(labels) + 1, None
+    pairs = sorted(zip(scores, labels), key=itemgetter(0), reverse=True)
+    for score, group in groupby(pairs, itemgetter(0)):
+        for _, label in group:
+            tp += label
+            fp += not label
+        gap = abs(fp - (n_pos - tp))
+        if gap < best_gap:
+            best_gap, best = gap, score
+    return best
 
 
 def deletion_rate(
@@ -248,18 +252,13 @@ def deletion_rate(
         raise ValueError(f"unknown subset {subset!r}")
     if not pool:
         return [None] * len(horizons)
-    rates = []
-    for horizon in horizons:
-        hits = sum(
-            1
-            for c in pool
-            if c.deleted_at is not None
-            and c.deleted_by is not None
-            and c.deleted_by != c.author
-            and (c.deleted_at - c.created_at) <= horizon
-        )
-        rates.append(hits / len(pool))
-    return rates
+    # how long each comment deleted by someone other than its author lived
+    delays = [
+        c.deleted_at - c.created_at
+        for c in pool
+        if c.deleted_at is not None and c.deleted_by not in (None, c.author)
+    ]
+    return [sum(delay <= horizon for delay in delays) / len(pool) for horizon in horizons]
 
 
 DEFAULT_HORIZONS = ("1h", "6h", "1d", "7d", "30d", "1y")

@@ -19,7 +19,8 @@ one is a usage error of the subcommand that reads it, and of no other.
 
 Every subcommand ends a run it cannot complete (a missing input, an
 unwritable output, a malformed dump or input record) with one ``error:``
-line and exit status 1.
+line and exit status 1. An output that resolves to one of the run's
+inputs is refused that way before anything is read or written.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from wikitalk import corpus
 from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY
-from wikitalk.pipeline import PipelineConfig, run_pipeline
+from wikitalk.pipeline import PipelineConfig, refuse_overwrite, run_pipeline
 
 
 def _number(kind, ok, message: str):
@@ -159,6 +160,7 @@ def _cmd_eval_sample(args) -> int:
 
     from wikitalk import evalharness
 
+    refuse_overwrite(args.output, "the corpus", args.corpus)
     with open(args.corpus, encoding="utf-8") as fh:
         actions = list(corpus.read_actions(fh))
     population = Counter(a.type.value for a in actions)
@@ -179,6 +181,7 @@ def _cmd_eval_sample(args) -> int:
 def _cmd_eval_score(args) -> int:
     from wikitalk import evalharness
 
+    refuse_overwrite(args.report, "the corpus or the gold file", args.corpus, args.gold)
     with open(args.corpus, encoding="utf-8") as fh:
         actions = list(corpus.read_actions(fh))
     with open(args.gold, encoding="utf-8") as fh:
@@ -206,10 +209,10 @@ def _cmd_analytics_score(args) -> int:
         )
     else:
         scorer = analytics.StubScorer()
+    refuse_overwrite(args.output, "the corpus", args.corpus)
     with open(args.corpus, encoding="utf-8") as fh:
         actions = list(corpus.read_actions(fh))
-    tally = analytics.ScoringTally()
-    scored = analytics.score_comments(actions, scorer, tally)
+    scored = analytics.score_comments(actions, scorer)
     by_id = {c.action_id: c for c in scored}
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(corpus.SCORED_SCHEMA_HEADER + "\n")
@@ -220,7 +223,8 @@ def _cmd_analytics_score(args) -> int:
                 "severe_toxicity": comment.severe_toxicity if comment else None,
             }
             fh.write(corpus.serialize_action(action, extra) + "\n")
-    print(f"scored {tally.scored} comments ({tally.failed} failures)", file=sys.stderr)
+    failed = sum(comment.toxicity is None for comment in scored)
+    print(f"scored {len(scored) - failed} comments ({failed} failures)", file=sys.stderr)
     return 0
 
 
@@ -245,6 +249,7 @@ def _cmd_analytics_deletion_rate(args) -> int:
     ):
         if args.subset == subset and threshold is None:
             args.usage_error(f"--subset {subset} requires {flag}")
+    refuse_overwrite(args.output, "the scored corpus", args.scored)
     pairs = args.horizons
     if pairs is None:
         pairs = _horizons(",".join(analytics.DEFAULT_HORIZONS))

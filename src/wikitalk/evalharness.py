@@ -19,7 +19,7 @@ from wikitalk.corpus import read_records
 DIMENSIONS = ("boundary", "type", "replyto", "parent")
 
 
-class GoldValidationError(Exception):
+class GoldValidationError(ValueError):
     pass
 
 

@@ -131,17 +131,24 @@ def _reorder(sink: TextIO, pages: dict[str, int]) -> None:
             ordered.buffer.write(unordered.read(end - start))
 
 
+def refuse_overwrite(output: Path | str | None, what: str, *earlier: Path | str) -> None:
+    """Raise ``ValueError`` when ``output`` is the same file as one of
+    ``earlier`` (the run's inputs, or another of its outputs), by path or
+    through a symlink: writing ``output`` would replace that file. ``what``
+    names ``earlier`` in the message."""
+    if output is not None and Path(output).resolve() in [Path(p).resolve() for p in earlier]:
+        raise ValueError(f"refusing to write {output}: it is {what}")
+
+
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run the full reconstruction; raises on fatal input/output problems."""
     report = RunReport()
     if not config.input_path.exists():
         raise FileNotFoundError(f"input dump not found: {config.input_path}")
-    # an output written over the dump, or stats over either, would replace it
-    dump, output = config.input_path.resolve(), config.output_path.resolve()
-    if output == dump:
-        raise ValueError(f"output {config.output_path} is the input dump")
-    if config.stats_path is not None and config.stats_path.resolve() in (dump, output):
-        raise ValueError(f"stats file {config.stats_path} is the input dump or the output")
+    refuse_overwrite(config.output_path, "the input dump", config.input_path)
+    refuse_overwrite(
+        config.stats_path, "the input dump or the output", config.input_path, config.output_path
+    )
     budget = SortBudget(
         max_in_memory_revisions=config.max_in_memory_revisions,
         spill_directory=config.spill_dir,

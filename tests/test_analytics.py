@@ -1,8 +1,11 @@
+import http.server
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
+import threading
 from datetime import timedelta
 from pathlib import Path
 
@@ -18,7 +21,6 @@ from wikitalk.analytics import (
     HttpScorer,
     ScoredComment,
     ScorerError,
-    ScoringTally,
     StubScorer,
     comments_with_deletions,
     deletion_rate,
@@ -117,9 +119,8 @@ def test_deletion_joined_through_modification_chain():
 
 
 def test_failed_scoring_tallied_and_absent():
-    tally = ScoringTally()
-    scored = score_comments(fig2_actions(), FailingScorer(), tally)
-    assert tally.failed == len(scored) > 0
+    scored = score_comments(fig2_actions(), FailingScorer())
+    assert sum(c.toxicity is None for c in scored) == len(scored) > 0
     assert all(c.toxicity is None for c in scored)
 
 
@@ -130,6 +131,16 @@ def test_eer_separable_case():
 def test_eer_single_class_errors():
     with pytest.raises(ValueError):
         equal_error_threshold([0.1, 0.9], [True, True])
+
+
+@pytest.mark.parametrize(
+    "scores, labels",
+    [([], []), ([0.1, 0.9], [True]), ([0.1, float("nan"), 0.9, 0.5], [False, False, True, True])],
+    ids=["empty", "unequal-lengths", "nan-score"],
+)
+def test_eer_refuses_inputs_without_a_threshold(scores, labels):
+    with pytest.raises(ValueError):
+        equal_error_threshold(scores, labels)
 
 
 def test_eer_inverted_labels_matches_brute_force():
@@ -256,7 +267,6 @@ def test_http_scorer_retries_with_backoff():
         endpoint="http://scorer.test/v1",
         rate_limit=1000.0,
         max_attempts=3,
-        backoff=0.5,
         transport=transport,
         sleep=sleeps.append,
     )
@@ -293,6 +303,76 @@ def test_http_scorer_rate_limit_spacing():
     scorer.score("one")
     scorer.score("two")
     assert any(0 < s <= 0.011 for s in sleeps)
+
+
+@pytest.fixture
+def scoring_server(monkeypatch):
+    """A scoring endpoint on 127.0.0.1 in a thread: (url, posts,
+    statuses). It records each POST's content type and JSON body in
+    ``posts``, answers with the next status in ``statuses`` while any
+    is left, and then with 200 and fixed scores."""
+    monkeypatch.setenv("no_proxy", "*")  # never through a proxy set in the environment
+    posts, statuses = [], []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            posts.append((self.headers["Content-Type"], json.loads(body)))
+            status = statuses.pop(0) if statuses else 200
+            answer = json.dumps({"toxicity": 0.5, "severe_toxicity": 0.25} if status == 200 else {})
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(answer)))
+            self.end_headers()
+            self.wfile.write(answer.encode("utf-8"))
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1", posts, statuses
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_http_transport_posts_json_with_the_api_key(scoring_server):
+    url, posts, _ = scoring_server
+    scorer = HttpScorer(endpoint=url, api_key="k3y", rate_limit=1000.0, sleep=lambda s: None)
+    assert scorer.score("some comment") == {"toxicity": 0.5, "severe_toxicity": 0.25}
+    assert posts == [("application/json", {"text": "some comment", "api_key": "k3y"})]
+
+
+def test_http_transport_retries_an_error_status(scoring_server):
+    """A 503 answer is a failure like any other: it is retried after the
+    backoff, and the next answer's scores are returned."""
+    url, posts, statuses = scoring_server
+    statuses.append(503)
+    sleeps = []
+    scorer = HttpScorer(endpoint=url, rate_limit=1000.0, max_attempts=3, sleep=sleeps.append)
+    assert scorer.score("text") == {"toxicity": 0.5, "severe_toxicity": 0.25}
+    assert [body for _, body in posts] == [{"text": "text"}] * 2
+    assert [s for s in sleeps if s in (0.5, 1.0)] == [0.5]
+
+
+def test_http_transport_refused_connection_is_a_scorer_error(monkeypatch):
+    monkeypatch.setenv("no_proxy", "*")
+    with socket.socket() as probe:  # a port that nothing listens on once it is closed
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps = []
+    scorer = HttpScorer(
+        endpoint=f"http://127.0.0.1:{port}/v1", rate_limit=1000.0, max_attempts=3,
+        sleep=sleeps.append,
+    )
+    with pytest.raises(ScorerError, match="after 3 attempts"):
+        scorer.score("text")
+    assert [s for s in sleeps if s in (0.5, 1.0)] == [0.5, 1.0]
 
 
 def test_comments_with_deletions_matches_score_comments():

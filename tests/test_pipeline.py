@@ -793,6 +793,82 @@ def test_corpus_record_with_non_string_id_is_one_error_line(tmp_path, monkeypatc
     assert err.startswith(f"error: {path}, line 2: bad field value (") and len(err.splitlines()) == 1, err
 
 
+def test_repeated_gold_id_is_one_error_line(tmp_path, capsys):
+    """A gold file that annotates one action twice ends ``eval score`` with
+    one error line naming the action, exit status 1, and no report."""
+    script = figure_walkthrough_script()
+    dump = write_dump([script], tmp_path / "dump.xml")
+    run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
+    gold = tmp_path / "gold.jsonl"
+    with open(gold, "w", encoding="utf-8") as fh:
+        write_gold(script.gold, fh)
+    first = gold.read_text(encoding="utf-8").splitlines()[0]
+    with open(gold, "a", encoding="utf-8") as fh:
+        fh.write(first + "\n")
+    report = tmp_path / "report.json"
+    argv = ["eval", "score", "--corpus", str(tmp_path / "corpus.jsonl"), "--gold", str(gold)]
+    assert cli.main(argv + ["--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    action_id = json.loads(first)["action_id"]
+    assert err.splitlines() == [f"error: duplicate gold annotation for {action_id}"], err
+    assert not report.exists()
+
+
+def test_nan_score_is_one_error_line(tmp_path, capsys):
+    """JSON's ``NaN`` parses as a float, and a NaN score has no place in
+    the order of scores: ``analytics eer`` refuses it with one error line
+    and exit status 1 instead of printing a threshold."""
+    labeled = tmp_path / "labeled.jsonl"
+    rows = [("0.1", "false"), ("NaN", "false"), ("0.9", "true"), ("0.5", "true")]
+    labeled.write_text("".join(f'{{"score": {s}, "label": {y}}}\n' for s, y in rows))
+    assert cli.main(["analytics", "eer", "--labeled", str(labeled)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: scores must not be NaN"]
+
+
+@pytest.mark.parametrize("via", ["path", "symlink"])
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["eval", "sample", "--corpus", "corpus.jsonl", "--output", "{}"], "corpus.jsonl"),
+        (
+            ["eval", "score", "--corpus", "corpus.jsonl", "--gold", "gold.jsonl", "--report", "{}"],
+            "corpus.jsonl",
+        ),
+        (
+            ["eval", "score", "--corpus", "corpus.jsonl", "--gold", "gold.jsonl", "--report", "{}"],
+            "gold.jsonl",
+        ),
+        (["analytics", "score", "--corpus", "corpus.jsonl", "--output", "{}"], "corpus.jsonl"),
+        (["analytics", "deletion-rate", "--scored", "scored.jsonl", "--output", "{}"], "scored.jsonl"),
+    ],
+    ids=["eval-sample", "eval-score-corpus", "eval-score-gold", "analytics-score", "deletion-rate"],
+)
+def test_analysis_output_naming_its_input_is_refused(tmp_path, monkeypatch, capsys, argv, target, via):
+    """An analysis subcommand whose output resolves to one of its inputs,
+    by the same path or through a symlink, would replace what it reads. It
+    is refused with one error line and exit status 1 before anything is
+    read or written, and every file is left as it was."""
+    monkeypatch.chdir(tmp_path)
+    script = figure_walkthrough_script()
+    dump = write_dump([script], tmp_path / "dump.xml")
+    run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
+    with open(tmp_path / "gold.jsonl", "w", encoding="utf-8") as fh:
+        write_gold(script.gold, fh)
+    assert cli.main(["analytics", "score", "--corpus", "corpus.jsonl", "--output", "scored.jsonl"]) == 0
+    output = target
+    if via == "symlink":
+        output = "link.jsonl"
+        (tmp_path / output).symlink_to(tmp_path / target)
+    capsys.readouterr()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main([output if arg == "{}" else arg for arg in argv]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: refusing to write {output}: it is the "), err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_spill_budget_flags(tmp_path):
     script = PageScript("55", "Talk:Spill")
     t = script.new_thread("Spill test thread")
