@@ -231,8 +231,14 @@ def _cmd_analytics_score(args) -> int:
 def _cmd_analytics_eer(args) -> int:
     from wikitalk import analytics
 
+    def labeled(record):
+        score, label = float(record["score"]), record["label"]
+        if not isinstance(label, bool):  # not a string that reads as one
+            raise TypeError(f"label {label!r} is not true or false")
+        return score, label
+
     with open(args.labeled, encoding="utf-8") as fh:
-        pairs = list(corpus.read_records(fh, lambda r: (float(r["score"]), bool(r["label"]))))
+        pairs = list(corpus.read_records(fh, labeled))
     scores = [score for score, _ in pairs]
     labels = [label for _, label in pairs]
     threshold = analytics.equal_error_threshold(scores, labels)
@@ -255,7 +261,13 @@ def _cmd_analytics_deletion_rate(args) -> int:
         pairs = _horizons(",".join(analytics.DEFAULT_HORIZONS))
 
     def with_scores(record):
-        return corpus.record_to_action(record), (record.get("toxicity"), record.get("severe_toxicity"))
+        action = corpus.record_to_action(record)
+        scores = record.get("toxicity"), record.get("severe_toxicity")
+        for name, score in zip(("toxicity", "severe_toxicity"), scores):
+            number = isinstance(score, (int, float)) and not isinstance(score, bool)
+            if score is not None and not number:
+                raise TypeError(f"{name} {score!r} is not a number or null")
+        return action, scores
 
     with open(args.scored, encoding="utf-8") as fh:
         actions = []

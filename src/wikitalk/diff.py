@@ -13,9 +13,13 @@ a new one (either may be empty, never both).
 ``tokenize(text, prev)`` decides what the edit left unchanged, and the diff
 trusts it: the search for the common prefix starts after the head tokens
 it reports, and the tail it reports, whole lines on both sides, is one
-matching block without a search. Only the lines between the two are
-copied out of the token chunks and aligned, so tokenize plus diff cost
-what the edit costs, not what the page costs.
+matching block without a search. The tail then takes in the whole lines
+that end both changed middles alike (a reply whose line begins like the
+next line's leaves that line in both), and when one side has no tokens
+left, the other side's are one change without a line diff. Otherwise only
+the lines between prefix and tail are copied out of the token chunks and
+aligned, so tokenize plus diff cost what the edit costs, not what the
+page costs.
 """
 
 from __future__ import annotations
@@ -130,6 +134,8 @@ def _myers(a, alo, ahi, b, blo, bhi, out):
     """Append the matching blocks ``(old_start, new_start, length)`` of a
     longest common subsequence of a[alo:ahi] and b[blo:bhi], in order. A
     window over the region cap, or one whose search bails out, adds none."""
+    if alo == ahi or blo == bhi:
+        return
     pre = common_prefix(a, alo, ahi, b, blo, bhi)
     if pre:
         out.append((alo, blo, pre))
@@ -174,9 +180,15 @@ def _lines(tokens: list[str], interned: dict[tuple, int]) -> tuple[list[int], li
     return bounds, ids
 
 
+def _tokens(seq: TokenSequence) -> TokenSequence | list[str]:
+    """``seq``, or the list of its one chunk, which is read in C."""
+    return seq.chunk_tokens[0] if len(seq.chunk_tokens) == 1 else seq
+
+
 def _diff_with_prepass(
-    a: TokenSequence | list[str], b: TokenSequence | list[str], head: int, tail: int
+    old: TokenSequence, new: TokenSequence, head: int, tail: int
 ) -> list[tuple[int, int, int]]:
+    a, b = _tokens(old), _tokens(new)
     n, m = len(a), len(b)
     # The first head and the last tail tokens of the two sides are equal,
     # so the search for the common prefix starts from there.
@@ -191,16 +203,30 @@ def _diff_with_prepass(
     else:
         pre += common_prefix(a, pre, n, b, pre, m)
     # The line-level diff first strips the whole lines the two sides share
-    # at either end, so the lines inside the common token prefix and the
-    # shared tail are cut off here and only the middle is split into lines.
-    # The prefix ends after its last newline: the line after it holds the
-    # first difference (or runs past the end of one side). The tail is
-    # whole lines on both sides, and so is what the prefix leaves of it;
-    # the line diff of the middle finds any further equal lines.
-    while pre and a[pre - 1] != "\n":
-        pre -= 1
+    # at either end, so those lines are cut off here and only the middle is
+    # split into lines. The prefix ends after its last newline, found in the
+    # text: the line after it holds the first difference (or runs past the
+    # end of one side). The tail is whole lines on both sides, and so is
+    # what the prefix leaves of it.
+    if pre and a[pre - 1] != "\n":
+        pre = old.token_at_or_after(old.text.rfind("\n", 0, old.char_span(pre, pre)[0]) + 1)
     suf = min(tail, n - pre, m - pre)
+    # The tail also takes in the whole lines of the common suffix of the two
+    # middles: all of it when it starts a line on both sides, else what
+    # follows its first newline, found in the text.
+    more = common_suffix(a, pre, n - suf, b, pre, m - suf)
+    at, bt = n - suf - more, m - suf - more
+    if more and ((at and a[at - 1] != "\n") or (bt and b[bt - 1] != "\n")):
+        lo, hi = old.char_span(at, n - suf)
+        newline = old.text.find("\n", lo, hi)
+        more = n - suf - old.token_at_or_after(newline + 1) if newline >= 0 else 0
+    suf += more
     a_end, b_end = n - suf, m - suf
+    head_block = [(0, 0, pre)] if pre else []
+    tail_block = [(a_end, b_end, suf)] if suf else []
+    if pre == a_end or pre == b_end:
+        # a whole-line edit: the other side's middle is one change
+        return head_block + tail_block
     # Only the tokens between the line prefix and suffix are aligned, from
     # flat lists of them, in indices relative to pre.
     a_mid, b_mid = a[pre:a_end], b[pre:b_end]
@@ -219,11 +245,7 @@ def _diff_with_prepass(
         i, j = a_lines[la + size], b_lines[lb + size]
         if size:
             mid.append((alo, blo, i - alo))
-    out = [(0, 0, pre)] if pre else []
-    out += [(x + pre, y + pre, size) for x, y, size in mid]
-    if suf:
-        out.append((a_end, b_end, suf))
-    return out
+    return head_block + [(x + pre, y + pre, size) for x, y, size in mid] + tail_block
 
 
 def _normalize(blocks: list[tuple[int, int, int]], n: int, m: int) -> list[DiffOp]:
@@ -327,9 +349,7 @@ def lcs_diff(
     n, m = len(old), len(new)
     if n > MAX_DIFF_TOKENS or m > MAX_DIFF_TOKENS:
         raise DiffTokenLimitError(f"input exceeds {MAX_DIFF_TOKENS} tokens ({n} old, {m} new)")
-    # A sequence of one chunk is read through that chunk's list, in C.
-    a = old.chunk_tokens[0] if len(old.chunk_tokens) == 1 else old
-    b = new.chunk_tokens[0] if len(new.chunk_tokens) == 1 else new
-    ops = _slide_pure_runs(_normalize(_diff_with_prepass(a, b, *shared), n, m), a, b)
+    blocks = _diff_with_prepass(old, new, *shared)
+    ops = _slide_pure_runs(_normalize(blocks, n, m), _tokens(old), _tokens(new))
     return DiffScript(ops=tuple(ops), old_len=n, new_len=m)
 

@@ -23,6 +23,7 @@ done in C, and one new base per chunk after the edit.
 from __future__ import annotations
 
 import bisect
+import itertools
 import re
 from dataclasses import dataclass
 from typing import overload
@@ -35,17 +36,10 @@ _GAP_RE = re.compile("[ \n]")
 # Windows shorter than this are compared element by element; longer ones
 # by slice equality, which runs at C speed, in slices that double in length
 # up to _LONG_WINDOW: a longer slice costs more to copy than the steps it
-# saves.
+# saves. Strings are compared in place on ``b``'s side (``str.startswith``),
+# so only ``a``'s slices are copied.
 _SHORT_WINDOW = 16
 _LONG_WINDOW = 1 << 16
-
-
-def _same(a, i: int, b, j: int, size: int) -> bool:
-    """Whether a[i:i + size] == b[j:j + size]. Strings are compared in
-    place on ``b``'s side, so only ``a``'s slice is copied."""
-    if isinstance(b, str):
-        return b.startswith(a[i : i + size], j)
-    return a[i : i + size] == b[j : j + size]
 
 
 def common_prefix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
@@ -56,53 +50,52 @@ def common_prefix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
     bisects inside the first slice that differs, so the cost is O(prefix)
     element comparisons done in C, with O(prefix) elements copied.
     """
-    n = min(ahi - alo, bhi - blo)
+    n = ahi - alo if ahi - alo < bhi - blo else bhi - blo
+    short = n if n < _SHORT_WINDOW else _SHORT_WINDOW
     k = 0
-    short = min(n, _SHORT_WINDOW)
     while k < short and a[alo + k] == b[blo + k]:
         k += 1
     if k < short or k == n:
         return k
-    step = _SHORT_WINDOW
-    while k < n:
-        hi = min(n, k + step)
-        if not _same(a, alo + k, b, blo + k, hi - k):
-            # the first difference lies in [k, hi): bisect for it
-            while hi - k > 1:
-                mid = (k + hi) // 2
-                if _same(a, alo + k, b, blo + k, mid - k):
-                    k = mid
-                else:
-                    hi = mid
-            return k
-        k = hi
-        step = min(2 * step, _LONG_WINDOW)
+    text = isinstance(b, str)
+    step, hi = _SHORT_WINDOW, 0  # hi: the end of a slice that differs, 0 until one does
+    while k < n and hi != k + 1:
+        if hi:
+            mid = (k + hi) // 2
+        else:
+            mid = k + step if k + step < n else n
+            step = 2 * step if step < _LONG_WINDOW else step
+        i, j = alo + k, blo + k
+        if b.startswith(a[i : alo + mid], j) if text else a[i : alo + mid] == b[j : blo + mid]:
+            k = mid
+        else:
+            hi = mid
     return k
 
 
 def common_suffix(a, alo: int, ahi: int, b, blo: int, bhi: int) -> int:
     """Length of the common suffix of the windows a[alo:ahi] and b[blo:bhi];
     the mirror image of :func:`common_prefix`."""
-    n = min(ahi - alo, bhi - blo)
+    n = ahi - alo if ahi - alo < bhi - blo else bhi - blo
+    short = n if n < _SHORT_WINDOW else _SHORT_WINDOW
     k = 0
-    short = min(n, _SHORT_WINDOW)
     while k < short and a[ahi - 1 - k] == b[bhi - 1 - k]:
         k += 1
     if k < short or k == n:
         return k
-    step = _SHORT_WINDOW
-    while k < n:
-        hi = min(n, k + step)
-        if not _same(a, ahi - hi, b, bhi - hi, hi - k):
-            while hi - k > 1:
-                mid = (k + hi) // 2
-                if _same(a, ahi - mid, b, bhi - mid, mid - k):
-                    k = mid
-                else:
-                    hi = mid
-            return k
-        k = hi
-        step = min(2 * step, _LONG_WINDOW)
+    text = isinstance(b, str)
+    step, hi = _SHORT_WINDOW, 0
+    while k < n and hi != k + 1:
+        if hi:
+            mid = (k + hi) // 2
+        else:
+            mid = k + step if k + step < n else n
+            step = 2 * step if step < _LONG_WINDOW else step
+        i, j = ahi - mid, bhi - mid
+        if b.startswith(a[i : ahi - k], j) if text else a[i : ahi - k] == b[j : bhi - k]:
+            k = mid
+        else:
+            hi = mid
     return k
 
 
@@ -240,9 +233,12 @@ def _splice(text: str, prev: TokenSequence) -> tuple[TokenSequence, int, int]:
     base = prev.bases[h]
     starts = prev.chunk_starts[h][: keep - prev.firsts[h]]
     toks = prev.chunk_tokens[h][: keep - prev.firsts[h]]
-    for m in _TOKEN_RE.finditer(text, pos, stop + delta):
-        toks.append(m.group())
-        starts.append(m.start() - base)
+    # The window's matches are read a chunk at a time, so a whole page's
+    # are never all held at once.
+    matches = _TOKEN_RE.finditer(text, pos, stop + delta)
+    while window := [*itertools.islice(matches, CHUNK_SIZE)]:
+        toks += [m[0] for m in window]
+        starts += [m.start() - base for m in window]
     # The rest of j's chunk, and more chunks up to a full one, join the
     # window's.
     c = bisect.bisect_right(prev.firsts, j) - 1

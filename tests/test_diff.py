@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -10,7 +11,8 @@ import wikitalk.diff as diff_mod
 from tests.conftest import DiffApplyError, apply_diff, equal_token_count, revision_records
 from wikitalk import tokenizer
 from wikitalk.diff import ChangeOp, DiffScript, DiffTokenLimitError, EqualOp, lcs_diff
-from wikitalk.synth import gold_fixture_suite, random_tree_script
+from wikitalk.pipeline import PipelineConfig, run_pipeline
+from wikitalk.synth import gold_fixture_suite, random_tree_script, write_dump
 from wikitalk.tokenizer import common_prefix, common_suffix, tokenize
 
 
@@ -156,8 +158,36 @@ def edited_doc(draw):
     return a, a[:lo] + draw(doc) + a[hi:]
 
 
+# Whole-line inserts next to lines that share their leading or trailing
+# tokens (":" indents, "~~~~", a repeated line) at the start, the middle and
+# the end of a page; read the other way round, each is a whole-line delete.
+WHOLE_LINE_EDITS = [
+    (":a ~~~~\n:b ~~~~\n", ":c ~~~~\n:a ~~~~\n:b ~~~~\n"),
+    ("== h ==\n:a ~~~~\n::b ~~~~\n", "== h ==\n:a ~~~~\n:c ~~~~\n::b ~~~~\n"),
+    ("== h ==\n:a ~~~~\n::b ~~~~\n", "== h ==\n:a ~~~~\n::a ~~~~\n::b ~~~~\n"),
+    ("== h ==\n:a ~~~~\n", "== h ==\n:a ~~~~\n:c ~~~~\n"),
+    ("== h ==\n:a ~~~~", "== h ==\n:a ~~~~\n:a ~~~~"),
+    ("a b ~~~~\nc b ~~~~\n", "a b ~~~~\nd b ~~~~\nc b ~~~~\n"),
+    ("x\na\ny\n", "x\na\na\ny\n"),
+    ("a\na\n", "a\na\na\n"),
+    ("a\na\n", "a\n"),
+]
+
+
+def with_examples(pairs):
+    """Add each pair as an explicit hypothesis example."""
+
+    def decorate(test):
+        for pair in pairs:
+            test = example(pair)(test)
+        return test
+
+    return decorate
+
+
 @pytest.mark.parametrize("chunk_size", [tokenizer.CHUNK_SIZE, 2])
 @given(edited_doc())
+@with_examples(WHOLE_LINE_EDITS)
 @settings(max_examples=150)
 @example(("aa bb\ncc", "aa bb\ncc"))
 @example(("aa bb\ncc", "== aa bb\ncc"))
@@ -177,6 +207,79 @@ def test_shared_counts_give_the_fresh_diff(chunk_size, pair):
             old = tokenize(x)
             new, head, tail = tokenize(y, old)
             assert lcs_diff(old, new, shared=(head, tail)) == lcs_diff(old, tokenize(y))
+
+
+def test_line_starts_are_found_in_the_text(monkeypatch):
+    """A word edited in the middle of a 28,000-word one-line paragraph (218
+    chunks): the diff finds the start of the line it is on without reading
+    the paragraph's tokens one at a time."""
+    words = [f"w{i}" for i in range(28_000)]
+    old = tokenize(" ".join(words))
+    assert len(old.chunk_tokens) == 218
+    reads = [0]
+    getitem = tokenizer.TokenSequence.__getitem__
+
+    def counting(self, i):
+        reads[0] += 1
+        return getitem(self, i)
+
+    for k, word in enumerate(("x", "yy", "zzz")):
+        words[14_000 + k] = word
+        text = " ".join(words)
+        new, head, tail = tokenize(text, old)
+        monkeypatch.setattr(tokenizer.TokenSequence, "__getitem__", counting)
+        reads[0] = 0
+        script = lcs_diff(old, new, shared=(head, tail))
+        monkeypatch.undo()
+        assert reads[0] <= 200, k
+        assert script == lcs_diff(old, tokenize(text))
+        old = new
+
+
+def test_only_the_edited_line_is_split_into_lines(monkeypatch):
+    """A word edited in the first line of a page, diffed without the counts
+    tokenize reports: the lines after it, from the first newline of the
+    common suffix on, join the tail, so the line diff sees one line a side."""
+    split, lines = [], diff_mod._lines
+
+    def splitting(tokens, interned):
+        split.append(tokens)
+        return lines(tokens, interned)
+
+    monkeypatch.setattr(diff_mod, "_lines", splitting)
+    page = [f":comment {i} ~~~~\n" for i in range(50)]
+    old = tokenize("".join(page))
+    page[0] = ":comment 0 edited ~~~~\n"
+    lcs_diff(old, tokenize("".join(page)))
+    assert split == [tokenize(":comment 0 ~~~~\n")[:], tokenize(page[0])[:]]
+
+
+def test_whole_line_replies_skip_the_line_diff(tmp_path, monkeypatch):
+    """On short tree pages every revision is a whole-line edit: the diff
+    takes the lines around it as its prefix and tail, never splits a middle
+    into lines, and searches once for the common prefix and once for the
+    common suffix."""
+    calls = Counter()
+
+    def counting(name):
+        search = getattr(diff_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return search(*args)
+
+        return wrapper
+
+    for name in ("_lines", "common_prefix", "common_suffix"):
+        monkeypatch.setattr(diff_mod, name, counting(name))
+    scripts = [
+        random_tree_script(seed, n_comments=8, page_id=str(seed))[0] for seed in range(1, 31)
+    ]
+    dump = write_dump(scripts, tmp_path / "dump.xml", shuffle_seed=3)
+    run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
+    revisions = sum(len(script.revisions) for script in scripts)
+    assert calls["_lines"] == 0
+    assert calls["common_prefix"] + calls["common_suffix"] <= 2 * revisions
 
 
 def test_oversized_region_falls_back_to_replace(monkeypatch):
@@ -423,8 +526,15 @@ def shared_middle(draw):
     return a, b
 
 
+def token_sequence(tokens):
+    """The sequence of ``tokens``: the text with a space before every token
+    but a newline."""
+    return tokenize("".join(tok if tok == "\n" else f" {tok}" for tok in tokens))
+
+
 @given(shared_middle())
 @settings(max_examples=300)
+@with_examples((tokenize(x)[:], tokenize(y)[:]) for p in WHOLE_LINE_EDITS for x, y in (p, p[::-1]))
 @example((["a", "\n", "b"], ["a", "\n", "b"]))
 @example((["a", "\n"], ["a", "\n", "b"]))
 @example((["a", "b"], ["a", "b", "c"]))
@@ -446,10 +556,14 @@ def test_prepass_trim_matches_full_line_prepass(pair):
         return i == 0 or tokens[i - 1] == "\n"
 
     tails = [t for t in range(suffix + 1) if t == 0 or starts_line(a, n - t) and starts_line(b, m - t)]
-    for head in {0, prefix // 2, prefix}:
-        for tail in tails:
-            got = diff_mod._diff_with_prepass(a, b, head, tail)
-            assert diff_mod._normalize(got, n, m) == want
+    for chunk_size in (tokenizer.CHUNK_SIZE, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tokenizer, "CHUNK_SIZE", chunk_size)
+            old, new = token_sequence(a), token_sequence(b)
+        for head in {0, prefix // 2, prefix}:
+            for tail in tails:
+                got = diff_mod._diff_with_prepass(old, new, head, tail)
+                assert diff_mod._normalize(got, n, m) == want
 
 
 # The normal form as it was before each changed region became one ChangeOp:
@@ -587,7 +701,7 @@ def reference_slide_pure_runs(ops, a, b, new):
 
 def reference_fields(old, new):
     a, b = old[:], new[:]
-    raw = tagged_ops(diff_mod._diff_with_prepass(a, b, 0, 0), len(a), len(b))
+    raw = tagged_ops(diff_mod._diff_with_prepass(old, new, 0, 0), len(a), len(b))
     ops = reference_slide_pure_runs(reference_normalize(raw, new), a, b, new)
     fields = []
     for op in ops:
@@ -617,8 +731,7 @@ def test_change_ops_match_reference_on_docs(search_depth, a, b):
 @given(shared_middle())
 @settings(max_examples=150)
 def test_change_ops_match_reference_on_shared_middle(search_depth, pair):
-    a, b = ("".join(tok if tok == "\n" else f" {tok}" for tok in side) for side in pair)
-    assert_matches_reference(tokenize(a), tokenize(b), search_depth)
+    assert_matches_reference(*map(token_sequence, pair), search_depth)
 
 
 @search_depths

@@ -793,6 +793,46 @@ def test_corpus_record_with_non_string_id_is_one_error_line(tmp_path, monkeypatc
     assert err.startswith(f"error: {path}, line 2: bad field value (") and len(err.splitlines()) == 1, err
 
 
+def test_eer_label_that_is_not_a_boolean_is_one_error_line(tmp_path, capsys):
+    """A label written as the string "false" is not read as a positive by
+    its truthiness: ``analytics eer`` ends with one error line naming the
+    file and line, and prints no threshold."""
+    path = tmp_path / "labeled.jsonl"
+    rows = [(0.2, "false"), (0.4, "false"), (0.6, True), (0.9, False)]
+    path.write_text("".join(json.dumps({"score": s, "label": l}) + "\n" for s, l in rows))
+    assert cli.main(["analytics", "eer", "--labeled", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {path}, line 1: bad field value (label 'false' is not true or false)"
+    ]
+
+
+@pytest.mark.parametrize("field", ["toxicity", "severe_toxicity"])
+def test_deletion_rate_score_that_is_not_a_number_is_one_error_line(tmp_path, capsys, field):
+    """A toxicity score written as a string or a boolean ends
+    ``analytics deletion-rate`` with one error line naming the file and
+    line, not a comparison's traceback; numbers and null are read."""
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
+    header, *lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    argv = ["analytics", "deletion-rate", "--subset", "toxic", "--toxicity-threshold", "0.5"]
+    for score, readable in (("0.9", False), (True, False), (None, True), (1, True)):
+        records = [{**json.loads(line), "toxicity": 0.1, "severe_toxicity": None} for line in lines]
+        records[1][field] = score
+        path = tmp_path / "scored.jsonl"
+        path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+        code = cli.main([*argv, "--scored", str(path)])
+        err = capsys.readouterr().err
+        if readable:
+            assert code == 0 and err == "", (score, err)
+        else:
+            assert code == 1, score
+            assert err.splitlines() == [
+                f"error: {path}, line 3: bad field value ({field} {score!r} is not a number or null)"
+            ]
+
+
 def test_repeated_gold_id_is_one_error_line(tmp_path, capsys):
     """A gold file that annotates one action twice ends ``eval score`` with
     one error line naming the action, exit status 1, and no report."""
