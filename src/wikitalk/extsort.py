@@ -26,10 +26,21 @@ holds at most (1 + cascade passes) times the spilled bytes. No cascade
 happens below ``MAX_OPEN_RUNS`` runs, which at the default budget means
 below 6.4M revisions of one page.
 
-The budget counts revisions, not bytes: up to ``max_in_memory_revisions``
-of a page's revisions, each with its full text, are held before the sort
-yields the page's first one. On the benchmark's growing-page workload all
-401 revisions of its page (4.3 MB of text) are resident at once.
+The budget counts revisions, not bytes, but a buffered revision need not
+keep its full text. While a buffer's sort keys arrive non-decreasing, as a
+dump lists a page's revisions, each revision is stored against the one
+before it as ``(head, tail, middle)``: its text is the previous text's
+first ``head`` characters, then ``middle``, then the previous text's last
+``tail`` characters. ``head`` and ``tail`` are found in whole steps of
+``_GRAIN`` characters, and a text shorter than that is kept whole. A buffer
+(the whole page, or one spilled run) leaves through one decoder that
+rebuilds the texts in arrival order and drops each entry as it decodes it.
+A buffer still in order is already sorted and leaves one record at a time,
+so the sort holds the edits and about one full text, however long the
+page's history. A buffer that went out of order is decoded and then
+sorted, so it holds the full texts of all its revisions, as before; its
+revisions after the first out-of-order key are kept whole, since encoding
+them would not lower that peak.
 
 The budget bounds the revision records a whole run holds, not only the
 sort's: ingest hands over the records of one 64 KiB chunk of dump text at a
@@ -41,6 +52,7 @@ merging) plus those of one chunk.
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 import pickle
 import struct
@@ -54,8 +66,12 @@ from wikitalk.ingest import RevisionRecord
 
 DEFAULT_MAX_IN_MEMORY = 100_000
 MAX_OPEN_RUNS = 64
+# Shared ends are found in whole steps of this many characters: any split
+# rebuilds the text, and a coarse one is found with a few C comparisons.
+_GRAIN = 256
 
 _LENGTH = struct.Struct("<Q")
+_sort_key = operator.attrgetter("sort_key")
 
 
 class SpillDirectoryError(OSError):
@@ -129,7 +145,60 @@ def _read_run(fd: int, start: int, end: int) -> Iterator[RevisionRecord]:
 
 
 def _merge(runs: list[tuple[int, int]], fd: int) -> Iterator[RevisionRecord]:
-    return heapq.merge(*(_read_run(fd, *run) for run in runs), key=lambda r: r.sort_key)
+    return heapq.merge(*(_read_run(fd, *run) for run in runs), key=_sort_key)
+
+
+def _top_step(limit: int) -> int:
+    """The largest power of two times ``_GRAIN`` up to ``limit`` (less than
+    ``_GRAIN`` when ``limit`` is)."""
+    return _GRAIN << (limit // _GRAIN).bit_length() >> 1
+
+
+def _encoded(rec: RevisionRecord, prev: str) -> RevisionRecord:
+    """``rec`` with its text as ``(head, tail, middle)`` against ``prev``
+    (see the module docstring), or ``rec`` itself when the two share no
+    whole grain at either end. Each end is a binary search in whole grains,
+    about log2(len / _GRAIN) comparisons in C."""
+    text = rec.wikitext
+    n, m = len(text), len(prev)
+    limit = min(n, m)
+    head, step = 0, _top_step(limit)
+    while step >= _GRAIN:
+        if head + step <= limit and prev.startswith(text[head : head + step], head):
+            head += step
+        step //= 2
+    limit -= head
+    tail, step = 0, _top_step(limit)
+    while step >= _GRAIN:
+        if tail + step <= limit and prev.endswith(text[n - tail - step : n - tail], 0, m - tail):
+            tail += step
+        step //= 2
+    if not head and not tail:
+        return rec
+    return RevisionRecord(*rec[:6], (head, tail, text[head : n - tail]))
+
+
+def _decoded(buffer: list) -> Iterator[RevisionRecord]:
+    """The records of ``buffer`` with their texts rebuilt, in arrival order.
+    Each entry is dropped from ``buffer`` as it is decoded, so the buffer
+    never holds a record in both forms."""
+    text = ""
+    for i, rec in enumerate(buffer):
+        buffer[i] = None
+        if type(rec.wikitext) is str:
+            text = rec.wikitext
+        else:
+            head, tail, middle = rec.wikitext
+            text = "".join((text[:head], middle, text[len(text) - tail :]))
+            rec = RevisionRecord(*rec[:6], text)
+        yield rec
+
+
+def _ordered(buffer: list, in_order: bool) -> Iterable[RevisionRecord]:
+    """The records of ``buffer`` in sort order: rebuilt one at a time when
+    their keys arrived in order, else all rebuilt and then sorted."""
+    records = _decoded(buffer)
+    return records if in_order else sorted(records, key=_sort_key)
 
 
 def sort_revisions(
@@ -145,27 +214,36 @@ def sort_revisions(
     stats = stats if stats is not None else SortStats()
     limit = budget.max_in_memory_revisions
 
+    # Texts are encoded against prev while the buffer's keys are in order.
     buffer: list[RevisionRecord] = []
+    in_order, last_key, prev = True, None, ""
     spill: Optional[BinaryIO] = None
     runs: list[tuple[int, int]] = []
     try:
         for rec in revisions:
             stats.records += 1
+            if in_order:
+                key = rec.sort_key
+                in_order = last_key is None or last_key <= key
+                last_key = key
+                if in_order:
+                    text = rec.wikitext
+                    if len(text) >= _GRAIN and len(prev) >= _GRAIN:
+                        rec = _encoded(rec, prev)
+                    prev = text
             buffer.append(rec)
             stats._track(len(buffer))
             if len(buffer) >= limit:
-                buffer.sort(key=lambda r: r.sort_key)
                 if spill is None:
                     spill = tempfile.TemporaryFile(dir=budget.spill_directory)
-                runs.append(_write_run(buffer, spill))
+                runs.append(_write_run(_ordered(buffer, in_order), spill))
                 stats.runs_spilled += 1
-                buffer = []
-        buffer.sort(key=lambda r: r.sort_key)
+                buffer, in_order, last_key, prev = [], True, None, ""
         if spill is None:
-            yield from buffer
+            yield from _ordered(buffer, in_order)
             return
         if buffer:
-            runs.append(_write_run(buffer, spill))
+            runs.append(_write_run(_ordered(buffer, in_order), spill))
             stats.runs_spilled += 1
             buffer = []
         fd = spill.fileno()

@@ -11,6 +11,7 @@ import pytest
 
 import wikitalk
 from tests.conftest import BASE, make_revision
+from tests.test_acceptance import chinese_talk_script
 from wikitalk import extsort
 from wikitalk.extsort import SortBudget, SortStats, SpillDirectoryError, sort_revisions
 from wikitalk.ingest import RevisionRecord
@@ -27,6 +28,44 @@ def _records(n, shuffle_seed=None):
 
 def _ids(records):
     return [r.revision_id for r in records]
+
+
+def _sort_key(rec):
+    return rec.sort_key
+
+
+def _edit_history(first_minute=0):
+    """One page's revisions in key order, each an edit of the one before:
+    texts grow, shrink, repeat unchanged, become empty and are shorter and
+    longer than the sort's grain, and a zhwiki page's CJK history follows.
+    Every 17th revision is followed by one with the same key and another
+    text, so the output shows whether equal keys keep their input order."""
+    rng = random.Random(5)
+    texts, text = [], ""
+    for i in range(240):
+        if i in (100, 101, 200):
+            text = ""
+        elif i in (60, 150, 151):
+            text = f"short {i}"
+        elif rng.random() < 0.15:
+            pass
+        elif text and rng.random() < 0.25:
+            lo = rng.randrange(len(text))
+            text = text[:lo] + text[lo + rng.randrange(1, 300) :]
+        else:
+            lo = rng.randrange(len(text) + 1)
+            line = f":line {i} by User{rng.randrange(9)} ~~~~\n"
+            text = text[:lo] + line * rng.randrange(1, 8) + text[lo:]
+        texts.append(text)
+    texts += [r.text for r in chinese_talk_script().revisions]
+    records = []
+    for i, text in enumerate(texts):
+        minute = first_minute + 30 * i
+        records.append(make_revision(2 * 10**6 + i, text, minutes=minute))
+        if i % 17 == 0:
+            records.append(make_revision(2 * 10**6 + i, text[::-1], minutes=minute, user="bob"))
+    assert max(map(len, texts)) > 8 * extsort._GRAIN
+    return records
 
 
 def test_already_sorted_identity(tmp_path):
@@ -106,9 +145,10 @@ def test_cascade_merge_equals_global_sort(tmp_path, monkeypatch):
     records = _records(1950)
     # records sharing a sort key must keep their input order, as in memory
     records += [make_revision(10**6 + i, f"same key {i}", minutes=30 * i) for i in range(50)]
+    records += _edit_history()
     random.Random(11).shuffle(records)
-    reference = list(sort_revisions(iter(records), SortBudget(spill_directory=tmp_path)))
-    # 40 runs against at most 8 open ones forces several cascade merges;
+    reference = sorted(records, key=_sort_key)
+    # 46 runs against at most 8 open ones forces several cascade merges;
     # against 3, merged runs are merged again
     for max_open_runs in (8, 3):
         monkeypatch.setattr(extsort, "MAX_OPEN_RUNS", max_open_runs)
@@ -121,7 +161,7 @@ def test_cascade_merge_equals_global_sort(tmp_path, monkeypatch):
             )
         )
         assert cascaded == reference
-        assert stats.runs_spilled == 40
+        assert stats.runs_spilled == -(-len(records) // limit)
         assert list(tmp_path.iterdir()) == []
         assert stats.peak_in_memory_records <= max(limit, extsort.MAX_OPEN_RUNS + 1)
 
@@ -146,16 +186,61 @@ def test_spilled_sort_memory_is_bounded(tmp_path):
     assert peak < text_bytes / 4
 
 
+def _growing_page(n=300):
+    """One page's revisions in order, each adding a 100-character reply, to
+    30 KB at the end; each text is built as the sort reads it."""
+    text = ""
+    for i in range(n):
+        text += f"{i:04d} " + "reply " * 15 + "~~~~\n"
+        yield make_revision(10**6 + i, text, minutes=i)
+
+
+def _drained_peak(revisions, budget):
+    """The ``tracemalloc`` peak of draining the sort, and the last text."""
+    tracemalloc.start()
+    try:
+        for rec in sort_revisions(revisions, budget):
+            last = rec.wikitext
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, last
+
+
+def test_in_order_sort_holds_one_text_and_the_edits(tmp_path):
+    """A page read in order costs one full text plus each revision's edit,
+    not its history: holding all 300 texts takes about 4.5 MB."""
+    peak, last = _drained_peak(_growing_page(), SortBudget(spill_directory=tmp_path))
+    assert len(last) == 30_000
+    assert peak < 10 * len(last)
+
+
+def test_out_of_order_sort_drops_each_entry_as_it_is_decoded(tmp_path):
+    """Out of order, a page's texts are all rebuilt before the sort, but no
+    encoded entry outlives its decoding. With the first revision read last,
+    every other one is encoded; the rebuilt records and the texts being
+    joined take about 330 B a revision beyond the texts, and entries kept
+    alive about 400 B more."""
+    records = list(_growing_page())
+    text_bytes = sum(len(r.wikitext) for r in records)
+    for order in (random.Random(3).sample(records, len(records)), records[1:] + records[:1]):
+        peak, _ = _drained_peak(iter(order), SortBudget(spill_directory=tmp_path))
+        assert peak < text_bytes + 500 * len(records)
+
+
 def test_streaming_parse_sort_equals_parse_all_then_sort(tmp_path):
-    records = _records(500, shuffle_seed=9)
-    oracle = sorted(records, key=lambda r: (r.timestamp, r.revision_id))
-    out = list(
-        sort_revisions(
-            iter(records),
-            SortBudget(max_in_memory_revisions=64, spill_directory=tmp_path),
-        )
-    )
-    assert out == oracle
+    """In any arrival order and at any budget, the sort's output is Python's
+    stable sort of its input, field by field and texts included."""
+    history = _records(200) + _edit_history(first_minute=30 * 200)
+    oracle = sorted(history, key=_sort_key)
+    orders = {"in order": oracle, "reversed": oracle[::-1]}
+    for seed in (9, 21):
+        orders[f"shuffled {seed}"] = random.Random(seed).sample(history, len(history))
+    for name, records in orders.items():
+        for limit in (2, 3, 16, extsort.DEFAULT_MAX_IN_MEMORY):
+            budget = SortBudget(max_in_memory_revisions=limit, spill_directory=tmp_path)
+            out = list(sort_revisions(iter(records), budget))
+            assert out == sorted(records, key=_sort_key), (name, limit)
 
 
 _KILLED_CHILD = """

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import wikitalk
+from tests.test_acceptance import chinese_talk_script
 from wikitalk import cli, corpus, diff, pipeline
 from wikitalk.actions import Action, ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
@@ -515,27 +516,35 @@ def test_stats_output(tmp_path):
 def test_compressed_dumps_give_the_plain_dumps_output(tmp_path):
     """A bz2 copy of a shuffled dump, in two streams as Wikimedia's
     multistream files are, and a gzip copy give the plain dump's corpus and
-    ``--stats`` bytes."""
-    scripts = [random_tree_script(seed, n_comments=12)[0] for seed in range(4)]
-    dump = write_dump(scripts, tmp_path / "dump.xml", shuffle_seed=6)
-    data = dump.read_bytes()
-    half = len(data) // 2
-    copies = {
-        "plain": dump,
-        "bz2": tmp_path / "dump.xml.bz2",
-        "gzip": tmp_path / "dump.xml.gz",
+    ``--stats`` bytes: for random trees, and for the gold suite with the
+    zhwiki page, whose bz2 streams split inside a multi-byte character."""
+    inputs = {
+        "trees": [random_tree_script(seed, n_comments=12)[0] for seed in range(4)],
+        "gold-suite-zh": gold_fixture_suite() + [chinese_talk_script()],
     }
-    copies["bz2"].write_bytes(bz2.compress(data[:half]) + bz2.compress(data[half:]))
-    copies["gzip"].write_bytes(gzip.compress(data))
-    outputs = {}
-    for name, path in copies.items():
-        out, stats = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
-        argv = ["reconstruct", "--input", str(path), "--output", str(out), "--stats", str(stats)]
-        assert cli.main(argv) == 0, name
-        outputs[name] = (out.read_bytes(), stats.read_bytes())
-    assert outputs["plain"][0].count(b"\n") > 50
-    assert outputs["bz2"] == outputs["plain"]
-    assert outputs["gzip"] == outputs["plain"]
+    for kind, scripts in inputs.items():
+        dump = write_dump(scripts, tmp_path / f"{kind}.xml", shuffle_seed=6)
+        data = dump.read_bytes()
+        half = len(data) // 2
+        if kind == "gold-suite-zh":
+            # the first UTF-8 continuation byte from the middle on
+            half = next(i for i in range(half, len(data)) if data[i] & 0xC0 == 0x80)
+        copies = {
+            "plain": dump,
+            "bz2": tmp_path / f"{kind}.xml.bz2",
+            "gzip": tmp_path / f"{kind}.xml.gz",
+        }
+        copies["bz2"].write_bytes(bz2.compress(data[:half]) + bz2.compress(data[half:]))
+        copies["gzip"].write_bytes(gzip.compress(data))
+        outputs = {}
+        for name, path in copies.items():
+            out, stats = tmp_path / f"{kind}-{name}.jsonl", tmp_path / f"{kind}-{name}.json"
+            argv = ["reconstruct", "--input", str(path), "--output", str(out), "--stats", str(stats)]
+            assert cli.main(argv) == 0, (kind, name)
+            outputs[name] = (out.read_bytes(), stats.read_bytes())
+        assert outputs["plain"][0].count(b"\n") > 50, kind
+        assert outputs["bz2"] == outputs["plain"], kind
+        assert outputs["gzip"] == outputs["plain"], kind
 
 
 def test_7z_and_truncated_dumps_are_one_error_line(tmp_path, capsys):
