@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -140,11 +141,9 @@ def _cmd_reconstruct(args) -> int:
             stats_path=args.stats or None,
         )
     )
-    if report.skipped or report.skipped_revisions:
+    if report.skipped:
         print(
-            f"completed with {report.skipped} skipped dump records "
-            f"({report.skip_reasons}) and {report.skipped_revisions} "
-            "resynced revisions",
+            f"completed with {report.skipped} skipped dump records ({report.skip_reasons})",
             file=sys.stderr,
         )
     print(
@@ -232,7 +231,10 @@ def _cmd_analytics_eer(args) -> int:
     from wikitalk import analytics
 
     def labeled(record):
-        score, label = float(record["score"]), record["label"]
+        score, label = record["score"], record["label"]
+        # JSON's NaN parses as a float, and has no place in the order of scores
+        if isinstance(score, bool) or not isinstance(score, (int, float)) or math.isnan(score):
+            raise TypeError(f"score {score!r} is not a number")
         if not isinstance(label, bool):  # not a string that reads as one
             raise TypeError(f"label {label!r} is not true or false")
         return score, label

@@ -29,10 +29,6 @@ from typing import Sequence
 
 from wikitalk.tokenizer import TokenSequence, common_prefix, common_suffix
 
-# Inputs larger than this are refused outright rather than diffed slowly
-# and nondeterministically under time pressure.
-MAX_DIFF_TOKENS = 2_000_000
-
 # Changed regions bigger than this (old + new tokens) are emitted as a
 # wholesale replace instead of being aligned token by token.
 _REGION_TOKEN_CAP = 40_000
@@ -41,10 +37,6 @@ _REGION_TOKEN_CAP = 40_000
 # emitted as a wholesale replace. Keeps worst-case cost bounded without
 # introducing wall-clock nondeterminism.
 _MAX_SEARCH_DEPTH = 4_000
-
-
-class DiffTokenLimitError(Exception):
-    """Raised when an input exceeds the hard token cap."""
 
 
 @dataclass(frozen=True)
@@ -347,8 +339,6 @@ def lcs_diff(
     as ``tokenize(text, old)`` reports them. The two may overlap; the result
     is the same for any such counts."""
     n, m = len(old), len(new)
-    if n > MAX_DIFF_TOKENS or m > MAX_DIFF_TOKENS:
-        raise DiffTokenLimitError(f"input exceeds {MAX_DIFF_TOKENS} tokens ({n} old, {m} new)")
     blocks = _diff_with_prepass(old, new, *shared)
     ops = _slide_pure_runs(_normalize(blocks, n, m), _tokens(old), _tokens(new))
     return DiffScript(ops=tuple(ops), old_len=n, new_len=m)

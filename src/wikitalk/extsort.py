@@ -2,9 +2,9 @@
 
 Small pages sort in memory; larger ones spill sorted runs of at most
 ``max_in_memory_revisions`` records to disk and k-way merge them. Both paths
-produce the same sequence: ascending (timestamp, revision_id), ties resolved
-by revision id so output is reproducible, and records with equal keys in
-input order.
+produce the same sequence: ascending ``RevisionRecord.sort_key``
+(timestamp, then revision id in natural order, so output is reproducible),
+and records with equal keys in input order.
 
 A sort that spills opens one anonymous file (``tempfile.TemporaryFile`` in
 the spill directory; on Linux it never has a name, so even a killed process

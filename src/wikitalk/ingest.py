@@ -28,6 +28,7 @@ stay attributable.
 from __future__ import annotations
 
 import bz2
+import re
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -48,6 +49,20 @@ class DumpFormatError(ValueError):
     or a compressed dump cut short."""
 
 
+_DIGIT_RUNS_RE = re.compile(r"[0-9]+|[^0-9]+")
+
+
+def id_order_key(id_: str) -> tuple:
+    """Natural order of page and revision ids: digit runs compare as
+    integers, so 9 precedes 10 and ``tree2`` precedes ``tree10``. The id
+    itself breaks ties such as ``7`` and ``07``."""
+    runs = tuple(
+        (0, int(run), "") if "0" <= run[0] <= "9" else (1, 0, run)
+        for run in _DIGIT_RUNS_RE.findall(id_)
+    )
+    return runs, id_
+
+
 class RevisionRecord(NamedTuple):
     """One revision as ingest reads it; immutable, compared field by field."""
 
@@ -60,20 +75,20 @@ class RevisionRecord(NamedTuple):
     wikitext: str
 
     @property
-    def sort_key(self) -> tuple[datetime, str]:
-        return (self.timestamp, self.revision_id)
+    def sort_key(self) -> tuple[datetime, tuple]:
+        """Timestamp, then revision id in natural order: MediaWiki assigns
+        revision ids in save order, so 999 precedes 1000 in one second."""
+        return (self.timestamp, id_order_key(self.revision_id))
 
 
 @dataclass
 class RunReport:
     """The counts of one run: ingest counts revisions and skips, the
-    reconstructor resynced revisions, the pipeline pages and actions."""
+    pipeline pages and actions."""
 
     pages: int = 0
     revisions: int = 0
     actions_written: int = 0
-    # revisions whose diff hit its token cap; the page state resyncs to them
-    skipped_revisions: int = 0
     skip_reasons: dict[str, int] = field(default_factory=dict)
 
     @property

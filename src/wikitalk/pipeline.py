@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,8 +41,15 @@ from typing import Iterable, Optional, TextIO
 
 from wikitalk import corpus
 from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY, SortBudget, sort_revisions
-from wikitalk.ingest import DumpFormatError, RevisionRecord, RunReport, open_dump, parse_dump_stream
-from wikitalk.reconstruct import Reconstructor, reconstruct_page
+from wikitalk.ingest import (
+    DumpFormatError,
+    RevisionRecord,
+    RunReport,
+    id_order_key,
+    open_dump,
+    parse_dump_stream,
+)
+from wikitalk.reconstruct import reconstruct_page
 
 
 @dataclass
@@ -68,29 +74,14 @@ def _process_page(
     budget: SortBudget,
     sink: TextIO,
     summary: Optional[corpus.Summary],
-    report: RunReport,
 ) -> int:
-    """Reconstruct one page straight into ``sink`` (and ``summary``), counting
-    into ``report``; returns the actions written."""
+    """Reconstruct one page straight into ``sink`` (and ``summary``); returns
+    the actions written."""
     ordered = sort_revisions(iter(page_revisions), budget)
-    actions = reconstruct_page(ordered, Reconstructor(report))
+    actions = reconstruct_page(ordered)
     if summary is not None:
         actions = summary.fed(actions)
     return corpus.write_actions(actions, sink)
-
-
-_DIGIT_RUNS_RE = re.compile(r"[0-9]+|[^0-9]+")
-
-
-def _page_order_key(page_id: str) -> tuple:
-    """Natural order of page ids: digit runs compare as integers, so page 9
-    precedes page 10 and ``tree2`` precedes ``tree10``. The id itself breaks
-    ties such as ``7`` and ``07``."""
-    runs = tuple(
-        (0, int(run), "") if "0" <= run[0] <= "9" else (1, 0, run)
-        for run in _DIGIT_RUNS_RE.findall(page_id)
-    )
-    return runs, page_id
 
 
 @contextmanager
@@ -124,7 +115,7 @@ def _reorder(sink: TextIO, pages: dict[str, int]) -> None:
         for page_id, count in pages.items():
             start = end
             end += sum(len(unordered.readline()) for _ in range(count))
-            ranges.append((_page_order_key(page_id), start, end))
+            ranges.append((id_order_key(page_id), start, end))
         ordered.buffer.write(header)
         for _, start, end in sorted(ranges):
             unordered.seek(start)
@@ -167,10 +158,10 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             for page_id, revs in itertools.groupby(records, key=lambda r: r.page_id):
                 if page_id in pages:
                     raise DumpFormatError(f"page {page_id} reappears after another page")
-                key = _page_order_key(page_id)
+                key = id_order_key(page_id)
                 in_order, last_key = in_order and last_key < key, key
                 try:
-                    pages[page_id] = _process_page(revs, budget, sink, summary, report)
+                    pages[page_id] = _process_page(revs, budget, sink, summary)
                 except corpus.CorpusWriteError as exc:
                     cause = exc.__cause__
                     raise corpus.CorpusWriteError(report.actions_written + exc.written, cause) from cause

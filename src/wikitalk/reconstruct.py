@@ -28,8 +28,8 @@ from typing import Iterable, Iterator, Optional
 
 from wikitalk.actions import Action, ActionType
 from wikitalk.clean import HEADING_RE, clean_markup
-from wikitalk.diff import ChangeOp, DiffOp, DiffTokenLimitError, EqualOp, lcs_diff
-from wikitalk.ingest import RevisionRecord, RunReport
+from wikitalk.diff import ChangeOp, DiffOp, EqualOp, lcs_diff
+from wikitalk.ingest import RevisionRecord
 from wikitalk.store import DeletedCommentStore
 from wikitalk.tokenizer import TokenSequence, tokenize
 
@@ -415,10 +415,6 @@ def _attribute_changes(
 
 
 class Reconstructor:
-    def __init__(self, report: Optional[RunReport] = None):
-        # the run's report, which counts the resynced revisions
-        self.tally = report if report is not None else RunReport()
-
     # -- id scheme: <revision_id>.<token offset>.<page_id>, bumped
     # deterministically in the rare case two actions of one revision share
     # an anchor offset.
@@ -434,13 +430,7 @@ class Reconstructor:
         """Advance the page state by one revision, returning emitted actions."""
         old_seq = state.tokens
         new_seq, head, tail = tokenize(rev.wikitext, old_seq)
-        try:
-            script = lcs_diff(old_seq, new_seq, shared=(head, tail))
-        except DiffTokenLimitError:
-            self.tally.skipped_revisions += 1
-            self._resync(state, rev, new_seq)
-            return state, []
-
+        script = lcs_diff(old_seq, new_seq, shared=(head, tail))
         actions = self._decompose(state, rev, new_seq, script.ops)
         state.tokens = new_seq
         return state, actions
@@ -635,34 +625,10 @@ class Reconstructor:
             char_span=(seg.char_lo, seg.char_hi),
         )
 
-    # ------------------------------------------------------------------
 
-    def _resync(self, state: PageState, rev: RevisionRecord, new_seq: TokenSequence) -> None:
-        """Treat the new revision as ground truth: rebuild live comments from
-        its full text without emitting actions."""
-        state.live = LiveComments()
-        state.tokens = new_seq
-        thread_id: Optional[str] = None  # the id of the heading above
-        for seg in segment_text(new_seq, 0, len(new_seq)):
-            seg_id = self._new_action_id(state, rev.revision_id, seg.tok_lo, len(new_seq) + 1)
-            cleaned = clean_markup(seg.raw).text
-            if seg.is_heading:
-                thread_id = seg_id
-            conv = thread_id or seg_id
-            replyto_id = (
-                None
-                if seg.is_heading
-                else self._resolve_reply(state.live, seg.tok_lo, seg.indentation, conv)
-            )
-            state.live.insert(_new_comment(seg_id, seg, cleaned, conv, replyto_id))
-
-
-def reconstruct_page(
-    revisions: Iterable[RevisionRecord],
-    reconstructor: Optional[Reconstructor] = None,
-) -> Iterator[Action]:
+def reconstruct_page(revisions: Iterable[RevisionRecord]) -> Iterator[Action]:
     """Fold a page's temporally ordered revisions into an action stream."""
-    recon = reconstructor if reconstructor is not None else Reconstructor()
+    recon = Reconstructor()
     state: Optional[PageState] = None
     for rev in revisions:
         if state is None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import wikitalk.diff as diff_mod
 from tests.conftest import DiffApplyError, apply_diff, equal_token_count, revision_records
 from wikitalk import tokenizer
-from wikitalk.diff import ChangeOp, DiffScript, DiffTokenLimitError, EqualOp, lcs_diff
+from wikitalk.diff import ChangeOp, DiffScript, EqualOp, lcs_diff
 from wikitalk.pipeline import PipelineConfig, run_pipeline
 from wikitalk.synth import gold_fixture_suite, random_tree_script, write_dump
 from wikitalk.tokenizer import common_prefix, common_suffix, tokenize
@@ -120,12 +120,6 @@ def test_line_boundary_slide_keeps_sibling_comments_whole():
     assert new.text[new.char_span(inserts[0].new_lo, inserts[0].new_hi)[0] :].startswith(
         ": second remark"
     )
-
-
-def test_token_cap_errors_loudly(monkeypatch):
-    monkeypatch.setattr(diff_mod, "MAX_DIFF_TOKENS", 5)
-    with pytest.raises(DiffTokenLimitError):
-        lcs_diff(tokenize("a b c d e f g"), tokenize("a"))
 
 
 def test_apply_diff_empty_on_empty():

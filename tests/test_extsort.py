@@ -107,9 +107,11 @@ def test_timestamp_ties_break_by_revision_id(tmp_path):
         make_revision("2005", "b", minutes=0),
         make_revision("1003", "a", minutes=0),
         make_revision("1999", "c", minutes=0),
+        make_revision("1000", "d", minutes=0),
+        make_revision("999", "e", minutes=0),
     ]
     out = list(sort_revisions(iter(records), SortBudget(spill_directory=tmp_path)))
-    assert _ids(out) == ["1003", "1999", "2005"]
+    assert _ids(out) == ["999", "1000", "1003", "1999", "2005"]
 
 
 def test_unwritable_spill_dir_fails_before_consuming_input(tmp_path):

@@ -16,12 +16,12 @@ import pytest
 
 import wikitalk
 from tests.test_acceptance import chinese_talk_script
-from wikitalk import cli, corpus, diff, pipeline
+from wikitalk import cli, corpus, pipeline
 from wikitalk.actions import Action, ActionType
 from wikitalk.corpus import SCHEMA_HEADER, SCORED_SCHEMA_HEADER, read_actions
 from wikitalk.evalharness import write_gold
 from wikitalk.extsort import SortStats
-from wikitalk.ingest import DumpFormatError
+from wikitalk.ingest import DumpFormatError, id_order_key
 from wikitalk.pipeline import PipelineConfig, run_pipeline
 from wikitalk.synth import (
     PageScript,
@@ -165,15 +165,14 @@ def test_index_memory_per_page_is_small(tmp_path):
     assert (peaks[5000] - peaks[500]) / 4500 <= 200, peaks
 
 
-def test_run_report_counts_every_stage(tmp_path, monkeypatch, capsys):
-    """One report holds a run's pages, revisions, actions, skipped records
-    and resynced revisions, and the CLI's summary lines are read from it."""
-    words = " ".join(f"word{i}" for i in range(40))
+def test_run_report_counts_every_stage(tmp_path, capsys):
+    """One report holds a run's pages, revisions, actions and skipped
+    records, and the CLI's summary lines are read from it."""
     dump = tmp_path / "dump.xml"
     dump.write_text(
         '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">\n'
         + _page_xml(1, 11, 0, "== Thread ==\nfirst comment ~~~~")
-        + _page_xml(2, 21, 1, f"== Long ==\n{words} ~~~~").replace(
+        + _page_xml(2, 21, 1, "== Other ==\nsecond comment ~~~~").replace(
             "</page>",
             "<revision><id>22</id><timestamp>2017-05-01T10:02:00Z</timestamp>"
             "<contributor><username>admin</username></contributor>"
@@ -181,18 +180,16 @@ def test_run_report_counts_every_stage(tmp_path, monkeypatch, capsys):
         )
         + "</mediawiki>\n"
     )
-    monkeypatch.setattr(diff, "MAX_DIFF_TOKENS", 25)
     out = tmp_path / "corpus.jsonl"
     report = run_pipeline(PipelineConfig(input_path=dump, output_path=out))
     actions = len(out.read_text().splitlines()) - 1
     assert (report.pages, report.revisions, report.actions_written) == (2, 2, actions)
     assert actions > 0
     assert report.skip_reasons == {"text_deleted": 1}
-    assert report.skipped_revisions == 1
     capsys.readouterr()
     assert cli.main(["reconstruct", "--input", str(dump), "--output", str(out)]) == 0
     assert capsys.readouterr().err.splitlines() == [
-        "completed with 1 skipped dump records ({'text_deleted': 1}) and 1 resynced revisions",
+        "completed with 1 skipped dump records ({'text_deleted': 1})",
         f"pages=2 revisions=2 actions={actions}",
     ]
 
@@ -216,7 +213,7 @@ def test_pages_are_written_in_numeric_id_order(tmp_path):
 
 def test_page_order_key_is_natural():
     ids = ["tree10", "10", "tree2", "9", "b", "07", "7", "a1"]
-    assert sorted(ids, key=pipeline._page_order_key) == [
+    assert sorted(ids, key=id_order_key) == [
         "07", "7", "9", "10", "a1", "b", "tree2", "tree10"
     ]
 
@@ -817,6 +814,22 @@ def test_eer_label_that_is_not_a_boolean_is_one_error_line(tmp_path, capsys):
     ]
 
 
+def test_eer_score_that_is_not_a_number_is_one_error_line(tmp_path, capsys):
+    """A score written as a string or a boolean is not read as the number it
+    spells: ``analytics eer`` ends with one error line naming the file and
+    line, and prints no threshold."""
+    path = tmp_path / "labeled.jsonl"
+    for score in ("0.2", True):
+        rows = [(0.1, False), (score, False), (0.6, True), (0.9, True)]
+        path.write_text("".join(json.dumps({"score": s, "label": l}) + "\n" for s, l in rows))
+        assert cli.main(["analytics", "eer", "--labeled", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {path}, line 2: bad field value (score {score!r} is not a number)"
+        ]
+
+
 @pytest.mark.parametrize("field", ["toxicity", "severe_toxicity"])
 def test_deletion_rate_score_that_is_not_a_number_is_one_error_line(tmp_path, capsys, field):
     """A toxicity score written as a string or a boolean ends
@@ -866,14 +879,17 @@ def test_repeated_gold_id_is_one_error_line(tmp_path, capsys):
 def test_nan_score_is_one_error_line(tmp_path, capsys):
     """JSON's ``NaN`` parses as a float, and a NaN score has no place in
     the order of scores: ``analytics eer`` refuses it with one error line
-    and exit status 1 instead of printing a threshold."""
+    naming the file and line, and exit status 1 instead of printing a
+    threshold."""
     labeled = tmp_path / "labeled.jsonl"
     rows = [("0.1", "false"), ("NaN", "false"), ("0.9", "true"), ("0.5", "true")]
     labeled.write_text("".join(f'{{"score": {s}, "label": {y}}}\n' for s, y in rows))
     assert cli.main(["analytics", "eer", "--labeled", str(labeled)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: scores must not be NaN"]
+    assert captured.err.splitlines() == [
+        f"error: {labeled}, line 2: bad field value (score nan is not a number)"
+    ]
 
 
 @pytest.mark.parametrize("via", ["path", "symlink"])

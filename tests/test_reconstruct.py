@@ -228,32 +228,6 @@ def test_store_bound_invariant_through_churn():
         assert all(10 <= len(t_) <= 1000 for t_ in store_texts(state.store))
 
 
-def test_resync_on_diff_cap(monkeypatch):
-    """A revision over the diff cap rebuilds the live comments from its
-    text, in blocks of the default size and of two comments alike."""
-    script = figure_walkthrough_script()
-    revisions = revision_records(script)
-    monkeypatch.setattr(diff_mod, "MAX_DIFF_TOKENS", 25)
-    observed = []
-    for block_size in (reconstruct.BLOCK_SIZE, 2):
-        monkeypatch.setattr(reconstruct, "BLOCK_SIZE", block_size)
-        recon = Reconstructor()
-        state = PageState(page_id="101", page_title="Talk:Example")
-        emitted = []
-        for rev in revisions:
-            _, acts = recon.process_revision(state, rev)
-            assert_live_in_document_order(state)
-            emitted.extend(serialize_action(a) for a in acts)
-        assert recon.tally.skipped_revisions >= 1
-        # state still tracks the final text faithfully
-        final = revisions[-1].wikitext
-        for _, tok_range in with_ranges(state.live):
-            lo, hi = state.tokens.char_span(*tok_range)
-            assert final[lo:hi]
-        observed.append((emitted, [(c.comment_id, r) for c, r in with_ranges(state.live)]))
-    assert observed[0] == observed[1]
-
-
 def test_determinism_byte_for_byte():
     records = revision_records(figure_walkthrough_script())
     first = [serialize_action(a) for a in reconstruct_page(records)]
@@ -557,3 +531,26 @@ def test_appending_replies_costs_the_reply_not_the_page(monkeypatch):
             old_chunks = {id(chunk) for chunk in old.chunk_tokens}
             kept = sum(id(chunk) in old_chunks for chunk in state.tokens.chunk_tokens)
             assert kept >= len(old.chunk_tokens) - 3, (threads, k)
+
+
+# The diff once refused either side above 2,000,000 tokens and resynced the
+# page without emitting an action, so this page is built above that.
+def test_page_over_two_million_tokens_is_diffed():
+    """A page with one comment of two million words: the first revision
+    gives one action per comment, and each reply before the long comment is
+    one ADDITION."""
+    lines = ["== Thread ==\n"]
+    lines += [f":Comment {c} on the sources ~~~~\n" for c in range(250)]
+    lines.append("x " * 2_000_001 + "~~~~\n")
+    lines += [f":Comment {c} on the sources ~~~~\n" for c in range(250, 501)]
+    recon, state = Reconstructor(), PageState(page_id="1", page_title="Talk:Huge")
+    _, actions = recon.process_revision(state, make_revision(0, "".join(lines)))
+    assert len(state.tokens) > 2_000_000
+    assert [a.type for a in actions] == [ActionType.CREATION] + [ActionType.ADDITION] * 502
+    assert actions[251].raw_markup == "x " * 2_000_001 + "~~~~"
+    for k in range(1, 4):
+        lines.insert(250 + k, f"::Reply {k} ~~~~\n")
+        _, actions = recon.process_revision(state, make_revision(k, "".join(lines), minutes=k))
+        assert [(a.type, a.raw_markup) for a in actions] == [
+            (ActionType.ADDITION, f"::Reply {k} ~~~~")
+        ]
