@@ -61,13 +61,15 @@ _positive_float = _number(float, lambda n: n > 0, "must be positive")
 
 def _horizons(value: str) -> list[tuple[str, timedelta]]:
     """Comma-separated horizons such as ``1h,1d,7d``, shortest first, as
-    (label, horizon) pairs; empty items are skipped."""
+    (label, horizon) pairs; empty items are skipped, but not all of them."""
     from wikitalk.analytics import parse_horizon
 
     try:
         pairs = [(h.strip(), parse_horizon(h)) for h in value.split(",") if h.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not pairs:
+        raise argparse.ArgumentTypeError(f"no horizon given: {value!r}")
     if pairs != sorted(pairs, key=lambda pair: pair[1]):
         raise argparse.ArgumentTypeError(f"horizons must be sorted ascending: {value}")
     return pairs
@@ -124,8 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     an_rate.add_argument("--scored", required=True)
     an_rate.add_argument("--horizons", type=_horizons)
     an_rate.add_argument("--subset", choices=["all", "toxic", "severe"], default="all")
-    an_rate.add_argument("--toxicity-threshold", type=float, default=None)
-    an_rate.add_argument("--severe-threshold", type=float, default=None)
+    finite = _number(float, math.isfinite, "must be finite")
+    an_rate.add_argument("--toxicity-threshold", type=finite, default=None)
+    an_rate.add_argument("--severe-threshold", type=finite, default=None)
     an_rate.add_argument("--output", default=None)
     an_rate.set_defaults(run=_cmd_analytics_deletion_rate, usage_error=an_rate.error)
     return parser

@@ -12,14 +12,14 @@ a new one (either may be empty, never both).
 
 ``tokenize(text, prev)`` decides what the edit left unchanged, and the diff
 trusts it: the search for the common prefix starts after the head tokens
-it reports, and the tail it reports, whole lines on both sides, is one
-matching block without a search. The tail then takes in the whole lines
-that end both changed middles alike (a reply whose line begins like the
-next line's leaves that line in both), and when one side has no tokens
-left, the other side's are one change without a line diff. Otherwise only
-the lines between prefix and tail are copied out of the token chunks and
-aligned, so tokenize plus diff cost what the edit costs, not what the
-page costs.
+it reports, and the tail it reports, every whole line the two sides share
+after the edit, is one matching block without a search. The prefix is
+extended token by token (where lines differ only in spaces it runs on past
+them and takes priority over the tail), and when one side has no tokens
+left between prefix and tail, the other side's are one change without a
+line diff. Otherwise only the lines between prefix and tail are copied out
+of the token chunks and aligned, so tokenize plus diff cost what the edit
+costs, not what the page costs.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class DiffScript:
     ops tile both token ranges in order."""
 
     ops: tuple[DiffOp, ...]
-    old_len: int
-    new_len: int
 
     def inserted_token_count(self) -> int:
         return sum(op.new_hi - op.new_lo for op in self.ops if isinstance(op, ChangeOp))
@@ -185,15 +183,7 @@ def _diff_with_prepass(
     # The first head and the last tail tokens of the two sides are equal,
     # so the search for the common prefix starts from there.
     pre = min(head, n, m)
-    if n == m:
-        # The shared tails sit at the same indices, so a common prefix that
-        # reaches them runs to the end.
-        tail = min(tail, n - pre)
-        pre += common_prefix(a, pre, n - tail, b, pre, m - tail)
-        if pre == n - tail:
-            return [(0, 0, n)] if n else []
-    else:
-        pre += common_prefix(a, pre, n, b, pre, m)
+    pre += common_prefix(a, pre, n, b, pre, m)
     # The line-level diff first strips the whole lines the two sides share
     # at either end, so those lines are cut off here and only the middle is
     # split into lines. The prefix ends after its last newline, found in the
@@ -203,16 +193,6 @@ def _diff_with_prepass(
     if pre and a[pre - 1] != "\n":
         pre = old.token_at_or_after(old.text.rfind("\n", 0, old.char_span(pre, pre)[0]) + 1)
     suf = min(tail, n - pre, m - pre)
-    # The tail also takes in the whole lines of the common suffix of the two
-    # middles: all of it when it starts a line on both sides, else what
-    # follows its first newline, found in the text.
-    more = common_suffix(a, pre, n - suf, b, pre, m - suf)
-    at, bt = n - suf - more, m - suf - more
-    if more and ((at and a[at - 1] != "\n") or (bt and b[bt - 1] != "\n")):
-        lo, hi = old.char_span(at, n - suf)
-        newline = old.text.find("\n", lo, hi)
-        more = n - suf - old.token_at_or_after(newline + 1) if newline >= 0 else 0
-    suf += more
     a_end, b_end = n - suf, m - suf
     head_block = [(0, 0, pre)] if pre else []
     tail_block = [(a_end, b_end, suf)] if suf else []
@@ -336,10 +316,11 @@ def lcs_diff(
     """The edit script from ``old`` to ``new``. ``shared`` is ``(head,
     tail)``: ``new`` is known to begin with ``old``'s first ``head`` tokens
     and end with its last ``tail``, which start a line in both (whole lines),
-    as ``tokenize(text, old)`` reports them. The two may overlap; the result
-    is the same for any such counts."""
-    n, m = len(old), len(new)
+    as ``tokenize(text, old)`` reports them. The two may overlap. The
+    result is the same for any such counts, but the diff searches for no
+    common suffix beyond the tail, so without the counts it aligns every
+    line after the common prefix."""
     blocks = _diff_with_prepass(old, new, *shared)
-    ops = _slide_pure_runs(_normalize(blocks, n, m), _tokens(old), _tokens(new))
-    return DiffScript(ops=tuple(ops), old_len=n, new_len=m)
+    ops = _slide_pure_runs(_normalize(blocks, len(old), len(new)), _tokens(old), _tokens(new))
+    return DiffScript(ops=tuple(ops))
 

@@ -102,7 +102,6 @@ class SortBudget:
 
 @dataclass
 class SortStats:
-    records: int = 0
     runs_spilled: int = 0
     peak_in_memory_records: int = 0
 
@@ -221,7 +220,6 @@ def sort_revisions(
     runs: list[tuple[int, int]] = []
     try:
         for rec in revisions:
-            stats.records += 1
             if in_order:
                 key = rec.sort_key
                 in_order = last_key is None or last_key <= key

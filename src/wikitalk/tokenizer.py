@@ -11,13 +11,15 @@ that decides what an edit left unchanged. No token spans a space or a
 newline, so it rescans only from the last of those in the common character
 prefix of the two texts to the first in their common suffix, and splices
 the old token chunks back in around that window. It reports the tokens it
-reused before the window (the head) and those of the whole lines after the
-common suffix's first newline (the tail), which start a line in both
-texts. ``diff.lcs_diff`` starts its search for the common prefix after the
-head and takes the tail as equal lines without searching it, so tokenize
-plus diff cost what the edit costs rather than what the page costs. What
-still grows with the page is the character comparison of the two texts,
-done in C, and one new base per chunk after the edit.
+reused before the window (the head) and the tokens of every whole line the
+two texts share after the edit (the tail): the common suffix, searched
+back to the start of the line the prefix ends in, from where it starts a
+line in both texts on. ``diff.lcs_diff`` starts its search for the common
+prefix after the head and takes the tail as equal lines without searching
+for it, so tokenize plus diff cost what the edit costs rather than what
+the page costs. What still grows with the page is the character
+comparison of the two texts, done in C, and one new base per chunk after
+the edit.
 """
 
 from __future__ import annotations
@@ -195,9 +197,10 @@ def tokenize(text: str, prev: TokenSequence | None = None):
     """Tokenize ``text``. Given ``prev`` (the tokens of an earlier text),
     reuse it outside the changed window and return ``(seq, head, tail)``:
     ``seq`` equals ``tokenize(text)``, and its first ``head`` and last
-    ``tail`` tokens are ``prev``'s. The tail starts a line in both, so it is
-    whole lines (both are ``len(prev)``, and ``seq`` is ``prev``, when the
-    text is the same).
+    ``tail`` tokens are ``prev``'s. The tail is every whole line the two
+    texts share after the edit, so it starts a line in both and may overlap
+    the head (both are ``len(prev)``, and ``seq`` is ``prev``, when the text
+    is the same).
 
     The chunks before the one the window starts in are reused as they are,
     and the chunks after the one it ends in get a new base. The tokens in
@@ -218,7 +221,12 @@ def _splice(text: str, prev: TokenSequence) -> tuple[TokenSequence, int, int]:
     old = prev.text
     delta = len(text) - len(old)
     p = common_prefix(old, 0, len(old), text, 0, len(text))
-    t = len(old) - common_suffix(old, p, len(old), text, p, len(text))
+    # The common suffix is searched back to the start of the line the
+    # prefix ends in, so that a line it starts is in the tail; the window
+    # rescanned ends no earlier than the prefix does.
+    line = old.rfind("\n", 0, p) + 1
+    s = common_suffix(old, line, len(old), text, line, len(text))
+    t = len(old) - min(s, len(old) - p, len(text) - p)
     # No token spans a space or a newline (a newline is a token of its own),
     # so a scan that starts at one, or just after one, finds the same tokens
     # whatever came before it. The old tokens up to the last one in the
@@ -250,9 +258,14 @@ def _splice(text: str, prev: TokenSequence) -> tuple[TokenSequence, int, int]:
         c, lo = c + 1, 0
         if len(starts) >= CHUNK_SIZE or c == len(prev.firsts):
             break
-    # The tail reported is the whole lines after the suffix's first newline.
-    newline = old.find("\n", t)
-    tail = len(prev) - prev.token_at_or_after(newline + 1) if newline >= 0 else 0
+    # The tail reported is the whole lines of the common suffix: all of it
+    # when it starts a line in both texts, else what follows its first
+    # newline.
+    u = len(old) - s
+    if (u and old[u - 1] != "\n") or (u + delta and text[u + delta - 1] != "\n"):
+        newline = old.find("\n", u)
+        u = newline + 1 if newline >= 0 else len(old)
+    tail = len(prev) - prev.token_at_or_after(u)
     return _join(text, prev, h, base, starts, toks, c, delta), keep, tail
 
 

@@ -80,8 +80,6 @@ def apply_diff(old, new, script):
     The rebuilt text keeps old-side gaps inside Equal spans, so equality
     with the original new sequence holds token-for-token.
     """
-    if script.old_len != len(old):
-        raise DiffApplyError(-1, f"script built for {script.old_len} tokens, got {len(old)}")
     fragments = []
     cursor = 0
     for idx, op in enumerate(script.ops):

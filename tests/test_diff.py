@@ -88,7 +88,8 @@ def test_insert_delete_symmetry(a, b):
 @given(doc, doc)
 @settings(max_examples=100)
 def test_normalized_form(a, b):
-    script = lcs_diff(tokenize(a), tokenize(b))
+    old, new = tokenize(a), tokenize(b)
+    script = lcs_diff(old, new)
     kinds = [type(op) for op in script.ops]
     for k1, k2 in zip(kinds, kinds[1:]):
         assert k1 != k2, "adjacent ops of the same kind"
@@ -100,7 +101,7 @@ def test_normalized_form(a, b):
             assert op.old_hi - op.old_lo == op.new_hi - op.new_lo
         assert (op.old_lo, op.new_lo) == (old_cursor, new_cursor)
         old_cursor, new_cursor = op.old_hi, op.new_hi
-    assert (old_cursor, new_cursor) == (script.old_len, script.new_len)
+    assert (old_cursor, new_cursor) == (len(old), len(new))
 
 
 def test_determinism():
@@ -129,7 +130,7 @@ def test_apply_diff_empty_on_empty():
 
 def test_apply_diff_mismatch_names_op_index():
     old, new = tokenize("a b c"), tokenize("a b")
-    script = DiffScript(ops=(EqualOp(0, 2, 0, 2), ChangeOp(4, 9, 2, 2)), old_len=3, new_len=2)
+    script = DiffScript(ops=(EqualOp(0, 2, 0, 2), ChangeOp(4, 9, 2, 2)))
     with pytest.raises(DiffApplyError) as err:
         apply_diff(old, new, script)
     assert err.value.op_index == 1
@@ -230,10 +231,33 @@ def test_line_starts_are_found_in_the_text(monkeypatch):
         old = new
 
 
+def test_reply_before_a_long_line_leaves_the_suffix_to_tokenize(monkeypatch):
+    """A reply inserted directly before a line of 50,000 words: tokenize
+    reports that line in the tail, so the diff never searches for a common
+    suffix."""
+    lines = [":first ~~~~\n", "w " * 50_000 + "~~~~\n", ":last ~~~~\n"]
+    old = tokenize("".join(lines))
+    lines.insert(1, "::reply ~~~~\n")
+    new, head, tail = tokenize("".join(lines), old)
+    searches = [0]
+    suffix = diff_mod.common_suffix
+
+    def counting(*args):
+        searches[0] += 1
+        return suffix(*args)
+
+    monkeypatch.setattr(diff_mod, "common_suffix", counting)
+    script = lcs_diff(old, new, shared=(head, tail))
+    monkeypatch.undo()
+    assert searches[0] == 0
+    assert script == lcs_diff(old, tokenize("".join(lines)))
+    assert [op for op in script.ops if isinstance(op, ChangeOp)] == [ChangeOp(4, 4, 4, 8)]
+
+
 def test_only_the_edited_line_is_split_into_lines(monkeypatch):
-    """A word edited in the first line of a page, diffed without the counts
-    tokenize reports: the lines after it, from the first newline of the
-    common suffix on, join the tail, so the line diff sees one line a side."""
+    """A word edited in the first line of a page, diffed with the counts
+    tokenize reports: the lines after it are the tail, so the line diff
+    sees one line a side."""
     split, lines = [], diff_mod._lines
 
     def splitting(tokens, interned):
@@ -244,15 +268,16 @@ def test_only_the_edited_line_is_split_into_lines(monkeypatch):
     page = [f":comment {i} ~~~~\n" for i in range(50)]
     old = tokenize("".join(page))
     page[0] = ":comment 0 edited ~~~~\n"
-    lcs_diff(old, tokenize("".join(page)))
+    new, head, tail = tokenize("".join(page), old)
+    lcs_diff(old, new, shared=(head, tail))
     assert split == [tokenize(":comment 0 ~~~~\n")[:], tokenize(page[0])[:]]
 
 
 def test_whole_line_replies_skip_the_line_diff(tmp_path, monkeypatch):
     """On short tree pages every revision is a whole-line edit: the diff
-    takes the lines around it as its prefix and tail, never splits a middle
-    into lines, and searches once for the common prefix and once for the
-    common suffix."""
+    takes the lines around it as its prefix and the tail tokenize reports,
+    never splits a middle into lines, searches at most once for the common
+    prefix and never for the common suffix."""
     calls = Counter()
 
     def counting(name):
@@ -273,7 +298,8 @@ def test_whole_line_replies_skip_the_line_diff(tmp_path, monkeypatch):
     run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
     revisions = sum(len(script.revisions) for script in scripts)
     assert calls["_lines"] == 0
-    assert calls["common_prefix"] + calls["common_suffix"] <= 2 * revisions
+    assert calls["common_prefix"] <= revisions
+    assert calls["common_suffix"] == 0
 
 
 def test_oversized_region_falls_back_to_replace(monkeypatch):

@@ -652,6 +652,18 @@ def test_output_variables_are_not_read(tmp_path, monkeypatch, capsys):
     [
         (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1h,30m"], "sorted ascending"),
         (["analytics", "deletion-rate", "--scored", "s", "--horizons", "1x"], "bad horizon '1x'"),
+        (["analytics", "deletion-rate", "--scored", "s", "--horizons", ""], "no horizon given: ''"),
+        (["analytics", "deletion-rate", "--scored", "s", "--horizons", ","], "no horizon given: ','"),
+        (
+            ["analytics", "deletion-rate", "--scored", "s", "--subset", "toxic",
+             "--toxicity-threshold", "nan"],
+            "must be finite: nan",
+        ),
+        (
+            ["analytics", "deletion-rate", "--scored", "s", "--subset", "severe",
+             "--severe-threshold", "inf"],
+            "must be finite: inf",
+        ),
         (["eval", "sample", "--corpus", "c", "--per-type", "-1"], "must not be negative"),
         (["reconstruct", "--input", "i", "--output", "o", "--max-mem-revisions", "1"],
          "must be at least 2: 1"),
@@ -706,7 +718,8 @@ def test_output_variables_are_not_read(tmp_path, monkeypatch, capsys):
         ),
     ],
     ids=[
-        "unsorted-horizons", "unknown-horizon-unit", "negative-per-type",
+        "unsorted-horizons", "unknown-horizon-unit", "empty-horizons", "comma-horizons",
+        "nan-toxicity-threshold", "infinite-severe-threshold", "negative-per-type",
         "one-max-mem-revisions", "negative-max-mem-revisions", "zero-rate-limit",
         "negative-rate-limit", "zero-max-attempts", "negative-max-attempts",
         "non-number-per-type", "non-number-max-attempts", "non-number-rate-limit",

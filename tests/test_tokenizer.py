@@ -138,6 +138,7 @@ def assert_chunked(seq):
 @example(("ab", "a b"))
 @example(("::x", ":::x"))
 @example(("a b c d e f g h", "a b d e f g h"))
+@example(("B\n", "xB\n"))  # the common suffix starts a line in one text only
 def test_incremental_tokenize_equals_full(pair):
     a, b = pair
     for chunk_size in (tokenizer.CHUNK_SIZE, 2):
@@ -145,9 +146,10 @@ def test_incremental_tokenize_equals_full(pair):
             for old, text in ((tokenize(a), b), (tokenize(b), a)):
                 seq, head, tail = tokenize(text, old)
                 assert_same_tokens(seq, tokenize(text))
-                # the reported head and tail are old's tokens, and overlap
-                # only when the text is the same
-                assert head + tail <= min(len(old), len(seq)) or text == old.text
+                # the reported head and tail are old's tokens; they may
+                # overlap, as a line shared after the edit may repeat text
+                # before it ('x y' to 'x y\nx y')
+                assert max(head, tail) <= min(len(old), len(seq))
                 assert seq[:head] == old[:head]
                 assert seq[len(seq) - tail :] == old[len(old) - tail :]
                 # a reported tail starts a line on both sides
@@ -159,6 +161,16 @@ def test_incremental_tokenize_reuses_identical_text():
     prev = tokenize("== h ==\nbody")
     seq, head, tail = tokenize("== h ==\nbody", prev)
     assert seq is prev and head == tail == len(prev) == 5
+
+
+def test_tail_takes_the_line_the_common_suffix_starts():
+    """A reply inserted directly before a long line: the long line starts
+    the common suffix in both texts, so it is in the tail."""
+    long_line = "w " * 1000 + "~~~~\n"
+    old = tokenize("A\n" + long_line)
+    seq, head, tail = tokenize("A\nR ~~~~\n" + long_line, old)
+    assert tail == len(tokenize(long_line)) == 1002
+    assert head == 2
 
 
 def naive_prefix(a, alo, ahi, b, blo, bhi):
