@@ -140,6 +140,20 @@ def _comment_roots(actions: list[Action]) -> dict[str, str]:
     return roots
 
 
+def is_comment(action: Action) -> bool:
+    """A creation or addition with nonempty content: what is scored."""
+    return action.type in (ActionType.CREATION, ActionType.ADDITION) and action.has_content
+
+
+def scores_or_none(scorer, text: str) -> dict[str, Optional[float]]:
+    """``scorer``'s scores of ``text``, or ``None`` for each score when it
+    raises ``ScorerError``."""
+    try:
+        return scorer.score(text)
+    except ScorerError:
+        return dict.fromkeys(_SCORE_ATTRIBUTES)
+
+
 def comments_with_deletions(actions: Iterable[Action]) -> tuple[list[Action], list[ScoredComment]]:
     """Every creation/addition with nonempty content, joined with its
     earliest deletion (timestamp and deleting user), scores unset."""
@@ -155,11 +169,7 @@ def comments_with_deletions(actions: Iterable[Action]) -> tuple[list[Action], li
 
     out: list[ScoredComment] = []
     comment_actions: list[Action] = []
-    for action in action_list:
-        if action.type not in (ActionType.CREATION, ActionType.ADDITION):
-            continue
-        if not action.has_content:
-            continue
+    for action in filter(is_comment, action_list):
         deletion = deletions.get(action.action_id)
         comment_actions.append(action)
         out.append(
@@ -183,10 +193,7 @@ def score_comments(actions: Iterable[Action], scorer) -> list[ScoredComment]:
     failed; such comments are excluded from threshold-dependent analyses."""
     comment_actions, out = comments_with_deletions(actions)
     for action, comment in zip(comment_actions, out):
-        try:
-            scores = scorer.score(action.content)
-        except ScorerError:
-            scores = {attr: None for attr in _SCORE_ATTRIBUTES}
+        scores = scores_or_none(scorer, action.content)
         comment.toxicity = scores["toxicity"]
         comment.severe_toxicity = scores["severe_toxicity"]
     return out

@@ -19,8 +19,12 @@ one is a usage error of the subcommand that reads it, and of no other.
 
 Every subcommand ends a run it cannot complete (a missing input, an
 unwritable output, a malformed dump or input record) with one ``error:``
-line and exit status 1. An output that resolves to one of the run's
-inputs is refused that way before anything is read or written.
+line and exit status 1. Every file a subcommand writes goes through
+``pipeline.replacing``, opened before any input is read: an output that
+resolves to one of the run's inputs, or that cannot be written, fails
+before any work, and an output is replaced whole or left as it was.
+``analytics score`` writes each record as it reads it, so a malformed
+record ends the run after the comments before it were scored.
 """
 
 from __future__ import annotations
@@ -32,11 +36,10 @@ import os
 import sys
 from contextlib import nullcontext
 from datetime import timedelta
-from pathlib import Path
 
 from wikitalk import corpus
 from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY
-from wikitalk.pipeline import PipelineConfig, refuse_overwrite, run_pipeline
+from wikitalk.pipeline import PipelineConfig, replacing, run_pipeline
 
 
 def _number(kind, ok, message: str):
@@ -161,19 +164,19 @@ def _cmd_eval_sample(args) -> int:
     from collections import Counter
 
     from wikitalk import evalharness
+    from wikitalk.actions import ActionType
 
-    refuse_overwrite(args.output, "the corpus", args.corpus)
-    with open(args.corpus, encoding="utf-8") as fh:
+    output = replacing(args.output, "the corpus", args.corpus) if args.output else None
+    with output or nullcontext(sys.stdout) as out, open(args.corpus, encoding="utf-8") as fh:
         actions = list(corpus.read_actions(fh))
-    population = Counter(a.type.value for a in actions)
-    for name, count in sorted(population.items()):
-        if count < args.per_type:
-            print(
-                f"note: only {count} {name} actions available; sampling all of them",
-                file=sys.stderr,
-            )
-    sampled = evalharness.sample_for_review(actions, args.per_type, args.seed)
-    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as out:
+        population = Counter(a.type.value for a in actions)
+        for name in sorted(t.value for t in ActionType):
+            if population[name] < args.per_type:
+                print(
+                    f"note: only {population[name]} {name} actions available; sampling all of them",
+                    file=sys.stderr,
+                )
+        sampled = evalharness.sample_for_review(actions, args.per_type, args.seed)
         for action in sampled:
             out.write(corpus.serialize_action(action) + "\n")
     print(f"sampled {len(sampled)} actions", file=sys.stderr)
@@ -183,15 +186,14 @@ def _cmd_eval_sample(args) -> int:
 def _cmd_eval_score(args) -> int:
     from wikitalk import evalharness
 
-    refuse_overwrite(args.report, "the corpus or the gold file", args.corpus, args.gold)
-    with open(args.corpus, encoding="utf-8") as fh:
-        actions = list(corpus.read_actions(fh))
-    with open(args.gold, encoding="utf-8") as fh:
-        gold = evalharness.read_gold(fh)
-    table = evalharness.score_against_gold(actions, gold)
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(table.to_records(), fh, indent=2)
-        fh.write("\n")
+    with replacing(args.report, "the corpus or the gold file", args.corpus, args.gold) as out:
+        with open(args.corpus, encoding="utf-8") as fh:
+            actions = list(corpus.read_actions(fh))
+        with open(args.gold, encoding="utf-8") as fh:
+            gold = evalharness.read_gold(fh)
+        table = evalharness.score_against_gold(actions, gold)
+        json.dump(table.to_records(), out, indent=2)
+        out.write("\n")
     print(table.render())
     return 0
 
@@ -211,22 +213,19 @@ def _cmd_analytics_score(args) -> int:
         )
     else:
         scorer = analytics.StubScorer()
-    refuse_overwrite(args.output, "the corpus", args.corpus)
-    with open(args.corpus, encoding="utf-8") as fh:
-        actions = list(corpus.read_actions(fh))
-    scored = analytics.score_comments(actions, scorer)
-    by_id = {c.action_id: c for c in scored}
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(corpus.SCORED_SCHEMA_HEADER + "\n")
-        for action in actions:
-            comment = by_id.get(action.action_id)
-            extra = {
-                "toxicity": comment.toxicity if comment else None,
-                "severe_toxicity": comment.severe_toxicity if comment else None,
-            }
-            fh.write(corpus.serialize_action(action, extra) + "\n")
-    failed = sum(comment.toxicity is None for comment in scored)
-    print(f"scored {len(scored) - failed} comments ({failed} failures)", file=sys.stderr)
+    unscored = {"toxicity": None, "severe_toxicity": None}
+    comments = failed = 0
+    output = replacing(args.output, "the corpus", args.corpus)
+    with output as out, open(args.corpus, encoding="utf-8") as fh:
+        out.write(corpus.SCORED_SCHEMA_HEADER + "\n")
+        for action in corpus.read_actions(fh):
+            scores = unscored
+            if analytics.is_comment(action):
+                scores = analytics.scores_or_none(scorer, action.content)
+                comments += 1
+                failed += scores["toxicity"] is None
+            out.write(corpus.serialize_action(action, scores) + "\n")
+    print(f"scored {comments - failed} comments ({failed} failures)", file=sys.stderr)
     return 0
 
 
@@ -260,7 +259,6 @@ def _cmd_analytics_deletion_rate(args) -> int:
     ):
         if args.subset == subset and threshold is None:
             args.usage_error(f"--subset {subset} requires {flag}")
-    refuse_overwrite(args.output, "the scored corpus", args.scored)
     pairs = args.horizons
     if pairs is None:
         pairs = _horizons(",".join(analytics.DEFAULT_HORIZONS))
@@ -274,29 +272,30 @@ def _cmd_analytics_deletion_rate(args) -> int:
                 raise TypeError(f"{name} {score!r} is not a number or null")
         return action, scores
 
-    with open(args.scored, encoding="utf-8") as fh:
+    output = replacing(args.output, "the scored corpus", args.scored) if args.output else None
+    with output or nullcontext() as out, open(args.scored, encoding="utf-8") as fh:
         actions = []
         extras = {}
         for action, scores in corpus.read_records(fh, with_scores):
             actions.append(action)
             extras[action.action_id] = scores
 
-    _, scored = analytics.comments_with_deletions(actions)
-    for comment in scored:
-        toxicity, severe = extras.get(comment.action_id, (None, None))
-        comment.toxicity = toxicity
-        comment.severe_toxicity = severe
-    rates = analytics.deletion_rate(
-        scored,
-        [horizon for _, horizon in pairs],
-        subset=args.subset,
-        toxicity_threshold=args.toxicity_threshold,
-        severe_threshold=args.severe_threshold,
-    )
-    rows = [{"horizon": label, "rate": rate} for (label, _), rate in zip(pairs, rates)]
-    payload = json.dumps({"subset": args.subset, "rates": rows}, indent=2)
-    if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+        _, scored = analytics.comments_with_deletions(actions)
+        for comment in scored:
+            toxicity, severe = extras.get(comment.action_id, (None, None))
+            comment.toxicity = toxicity
+            comment.severe_toxicity = severe
+        rates = analytics.deletion_rate(
+            scored,
+            [horizon for _, horizon in pairs],
+            subset=args.subset,
+            toxicity_threshold=args.toxicity_threshold,
+            severe_threshold=args.severe_threshold,
+        )
+        rows = [{"horizon": label, "rate": rate} for (label, _), rate in zip(pairs, rates)]
+        payload = json.dumps({"subset": args.subset, "rates": rows}, indent=2)
+        if out is not None:
+            out.write(payload + "\n")
     print(payload)
     return 0
 

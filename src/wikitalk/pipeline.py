@@ -85,10 +85,16 @@ def _process_page(
 
 
 @contextmanager
-def _replacing(path: Path):
+def replacing(path: Path | str, what: str = "", *inputs: Path | str):
     """A text sink on a new file beside ``path``, renamed over ``path`` when
     the block completes and removed when it fails (an error names ``path``).
-    Its mode is what ``open(path, "w")`` would give (0o666 less the umask)."""
+    Its mode is what ``open(path, "w")`` would give (0o666 less the umask).
+    A ``path`` that is one of ``inputs``, by path or through a symlink, is
+    refused with a ``ValueError`` before anything is written; ``what`` names
+    ``inputs`` in the message."""
+    path = Path(path)
+    if path.resolve() in [Path(p).resolve() for p in inputs]:
+        raise ValueError(f"refusing to write {path}: it is {what}")
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as sink:
@@ -108,7 +114,7 @@ def _reorder(sink: TextIO, pages: dict[str, int]) -> None:
     canonical order. One page's bytes are in memory at a time."""
     sink.flush()
     path = Path(sink.name)
-    with open(path, "rb") as unordered, _replacing(path) as ordered:
+    with open(path, "rb") as unordered, replacing(path) as ordered:
         header = unordered.readline()
         ranges = []
         end = len(header)
@@ -122,24 +128,11 @@ def _reorder(sink: TextIO, pages: dict[str, int]) -> None:
             ordered.buffer.write(unordered.read(end - start))
 
 
-def refuse_overwrite(output: Path | str | None, what: str, *earlier: Path | str) -> None:
-    """Raise ``ValueError`` when ``output`` is the same file as one of
-    ``earlier`` (the run's inputs, or another of its outputs), by path or
-    through a symlink: writing ``output`` would replace that file. ``what``
-    names ``earlier`` in the message."""
-    if output is not None and Path(output).resolve() in [Path(p).resolve() for p in earlier]:
-        raise ValueError(f"refusing to write {output}: it is {what}")
-
-
 def run_pipeline(config: PipelineConfig) -> RunReport:
     """Run the full reconstruction; raises on fatal input/output problems."""
     report = RunReport()
     if not config.input_path.exists():
         raise FileNotFoundError(f"input dump not found: {config.input_path}")
-    refuse_overwrite(config.output_path, "the input dump", config.input_path)
-    refuse_overwrite(
-        config.stats_path, "the input dump or the output", config.input_path, config.output_path
-    )
     budget = SortBudget(
         max_in_memory_revisions=config.max_in_memory_revisions,
         spill_directory=config.spill_dir,
@@ -148,8 +141,12 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
 
     # the output and the stats file are opened before the first page, so an
     # unwritable path fails before any reconstruction work
-    stats_file = _replacing(config.stats_path) if config.stats_path is not None else nullcontext()
-    with _replacing(config.output_path) as sink, stats_file as stats_sink:
+    output = replacing(config.output_path, "the input dump", config.input_path)
+    stats_file = nullcontext()
+    if config.stats_path is not None:
+        inputs = config.input_path, config.output_path
+        stats_file = replacing(config.stats_path, "the input dump or the output", *inputs)
+    with output as sink, stats_file as stats_sink:
         sink.write(corpus.SCHEMA_HEADER + "\n")
         pages: dict[str, int] = {}  # page id to actions written, in dump order
         in_order, last_key = True, ()

@@ -359,47 +359,43 @@ def _attribute_changes(
     """The edits of the live comments that ``changes`` touch, by comment id,
     each marked deleted or not, and the changes whose inserted text edits no
     comment."""
-    # the edit of the comment each change's inserted text edits, when any
-    attach: list[Optional[_CommentEdit]] = [None] * len(changes)
     edits: dict[str, _CommentEdit] = {}
+    standalone: list[ChangeOp] = []
 
     def edit_for(c: LiveComment, block: _Block) -> _CommentEdit:
         if c.comment_id not in edits:
             edits[c.comment_id] = _CommentEdit(comment=c, block=block)
         return edits[c.comment_id]
 
-    # deleted tokens go to the comments they overlap
-    for i, ch in enumerate(changes):
+    for ch in changes:
+        # deleted tokens go to the comments they overlap; inserted text edits
+        # the first of them that it does not wholly replace
         dlo, dhi = ch.old_lo, ch.old_hi
-        if dlo == dhi:
-            continue
-        bi, j = live.locate(dlo)
-        for block, c, clo, chi in live.scan(bi, max(j - 1, 0)):
-            if clo >= dhi:
-                break
-            overlap = min(chi, dhi) - max(clo, dlo)
-            if overlap <= 0:
-                continue
-            e = edit_for(c, block)
-            if not e.deleted_tokens:
-                e.first_delete_new_pos = ch.new_lo
-            e.deleted_tokens += overlap
-            fully_covered = dlo <= clo and dhi >= chi
-            if ch.new_hi > ch.new_lo and not fully_covered and attach[i] is None:
-                attach[i] = e
-
-    # inserted text edits the comment it lands in, or stands alone
-    standalone: list[ChangeOp] = []
-    for ch, target in zip(changes, attach):
+        target: Optional[_CommentEdit] = None
+        if dlo < dhi:
+            bi, j = live.locate(dlo)
+            for block, c, clo, chi in live.scan(bi, max(j - 1, 0)):
+                if clo >= dhi:
+                    break
+                overlap = min(chi, dhi) - max(clo, dlo)
+                if overlap <= 0:
+                    continue
+                e = edit_for(c, block)
+                if not e.deleted_tokens:
+                    e.first_delete_new_pos = ch.new_lo
+                e.deleted_tokens += overlap
+                if target is None and not (dlo <= clo and dhi >= chi):
+                    target = e
         if ch.new_lo == ch.new_hi:
             continue
+        # else the comment it lands in, or it stands alone
         if target is None:
-            bi, j = live.locate(ch.old_hi)
+            bi, j = live.locate(dhi)
             if j > 0:
                 block = live.blocks[bi]
                 c = block.comments[j - 1]
                 clo, chi = c.tok_range
-                if clo < ch.old_hi - block.delta < chi:
+                if clo < dhi - block.delta < chi:
                     target = edit_for(c, block)
         if target is not None:
             target.insert_ranges.append((ch.new_lo, ch.new_hi))

@@ -357,18 +357,18 @@ def test_reorder_copy_failure_keeps_old_output(tmp_path, monkeypatch):
     out_dir.mkdir()
     out = out_dir / "corpus.jsonl"
     out.write_bytes(b"old corpus\n")
-    original = pipeline._replacing
+    original = pipeline.replacing
     copies = []
 
     @contextmanager
-    def failing_copy(path):
-        with original(path) as sink:
+    def failing_copy(path, *refusal):
+        with original(path, *refusal) as sink:
             yield sink
             if path.suffix == ".tmp":  # the reorder copy of the output
                 copies.append(sink.tell())
                 raise OSError("no space left")
 
-    monkeypatch.setattr(pipeline, "_replacing", failing_copy)
+    monkeypatch.setattr(pipeline, "replacing", failing_copy)
     with pytest.raises(OSError, match="no space left"):
         run_pipeline(PipelineConfig(input_path=dump, output_path=out))
     assert len(copies) == 1 and copies[0] > len(SCHEMA_HEADER) + 1
@@ -945,6 +945,77 @@ def test_analysis_output_naming_its_input_is_refused(tmp_path, monkeypatch, caps
     [err] = capsys.readouterr().err.splitlines()
     assert err.startswith(f"error: refusing to write {output}: it is the "), err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "sample", "--corpus", "bad.jsonl", "--output", "{}"],
+        ["eval", "score", "--corpus", "bad.jsonl", "--gold", "bad.jsonl", "--report", "{}"],
+        ["analytics", "score", "--corpus", "bad.jsonl", "--output", "{}"],
+        ["analytics", "deletion-rate", "--scored", "bad.jsonl", "--output", "{}"],
+    ],
+    ids=["eval-sample", "eval-score", "analytics-score", "deletion-rate"],
+)
+def test_unwritable_analysis_output_fails_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv):
+    """An analysis subcommand opens its output before it reads an input: an
+    output in a directory that does not exist ends the run with one error
+    line naming that output, even when the input's first record is
+    malformed, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text(SCHEMA_HEADER + "\nnot json\n")
+    output = str(tmp_path / "missing-dir" / "out.jsonl")
+    assert cli.main([output if arg == "{}" else arg for arg in argv]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and output in err and ".tmp" not in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
+
+
+def test_analytics_score_write_failure_keeps_old_output(tmp_path, monkeypatch, capsys):
+    """``analytics score`` writes a temporary file beside its output: a
+    write that fails part-way ends the run with one error line and leaves
+    the old output as it was and no temporary file."""
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    corpus_path = tmp_path / "corpus.jsonl"
+    run_pipeline(PipelineConfig(input_path=dump, output_path=corpus_path))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "scored.jsonl"
+    out.write_bytes(b"old scores\n")
+    calls = []
+    original = corpus.serialize_action
+
+    def fail_on_second_call(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return original(*args)
+
+    monkeypatch.setattr(corpus, "serialize_action", fail_on_second_call)
+    argv = ["analytics", "score", "--corpus", str(corpus_path), "--output", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert len(calls) == 2
+    assert out.read_bytes() == b"old scores\n"
+    assert [p.name for p in out_dir.iterdir()] == ["scored.jsonl"]
+
+
+def test_eval_sample_notes_every_short_action_type(tmp_path, capsys):
+    """``eval sample`` notes each action type with fewer actions than asked
+    for, one with none among them, so a sample that lacks a type says so."""
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    corpus_path = tmp_path / "corpus.jsonl"
+    run_pipeline(PipelineConfig(input_path=dump, output_path=corpus_path))
+    with open(corpus_path, encoding="utf-8") as fh:
+        population = Counter(a.type.value for a in read_actions(fh))
+    assert cli.main(["eval", "sample", "--corpus", str(corpus_path), "--per-type", "2"]) == 0
+    notes = capsys.readouterr().err.splitlines()[:-1]
+    assert notes == [
+        f"note: only {population[name]} {name} actions available; sampling all of them"
+        for name in sorted(t.value for t in ActionType)
+        if population[name] < 2
+    ]
+    assert "note: only 0 RESTORATION actions available; sampling all of them" in notes
 
 
 def test_spill_budget_flags(tmp_path):
