@@ -4,7 +4,8 @@ Comments (creation and addition actions with nonempty content) are scored
 by a pluggable classifier client: either a rate-limited, retrying HTTP
 client or a deterministic hash-based stub so the full analytics path runs
 offline. Deletion metadata is joined from the corpus's deletion actions by
-following parent chains back to the action that created each comment.
+following parent chains back to the action that created each comment, one
+page at a time.
 The module needs nothing outside the standard library.
 """
 
@@ -14,11 +15,12 @@ import hashlib
 import json
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from wikitalk.actions import Action, ActionType
 
@@ -125,7 +127,7 @@ class HttpScorer:
         raise ScorerError(f"scoring failed after {self.max_attempts} attempts: {last_error}")
 
 
-def _comment_roots(actions: list[Action]) -> dict[str, str]:
+def _comment_roots(actions: Iterable[Action]) -> dict[str, str]:
     """Map every action id to the id of the action that created its comment.
 
     Parent chains terminate at a creation or addition; restorations root
@@ -154,36 +156,41 @@ def scores_or_none(scorer, text: str) -> dict[str, Optional[float]]:
         return dict.fromkeys(_SCORE_ATTRIBUTES)
 
 
-def comments_with_deletions(actions: Iterable[Action]) -> tuple[list[Action], list[ScoredComment]]:
-    """Every creation/addition with nonempty content, joined with its
-    earliest deletion (timestamp and deleting user), scores unset."""
-    action_list = list(actions)
-    roots = _comment_roots(action_list)
-
-    deletions: dict[str, Action] = {}
-    for action in action_list:
-        if action.type is ActionType.DELETION and action.parent_id is not None:
-            root = roots.get(action.parent_id, action.parent_id)
-            if root not in deletions or action.timestamp < deletions[root].timestamp:
-                deletions[root] = action
-
-    out: list[ScoredComment] = []
-    comment_actions: list[Action] = []
-    for action in filter(is_comment, action_list):
-        deletion = deletions.get(action.action_id)
-        comment_actions.append(action)
-        out.append(
-            ScoredComment(
+def comments_with_deletions(
+    pairs: Iterable[tuple[Action, Optional[dict[str, Optional[float]]]]],
+) -> Iterator[ScoredComment]:
+    """Every creation/addition with nonempty content of the ``(action,
+    scores)`` pairs, with its ``toxicity`` and ``severe_toxicity`` scores
+    and joined with its earliest deletion (timestamp and deleting user).
+    Parent chains stay within a page, so the join holds one page at a time:
+    each page's actions must come together, as a corpus lists them, and a
+    page that comes back after another raises ``ValueError``."""
+    pages: set[str] = set()
+    for page_id, page in groupby(pairs, key=lambda pair: pair[0].page_id):
+        if page_id in pages:
+            raise ValueError(f"page {page_id} reappears after another page")
+        pages.add(page_id)
+        page = list(page)
+        roots = _comment_roots(action for action, _ in page)
+        deletions: dict[str, Action] = {}
+        for action, _ in page:
+            if action.type is ActionType.DELETION and action.parent_id is not None:
+                root = roots.get(action.parent_id, action.parent_id)
+                if root not in deletions or action.timestamp < deletions[root].timestamp:
+                    deletions[root] = action
+        for action, scores in page:
+            if not is_comment(action):
+                continue
+            deletion = deletions.get(action.action_id)
+            yield ScoredComment(
                 action_id=action.action_id,
-                toxicity=None,
-                severe_toxicity=None,
+                toxicity=scores["toxicity"],
+                severe_toxicity=scores["severe_toxicity"],
                 author=action.user_text,
                 created_at=action.timestamp,
                 deleted_at=deletion.timestamp if deletion else None,
                 deleted_by=deletion.user_text if deletion else None,
             )
-        )
-    return comment_actions, out
 
 
 def score_comments(actions: Iterable[Action], scorer) -> list[ScoredComment]:
@@ -191,12 +198,8 @@ def score_comments(actions: Iterable[Action], scorer) -> list[ScoredComment]:
     comment's earliest deletion, if any. A scoring failure leaves the
     comment's scores ``None``, so its ``toxicity is None`` exactly when it
     failed; such comments are excluded from threshold-dependent analyses."""
-    comment_actions, out = comments_with_deletions(actions)
-    for action, comment in zip(comment_actions, out):
-        scores = scores_or_none(scorer, action.content)
-        comment.toxicity = scores["toxicity"]
-        comment.severe_toxicity = scores["severe_toxicity"]
-    return out
+    pairs = ((a, scores_or_none(scorer, a.content) if is_comment(a) else None) for a in actions)
+    return list(comments_with_deletions(pairs))
 
 
 def equal_error_threshold(scores: Iterable[float], labels: Iterable[bool]) -> float:
@@ -231,41 +234,44 @@ def equal_error_threshold(scores: Iterable[float], labels: Iterable[bool]) -> fl
 
 
 def deletion_rate(
-    scored: list[ScoredComment],
+    scored: Iterable[ScoredComment],
     horizons: list[timedelta],
     subset: str = "all",
     toxicity_threshold: Optional[float] = None,
     severe_threshold: Optional[float] = None,
 ) -> list[Optional[float]]:
     """Fraction of comments deleted by someone other than their author
-    within each horizon. Empty subsets report None, not zero."""
-    if sorted(horizons) != list(horizons):
+    within each horizon, counted in one pass over ``scored``. Empty subsets
+    report None, not zero."""
+    horizons = list(horizons)
+    if sorted(horizons) != horizons:
         raise ValueError("horizons must be sorted ascending")
     if subset == "all":
-        pool = list(scored)
+        pool = scored
     elif subset == "toxic":
         if toxicity_threshold is None:
             raise ValueError("toxic subset requires toxicity_threshold")
-        pool = [c for c in scored if c.toxicity is not None and c.toxicity >= toxicity_threshold]
+        pool = (c for c in scored if c.toxicity is not None and c.toxicity >= toxicity_threshold)
     elif subset == "severe":
         if severe_threshold is None:
             raise ValueError("severe subset requires severe_threshold")
-        pool = [
+        pool = (
             c
             for c in scored
             if c.severe_toxicity is not None and c.severe_toxicity >= severe_threshold
-        ]
+        )
     else:
         raise ValueError(f"unknown subset {subset!r}")
-    if not pool:
+    # comments deleted by someone other than their author, by the first
+    # horizon their life fits within (the last slot: none)
+    deleted = [0] * (len(horizons) + 1)
+    size = 0
+    for size, c in enumerate(pool, 1):
+        if c.deleted_at is not None and c.deleted_by not in (None, c.author):
+            deleted[bisect_left(horizons, c.deleted_at - c.created_at)] += 1
+    if not size:
         return [None] * len(horizons)
-    # how long each comment deleted by someone other than its author lived
-    delays = [
-        c.deleted_at - c.created_at
-        for c in pool
-        if c.deleted_at is not None and c.deleted_by not in (None, c.author)
-    ]
-    return [sum(delay <= horizon for delay in delays) / len(pool) for horizon in horizons]
+    return [count / size for count in accumulate(deleted[:-1])]
 
 
 DEFAULT_HORIZONS = ("1h", "6h", "1d", "7d", "30d", "1y")

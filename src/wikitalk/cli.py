@@ -24,7 +24,9 @@ line and exit status 1. Every file a subcommand writes goes through
 resolves to one of the run's inputs, or that cannot be written, fails
 before any work, and an output is replaced whole or left as it was.
 ``analytics score`` writes each record as it reads it, so a malformed
-record ends the run after the comments before it were scored.
+record ends the run after the comments before it were scored, and
+``analytics deletion-rate`` holds one page of the scored corpus at a time,
+so a page split in two is an error.
 """
 
 from __future__ import annotations
@@ -265,8 +267,8 @@ def _cmd_analytics_deletion_rate(args) -> int:
 
     def with_scores(record):
         action = corpus.record_to_action(record)
-        scores = record.get("toxicity"), record.get("severe_toxicity")
-        for name, score in zip(("toxicity", "severe_toxicity"), scores):
+        scores = {name: record.get(name) for name in ("toxicity", "severe_toxicity")}
+        for name, score in scores.items():
             number = isinstance(score, (int, float)) and not isinstance(score, bool)
             if score is not None and not number:
                 raise TypeError(f"{name} {score!r} is not a number or null")
@@ -274,19 +276,8 @@ def _cmd_analytics_deletion_rate(args) -> int:
 
     output = replacing(args.output, "the scored corpus", args.scored) if args.output else None
     with output or nullcontext() as out, open(args.scored, encoding="utf-8") as fh:
-        actions = []
-        extras = {}
-        for action, scores in corpus.read_records(fh, with_scores):
-            actions.append(action)
-            extras[action.action_id] = scores
-
-        _, scored = analytics.comments_with_deletions(actions)
-        for comment in scored:
-            toxicity, severe = extras.get(comment.action_id, (None, None))
-            comment.toxicity = toxicity
-            comment.severe_toxicity = severe
         rates = analytics.deletion_rate(
-            scored,
+            analytics.comments_with_deletions(corpus.read_records(fh, with_scores)),
             [horizon for _, horizon in pairs],
             subset=args.subset,
             toxicity_threshold=args.toxicity_threshold,

@@ -8,7 +8,8 @@ divide-and-conquer strategy, as matching blocks ``(old_start, new_start,
 length)``. Output is deterministic: equal tokens are matched leftmost-first
 in the old sequence, touching blocks become one EqualOp, and each gap
 between blocks becomes one ChangeOp, which replaces an old token span with
-a new one (either may be empty, never both).
+a new one (either may be empty, never both). A change with an empty side
+is slid to start a line where the equal tokens around it allow.
 
 ``tokenize(text, prev)`` decides what the edit left unchanged, and the diff
 trusts it: the search for the common prefix starts after the head tokens
@@ -220,94 +221,78 @@ def _diff_with_prepass(
     return head_block + [(x + pre, y + pre, size) for x, y, size in mid] + tail_block
 
 
-def _normalize(blocks: list[tuple[int, int, int]], n: int, m: int) -> list[DiffOp]:
-    """One EqualOp per run of touching matching blocks and one ChangeOp per
-    gap between them, so the two kinds alternate and tile old tokens
-    [0, n) and new tokens [0, m)."""
-    ops: list[DiffOp] = []
-    i = j = 0  # the end of the last block
+def _runs(blocks: list[tuple[int, int, int]]) -> list[list[int]]:
+    """The matching blocks, in order, with touching ones merged: runs
+    ``[old_start, new_start, size]`` with a change between each two."""
+    runs: list[list[int]] = []
     for alo, blo, size in blocks:
-        if ops and (alo, blo) == (i, j):
-            last = ops[-1]
-            ops[-1] = EqualOp(last.old_lo, alo + size, last.new_lo, blo + size)
+        if runs and (last := runs[-1])[0] + last[2] == alo and last[1] + last[2] == blo:
+            last[2] += size
         else:
-            if (alo, blo) != (i, j):
-                ops.append(ChangeOp(i, alo, j, blo))
+            runs.append([alo, blo, size])
+    return runs
+
+
+def _script(
+    blocks: list[tuple[int, int, int]], a: TokenSequence | list[str], b: TokenSequence | list[str]
+) -> list[DiffOp]:
+    """One EqualOp per run of touching blocks and one ChangeOp per gap, so
+    the two kinds alternate and tile old tokens [0, len(a)) and new tokens
+    [0, len(b)), each op built once.
+
+    A pure insert or delete between two runs can sit at several positions
+    of the same cost. It is slid to the leftmost line start among them, if
+    any, by moving the bounds of the two runs beside it, which keeps
+    comment boundaries whole: inserting ': b' between sibling lines is not
+    expressed as 'b ... :' splitting the next line.
+    """
+    n, m = len(a), len(b)
+    runs = _runs(blocks)
+    for k in range(1, len(runs)):
+        prev, nxt = runs[k - 1], runs[k]
+        a_lo, b_lo = prev[0] + prev[2], prev[1] + prev[2]
+        if nxt[0] == a_lo:
+            tokens, lo, hi = b, b_lo, nxt[1]
+        elif nxt[1] == b_lo:
+            tokens, lo, hi = a, a_lo, nxt[0]
+        else:
+            continue  # mixed change: context-anchored, leave alone
+        if tokens[lo - 1] == "\n":
+            continue
+        # The change moves left while the tokens before it equal its last
+        # ones, and right while the tokens after it equal its first ones. A
+        # run may be used up only at either end of the script.
+        at_start = k == 1 and prev[0] == prev[1] == 0
+        left = prev[2] - (not at_start)
+        shift = step = 0
+        while step < left and tokens[lo - step - 1] == tokens[hi - step - 1]:
+            step += 1
+            if step == lo or tokens[lo - step - 1] == "\n":
+                shift = -step  # the leftmost line start wins
+        if not shift:
+            at_end = k + 1 == len(runs) and nxt[0] + nxt[2] == n and nxt[1] + nxt[2] == m
+            right = nxt[2] - (not at_end)
+            step = 0
+            while step < right and tokens[hi + step] == tokens[lo + step]:
+                step += 1
+                if tokens[lo + step - 1] == "\n":
+                    shift = step
+                    break
+        prev[2] += shift
+        nxt[0] += shift
+        nxt[1] += shift
+        nxt[2] -= shift
+    ops: list[DiffOp] = []
+    i = j = 0  # the end of the last run
+    for alo, blo, size in runs:
+        if (alo, blo) != (i, j):
+            ops.append(ChangeOp(i, alo, j, blo))
+        if size:  # only a run at either end can be used up
             ops.append(EqualOp(alo, alo + size, blo, blo + size))
         i, j = alo + size, blo + size
     if (i, j) != (n, m):
         ops.append(ChangeOp(i, n, j, m))
     return ops
-
-
-def _slide_pure_runs(
-    ops: list[DiffOp], a: TokenSequence | list[str], b: TokenSequence | list[str]
-) -> list[DiffOp]:
-    """Rotate pure insert/delete runs onto line boundaries where possible.
-
-    An edit run flanked by equal tokens can sit at several equal-cost
-    positions; aligning run starts to just-after-newline keeps comment
-    boundaries whole (inserting ': b' between sibling lines should not be
-    expressed as 'b ... :' splitting the next line). Rotation preserves
-    the matched-token count and is applied deterministically, preferring
-    the leftmost line-aligned position and falling back to no movement.
-    """
-
-    def line_aligned(tokens, start: int) -> bool:
-        return start == 0 or tokens[start - 1] == "\n"
-
-    # A slide donates matched pairs from the equal run on one side and
-    # hands them to the other, so only a change with an equal op on each
-    # side can move: one at index 1..len-2, as the kinds alternate.
-    for i in range(1, len(ops) - 1):
-        op = ops[i]
-        if isinstance(op, EqualOp):
-            continue
-        if op.old_lo == op.old_hi:
-            tokens, lo, hi = b, op.new_lo, op.new_hi
-        elif op.new_lo == op.new_hi:
-            tokens, lo, hi = a, op.old_lo, op.old_hi
-        else:
-            continue  # mixed region: context-anchored, leave alone
-        if line_aligned(tokens, lo):
-            continue
-
-        prev_eq, next_eq = ops[i - 1], ops[i + 1]
-        # an equal run may be used up only at either end of the script
-        max_left = 0
-        prev_len = prev_eq.old_hi - prev_eq.old_lo
-        keep = 0 if i == 1 else 1
-        while (
-            max_left < prev_len - keep
-            and tokens[lo - max_left - 1] == tokens[hi - max_left - 1]
-        ):
-            max_left += 1
-        max_right = 0
-        next_len = next_eq.old_hi - next_eq.old_lo
-        keep = 0 if i + 2 == len(ops) else 1
-        while (
-            max_right < next_len - keep
-            and hi + max_right < len(tokens)
-            and tokens[hi + max_right] == tokens[lo + max_right]
-        ):
-            max_right += 1
-
-        shift = next(
-            (k for k in range(-max_left, max_right + 1) if line_aligned(tokens, lo + k)), 0
-        )
-        if shift == 0:
-            continue
-        # whichever side is empty, the region moves by shift on both
-        ops[i] = ChangeOp(
-            op.old_lo + shift, op.old_hi + shift, op.new_lo + shift, op.new_hi + shift
-        )
-        ops[i - 1] = EqualOp(
-            prev_eq.old_lo, prev_eq.old_hi + shift, prev_eq.new_lo, prev_eq.new_hi + shift
-        )
-        ops[i + 1] = EqualOp(
-            next_eq.old_lo + shift, next_eq.old_hi, next_eq.new_lo + shift, next_eq.new_hi
-        )
-    return [op for op in ops if op.old_hi > op.old_lo or op.new_hi > op.new_lo]
 
 
 def lcs_diff(
@@ -321,6 +306,5 @@ def lcs_diff(
     common suffix beyond the tail, so without the counts it aligns every
     line after the common prefix."""
     blocks = _diff_with_prepass(old, new, *shared)
-    ops = _slide_pure_runs(_normalize(blocks, len(old), len(new)), _tokens(old), _tokens(new))
-    return DiffScript(ops=tuple(ops))
+    return DiffScript(ops=tuple(_script(blocks, _tokens(old), _tokens(new))))
 

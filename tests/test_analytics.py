@@ -377,10 +377,8 @@ def test_http_transport_refused_connection_is_a_scorer_error(monkeypatch):
 
 def test_comments_with_deletions_matches_score_comments():
     actions = fig2_actions()
-    plain_actions, plain = comments_with_deletions(actions)
-    scored = score_comments(actions, ZeroScorer())
-    assert [c.action_id for c in plain] == [c.action_id for c in scored]
-    assert [c.deleted_at for c in plain] == [c.deleted_at for c in scored]
+    pairs = [(a, StubScorer().score(a.content)) for a in actions]
+    assert list(comments_with_deletions(pairs)) == score_comments(actions, StubScorer())
 
 
 def test_moderation_study_script_runs_end_to_end(tmp_path):

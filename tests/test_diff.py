@@ -123,6 +123,27 @@ def test_line_boundary_slide_keeps_sibling_comments_whole():
     )
 
 
+@given(doc, doc)
+@settings(max_examples=100)
+@example("\n :", "\n : \n")  # two touching blocks
+@example(": \n", ": : \n")  # an insert slid to the line start
+def test_each_op_is_built_once(a, b):
+    built = []
+
+    def counted(cls):
+        def build(*fields):
+            built.append(cls)
+            return cls(*fields)
+
+        return build
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diff_mod, "EqualOp", counted(EqualOp))
+        mp.setattr(diff_mod, "ChangeOp", counted(ChangeOp))
+        script = lcs_diff(tokenize(a), tokenize(b))
+    assert built == [type(op) for op in script.ops]
+
+
 def test_apply_diff_empty_on_empty():
     empty = tokenize("")
     assert apply_diff(empty, empty, lcs_diff(empty, empty))[:] == []
@@ -564,11 +585,11 @@ def token_sequence(tokens):
 def test_prepass_trim_matches_full_line_prepass(pair):
     a, b = pair
     n, m = len(a), len(b)
-    want = diff_mod._normalize(reference_diff_with_prepass(a, b), n, m)
+    want = diff_mod._runs(reference_diff_with_prepass(a, b))
     # any true counts of shared head tokens, and of shared tail tokens that
     # start a line on both sides, as tokenize reports them, even overlapping
     # ones; the shared tail and a touching block of the line diff are two
-    # blocks, so the blocks are compared as ops
+    # blocks, so the blocks are compared merged into runs
     prefix = common_prefix(a, 0, n, b, 0, m)
     suffix = common_suffix(a, 0, n, b, 0, m)
 
@@ -583,7 +604,7 @@ def test_prepass_trim_matches_full_line_prepass(pair):
         for head in {0, prefix // 2, prefix}:
             for tail in tails:
                 got = diff_mod._diff_with_prepass(old, new, head, tail)
-                assert diff_mod._normalize(got, n, m) == want
+                assert diff_mod._runs(got) == want
 
 
 # The normal form as it was before each changed region became one ChangeOp:
@@ -750,6 +771,9 @@ def test_change_ops_match_reference_on_docs(search_depth, a, b):
 @search_depths
 @given(shared_middle())
 @settings(max_examples=150)
+@example((["a", "\n"], ["a", "a", "\n"]))  # the slide uses up the first run
+@example((["a", "\n"], ["b", "a", "\n", "\n"]))  # and the last run
+@example((["b", "a", ":", "\n"], ["\n", "a", "a", ":"]))  # but no run between two changes
 def test_change_ops_match_reference_on_shared_middle(search_depth, pair):
     assert_matches_reference(*map(token_sequence, pair), search_depth)
 

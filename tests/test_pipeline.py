@@ -1127,3 +1127,28 @@ def test_deletion_rate_labels_skip_empty_horizons(tmp_path, capsys):
     padded = rates("1h,,7d")
     assert [row["horizon"] for row in padded] == ["1h", "7d"]
     assert padded == rates("1h,7d")
+
+
+def test_deletion_rate_page_split_in_two_is_one_error_line(tmp_path, capsys):
+    """``analytics deletion-rate`` joins deletions one page at a time, so a
+    scored corpus whose first page comes back after the second ends the run
+    with one error line naming the page, exit status 1, and no output."""
+    dump = write_dump(gold_fixture_suite()[:2], tmp_path / "dump.xml")
+    corpus_path = tmp_path / "corpus.jsonl"
+    scored_path = tmp_path / "scored.jsonl"
+    cli.main(["reconstruct", "--input", str(dump), "--output", str(corpus_path)])
+    cli.main(["analytics", "score", "--corpus", str(corpus_path), "--output", str(scored_path)])
+    header, *lines = scored_path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])["page_id"]
+    split = [header, *lines[1:], lines[0]]
+    assert json.loads(lines[-1])["page_id"] != first
+    scored_path.write_text("\n".join(split) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    output = tmp_path / "rates.json"
+    argv = ["analytics", "deletion-rate", "--scored", str(scored_path), "--output", str(output)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: page {first} reappears after another page"]
+    assert not output.exists()
+    assert not list(tmp_path.glob(".rates.json.*"))
