@@ -189,11 +189,10 @@ def _cmd_eval_score(args) -> int:
     from wikitalk import evalharness
 
     with replacing(args.report, "the corpus or the gold file", args.corpus, args.gold) as out:
-        with open(args.corpus, encoding="utf-8") as fh:
-            actions = list(corpus.read_actions(fh))
         with open(args.gold, encoding="utf-8") as fh:
             gold = evalharness.read_gold(fh)
-        table = evalharness.score_against_gold(actions, gold)
+        with open(args.corpus, encoding="utf-8") as fh:
+            table = evalharness.score_against_gold(corpus.read_actions(fh), gold)
         json.dump(table.to_records(), out, indent=2)
         out.write("\n")
     print(table.render())

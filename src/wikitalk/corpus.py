@@ -21,6 +21,10 @@ class CorpusWriteError(OSError):
     def __init__(self, written: int, cause: Exception):
         super().__init__(f"write failed after {written} actions: {cause}")
         self.written = written
+        self.cause = cause
+
+    def __reduce__(self):  # pickled by its arguments, to cross a process
+        return type(self), (self.written, self.cause)
 
 
 def _format_timestamp(ts: datetime) -> str:
@@ -164,6 +168,16 @@ class Summary:
         for action in actions:
             self.add(action)
             yield action
+
+    def merge(self, other: Summary) -> None:
+        """Add ``other``, a summary of other pages, to this one."""
+        self.users |= other.users
+        self.pages += other.pages
+        self.revisions += other.revisions + len(other.page_revisions)
+        self.conversations += other.conversations + len(other.page_conversations)
+        for name, count in other.type_counts.items():
+            self.type_counts[name] += count
+        self.total += other.total
 
     def stats(self) -> dict:
         """The summary as ``--stats`` writes it."""

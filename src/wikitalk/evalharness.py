@@ -108,37 +108,40 @@ def score_against_gold(
 ) -> AccuracyTable:
     """Four-dimension accuracy of a corpus against gold annotations.
 
-    Gold ids absent from the corpus count as wrong on every dimension.
-    Duplicate gold ids are a validation error.
+    ``predicted`` is read one action at a time, and only the outcomes of
+    actions with a gold id are kept; when two actions share an id, the
+    later one counts. Gold ids absent from the corpus count as wrong on
+    every dimension. Duplicate gold ids are a validation error.
     """
-    gold_list = list(gold)
-    seen_ids = set()
-    for g in gold_list:
-        if g.action_id in seen_ids:
+    by_id: dict[str, GoldAnnotation] = {}
+    for g in gold:
+        if g.action_id in by_id:
             raise GoldValidationError(f"duplicate gold annotation for {g.action_id}")
-        seen_ids.add(g.action_id)
+        by_id[g.action_id] = g
 
-    by_id = {a.action_id: a for a in predicted}
+    outcomes: dict[str, tuple[bool, ...]] = {}  # in DIMENSIONS order
+    for action in predicted:
+        g = by_id.get(action.action_id)
+        if g is not None:
+            outcomes[g.action_id] = (
+                action.char_span == g.gold_span,
+                action.type == g.gold_type,
+                action.replyto_id == g.gold_replyto,
+                action.parent_id == g.gold_parent,
+            )
     table = AccuracyTable(
         per_type={t.value: {d: DimensionScore() for d in DIMENSIONS} for t in ActionType},
         overall={d: DimensionScore() for d in DIMENSIONS},
     )
-    for g in gold_list:
-        action = by_id.get(g.action_id)
-        if action is None:
+    for g in by_id.values():
+        outcome = outcomes.get(g.action_id)
+        if outcome is None:
             table.missing_ids.append(g.action_id)
-            outcomes = {d: False for d in DIMENSIONS}
-        else:
-            outcomes = {
-                "boundary": action.char_span == g.gold_span,
-                "type": action.type == g.gold_type,
-                "replyto": action.replyto_id == g.gold_replyto,
-                "parent": action.parent_id == g.gold_parent,
-            }
-        for dim in DIMENSIONS:
+            outcome = (False,) * len(DIMENSIONS)
+        for dim, correct in zip(DIMENSIONS, outcome):
             for bucket in (table.per_type[g.gold_type.value][dim], table.overall[dim]):
                 bucket.total += 1
-                if outcomes[dim]:
+                if correct:
                     bucket.correct += 1
     return table
 

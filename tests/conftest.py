@@ -3,6 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
+from wikitalk import pipeline
 from wikitalk.actions import Action, ActionType
 from wikitalk.diff import EqualOp
 from wikitalk.ingest import RevisionRecord
@@ -130,3 +131,11 @@ def random_action(rng: random.Random, i: int) -> Action:
 @pytest.fixture
 def rng():
     return random.Random(20180701)
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Reconstruct every page in the test's own process, for a test that
+    counts calls or inspects memory there: a forked page process would
+    make its calls out of the test's sight."""
+    monkeypatch.setattr(pipeline, "_process_count", lambda: 1)

@@ -294,7 +294,7 @@ def test_only_the_edited_line_is_split_into_lines(monkeypatch):
     assert split == [tokenize(":comment 0 ~~~~\n")[:], tokenize(page[0])[:]]
 
 
-def test_whole_line_replies_skip_the_line_diff(tmp_path, monkeypatch):
+def test_whole_line_replies_skip_the_line_diff(tmp_path, monkeypatch, one_process):
     """On short tree pages every revision is a whole-line edit: the diff
     takes the lines around it as its prefix and the tail tokenize reports,
     never splits a middle into lines, searches at most once for the common

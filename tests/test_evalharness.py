@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -134,6 +136,28 @@ def test_scoring_permutation_invariant(rng):
     a_table = score_against_gold(actions, gold)
     b_table = score_against_gold(actions, shuffled)
     assert a_table.to_records() == b_table.to_records()
+
+
+def test_corpus_is_scored_one_action_at_a_time(rng):
+    """The corpus is read as a stream: an action read two actions ago is
+    no longer held. Of two actions with one id, the later one counts."""
+    actions = corpus_with_all_types(rng, 10)
+    gold = [to_gold(a) for a in actions]
+    wrong = dataclasses.replace(actions[3], char_span=(-1, -1))
+
+    def stream(items):
+        read = []
+        for item in items:
+            assert len(read) < 2 or read[-2]() is None
+            item = dataclasses.replace(item)
+            read.append(weakref.ref(item))
+            yield item
+
+    later_right = score_against_gold(stream([wrong, *actions]), gold)
+    later_wrong = score_against_gold(stream([*actions, wrong]), gold)
+    assert later_right.accuracy(None, "boundary") == 1.0
+    assert later_wrong.accuracy(None, "boundary") == pytest.approx(9 / 10)
+    assert later_right.accuracy(None, "type") == later_wrong.accuracy(None, "type") == 1.0
 
 
 def test_null_equals_null_counts_correct(rng):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -293,6 +294,50 @@ def test_matches_in_memory_reference_parser():
         ("Alice", 7), ("2001:db8::1", None), ("李", None), (DELETED_USER_SENTINEL, None), ("Carol", None)
     ]
     assert tally.skip_reasons == {"text_deleted": 1}
+
+
+def _page(page_id: str, *revisions: tuple) -> str:
+    """A ``<page>`` element (without ``<id>`` when ``page_id`` is empty)
+    holding one revision per ``(id, timestamp)``, or ``(id, timestamp,
+    "hidden")`` for one whose text an administrator hid; an empty timestamp
+    leaves that element out."""
+    parts = []
+    for rid, ts, *hidden in revisions:
+        text = '<text deleted="deleted" />' if hidden else f"<text>text of {page_id}/{rid}</text>"
+        when = f"<timestamp>{ts}</timestamp>" if ts else ""
+        parts.append(f"<revision><id>{rid}</id>{when}<contributor><ip>u</ip></contributor>{text}</revision>")
+    page_id = f"<id>{page_id}</id>" if page_id else ""
+    return f"<page><title>T</title>{page_id}{''.join(parts)}</page>"
+
+
+def test_refused_pages_keep_records_and_counts_but_no_text():
+    """A page that ``wanted`` refuses, by its index among the runs of
+    records with one page id, is read with empty text; every other record
+    and every count is as without ``wanted``. Here a run spans two
+    ``<page>`` elements with one id and begins after a skipped revision,
+    and a page without an id or without a readable revision starts none."""
+    ts = "2017-05-01T10:00:00Z"
+    pages = [
+        _page("", ("1", ts)),
+        _page("11", ("2", ""), ("3", ts)),
+        _page("12", ("4", ts)),
+        _page("12", ("5", ts)),
+        _page("13", ("6", "")),
+        _page("14", ("7", ts, "hidden"), ("8", ts)),
+        _page("11", ("9", ts)),
+    ]
+    dump = f"<mediawiki>{''.join(pages)}</mediawiki>"
+    full_tally = RunReport()
+    full = list(parse_dump_stream(_stream(dump), full_tally))
+    runs = itertools.groupby(full, key=lambda r: r.page_id)
+    indices = [index for index, (_, run) in enumerate(runs) for _ in run]
+    assert [r.page_id for r in full] == ["11", "12", "12", "14", "11"]
+    assert indices == [0, 1, 1, 2, 3] and all(r.wikitext for r in full)
+    for keep in (set(), {0}, {1, 3}, {2}, {0, 1, 2, 3}):
+        tally = RunReport()
+        got = list(parse_dump_stream(_stream(dump), tally, wanted=keep.__contains__))
+        assert got == [r if i in keep else r._replace(wikitext="") for r, i in zip(full, indices)]
+        assert tally == full_tally
 
 
 def test_parse_timestamp_handles_offsets():

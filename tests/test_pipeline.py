@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -95,7 +96,7 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_unwritable_output_fails(tmp_path, monkeypatch, capsys):
+def test_unwritable_output_fails(tmp_path, monkeypatch, capsys, one_process):
     """An unwritable output fails the run before any page is reconstructed,
     with one error line that names the output, not a temporary file."""
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
@@ -268,21 +269,21 @@ def test_revision_with_hidden_text_is_skipped(tmp_path):
     assert skips == [{}, {"text_deleted": 1}]
 
 
-def test_dump_order_does_not_change_output(tmp_path, monkeypatch):
-    """Pages out of canonical order take one reorder copy and give the
-    corpus and stats bytes of the same pages in order; pages in order are
-    renamed into place without a copy."""
+def test_dump_order_does_not_change_output(tmp_path, monkeypatch, one_process):
+    """Pages out of canonical order take one copy pass and give the corpus
+    and stats bytes of the same pages in order; pages in order are renamed
+    into place without a copy."""
     scripts = gold_fixture_suite()[:8]
     forward = write_dump(scripts, tmp_path / "forward.xml", shuffle_seed=5)
     backward = write_dump(scripts[::-1], tmp_path / "backward.xml", shuffle_seed=17)
     reorders = []
-    original = pipeline._reorder
+    original = pipeline._copy_in_order
 
     def counting(*args):
         reorders.append(1)
         return original(*args)
 
-    monkeypatch.setattr(pipeline, "_reorder", counting)
+    monkeypatch.setattr(pipeline, "_copy_in_order", counting)
     outputs = {}
     for dump in (forward, backward):
         out, stats = tmp_path / f"{dump.stem}.jsonl", tmp_path / f"{dump.stem}.json"
@@ -296,7 +297,167 @@ def test_dump_order_does_not_change_output(tmp_path, monkeypatch):
     ]
 
 
-def test_no_action_of_an_earlier_page_is_alive(tmp_path, monkeypatch):
+def test_number_of_processes_does_not_change_output(tmp_path, monkeypatch):
+    """One, two and three page processes give the corpus and stats bytes of
+    one process on the gold suite, in order, with its revisions shuffled,
+    with its pages reversed or shuffled, and spilled at a budget of 4."""
+    scripts = gold_fixture_suite()
+    dumps = [
+        write_dump(scripts, tmp_path / "in-order.xml"),
+        write_dump(scripts, tmp_path / "forward.xml", shuffle_seed=5),
+        write_dump(scripts[::-1], tmp_path / "backward.xml", shuffle_seed=17),
+        write_dump(random.Random(3).sample(scripts, len(scripts)), tmp_path / "pages.xml", shuffle_seed=3),
+    ]
+    out, stats = tmp_path / "out" / "corpus.jsonl", tmp_path / "out" / "stats.json"
+    out.parent.mkdir()
+    outputs = set()
+    for count in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_process_count", lambda: count)
+        for dump in dumps:
+            for budget in ({}, {"max_in_memory_revisions": 4}):
+                config = PipelineConfig(dump, out, stats_path=stats, spill_dir=tmp_path, **budget)
+                report = run_pipeline(config)
+                counts = report.pages, report.revisions, report.actions_written
+                outputs.add((out.read_bytes(), stats.read_bytes(), counts))
+                assert sorted(p.name for p in out.parent.iterdir()) == ["corpus.jsonl", "stats.json"]
+    assert len(outputs) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_on_page(page_id, fail):
+    """``corpus.serialize_action``, but calling ``fail()`` on the first
+    action of page ``page_id``."""
+    original = corpus.serialize_action
+
+    def serialize(action, *args):
+        if action.page_id == page_id:
+            fail()
+        return original(action, *args)
+
+    return serialize
+
+
+def _exit_without_result():
+    os._exit(3)
+
+
+def _no_space():
+    raise OSError(28, "No space left on device")
+
+
+_FAILURES = {
+    "main-write": "write failed after 0 actions: [Errno 28] No space left on device",
+    "page-process-write": "write failed after 0 actions: [Errno 28] No space left on device",
+    "page-process-exit": "a page process ended with status 3 and no result",
+    "main-process-gone": "the main process is gone",
+    "page-reappears": "page {first} reappears after another page",
+}
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_failure_with_several_processes_is_one_error_line(tmp_path, monkeypatch, capsys, count, case):
+    """A run whose main process or other page process fails, or whose dump
+    repeats a page, exits 1 with one error line, keeps the old output and
+    stats, leaves no file in the output's directory and no child process.
+    A forked process inherits the failure patched in before the run."""
+    scripts = gold_fixture_suite()[:4]
+    if case == "page-reappears":
+        xml = render_dump(scripts)
+        first = xml.index("  <page>")
+        end = xml.index("</page>", first) + len("</page>\n")
+        xml = xml[:end] + xml[end:].replace("</mediawiki>", xml[first:end] + "</mediawiki>")
+        dump = tmp_path / "dump.xml"
+        dump.write_text(xml, encoding="utf-8")
+    else:
+        dump = write_dump(scripts, tmp_path / "dump.xml")
+    # (index of the failing page, which the main process reconstructs when 0)
+    failing_pages = {"main-write": (0, _no_space), "page-process-write": (1, _no_space),
+                     "page-process-exit": (1, _exit_without_result)}
+    if case in failing_pages:
+        index, fail = failing_pages[case]
+        monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(scripts[index].page_id, fail))
+    elif case == "main-process-gone":
+        monkeypatch.setattr(os, "getppid", lambda: -1)
+    monkeypatch.setattr(pipeline, "_process_count", lambda: count)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out, stats = out_dir / "corpus.jsonl", out_dir / "stats.json"
+    out.write_bytes(b"old corpus\n")
+    stats.write_bytes(b"old stats\n")
+    argv = ["reconstruct", "--input", str(dump), "--output", str(out), "--stats", str(stats)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: " + _FAILURES[case].format(first=scripts[0].page_id)]
+    assert out.read_bytes() == b"old corpus\n" and stats.read_bytes() == b"old stats\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["corpus.jsonl", "stats.json"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_main_process_stops_at_its_next_page_after_a_page_process_fails(tmp_path, monkeypatch):
+    """When another page process fails on its first page, the main process
+    raises that failure at its own next page, not after the whole dump."""
+    scripts = gold_fixture_suite()[:8]
+    dump = write_dump(scripts, tmp_path / "dump.xml")
+    monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(scripts[1].page_id, _no_space))
+    main, calls = os.getpid(), []
+    original = pipeline._process_page
+
+    def process_page(*args):
+        if os.getpid() == main:
+            calls.append(1)
+            if len(calls) == 2:  # the page process is forked before this page
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until it has ended
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "_process_page", process_page)
+    monkeypatch.setattr(pipeline, "_process_count", lambda: 2)
+    with pytest.raises(corpus.CorpusWriteError, match="No space left on device"):
+        run_pipeline(PipelineConfig(dump, tmp_path / "corpus.jsonl"))
+    assert len(calls) == 2  # of the main process's 4 pages
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_page_dump_forks_nothing(tmp_path, monkeypatch):
+    """The other page processes are forked at the dump's second page, so a
+    one-page dump is reconstructed in the calling process alone."""
+
+    def fork():
+        raise AssertionError("forked")
+
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    monkeypatch.setattr(pipeline, "_process_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    report = run_pipeline(PipelineConfig(dump, tmp_path / "corpus.jsonl"))
+    assert (report.pages, report.actions_written) == (1, 6)
+
+
+def test_cpu_quota_caps_the_processes(tmp_path, monkeypatch):
+    """The tightest cgroup v2 CPU quota of the process's group and the
+    groups above it, up to the cgroup root and rounded up to whole CPUs,
+    caps the number of page processes; no quota leaves the CPU affinity."""
+    own, root = tmp_path / "cgroup", tmp_path / "fs"
+    own.write_text("4:cpu:/\n0::/a/b\n")
+    (root / "a" / "b").mkdir(parents=True)
+    assert pipeline._cpu_limit(root, own) is None
+    (root / "a" / "b" / "cpu.max").write_text("max 100000\n")
+    (root / "a" / "cpu.max").write_text("150000 100000\n")
+    (root / "cpu.max").write_text("400000 100000\n")
+    (tmp_path / "cpu.max").write_text("100000 100000\n")  # above the root: not read
+    assert pipeline._cpu_limit(root, own) == 2
+    own.write_text("0::/\n")
+    assert pipeline._cpu_limit(root, own) == 4
+    assert pipeline._cpu_limit(root, tmp_path / "missing") is None
+    monkeypatch.setattr(pipeline, "_cpu_limit", lambda: 1)
+    assert pipeline._process_count() == 1
+    monkeypatch.setattr(pipeline, "_cpu_limit", lambda: 4096)
+    assert pipeline._process_count() == len(os.sched_getaffinity(0))
+
+
+def test_no_action_of_an_earlier_page_is_alive(tmp_path, monkeypatch, one_process):
     """Each action is written as its page emits it: when a page starts, no
     action of an earlier page is still reachable."""
     dump = write_dump(gold_fixture_suite()[:6], tmp_path / "dump.xml", shuffle_seed=3)
@@ -324,7 +485,7 @@ def test_no_action_of_an_earlier_page_is_alive(tmp_path, monkeypatch):
     [(pipeline, "_process_page", OSError), (corpus, "serialize_action", corpus.CorpusWriteError)],
     ids=["second-page", "second-action"],
 )
-def test_failed_run_keeps_old_output(tmp_path, monkeypatch, owner, name, error):
+def test_failed_run_keeps_old_output(tmp_path, monkeypatch, owner, name, error, one_process):
     """A run that fails reconstructing a page, or part-way through writing
     the corpus, leaves the old output as it was and no temporary file."""
     dump = write_dump(gold_fixture_suite()[:3], tmp_path / "dump.xml")
@@ -376,7 +537,7 @@ def test_reorder_copy_failure_keeps_old_output(tmp_path, monkeypatch):
     assert [p.name for p in out_dir.iterdir()] == ["corpus.jsonl"]
 
 
-def test_write_failure_counts_actions_of_earlier_pages(tmp_path, monkeypatch, capsys):
+def test_write_failure_counts_actions_of_earlier_pages(tmp_path, monkeypatch, capsys, one_process):
     """A write that fails on the first action of the second page reports
     every action written before it, those of the first page included."""
     scripts = gold_fixture_suite()[:3]
@@ -592,7 +753,7 @@ def test_malformed_env_var_is_a_usage_error_of_its_subcommand(tmp_path, monkeypa
     assert "invalid int value" in capsys.readouterr().err
 
 
-def test_spill_variables_reach_reconstruct(tmp_path, monkeypatch):
+def test_spill_variables_reach_reconstruct(tmp_path, monkeypatch, one_process):
     """WIKITALK_MAX_MEM_REVISIONS and WIKITALK_SPILL_DIR are how the
     benchmark sets a run's budget: a budget of 2 spills a shuffled
     multi-revision dump into a new nested directory, which the run creates,
@@ -790,7 +951,7 @@ def test_bad_analysis_input_is_one_error_line(tmp_path, monkeypatch, capsys, arg
     "argv",
     [
         ["eval", "sample", "--corpus", "{}"],
-        ["eval", "score", "--corpus", "{}", "--gold", "{}", "--report", "report.json"],
+        ["eval", "score", "--corpus", "{}", "--gold", "gold.jsonl", "--report", "report.json"],
         ["analytics", "score", "--corpus", "{}", "--output", "scored.jsonl"],
         ["analytics", "deletion-rate", "--scored", "{}"],
     ],
@@ -798,8 +959,10 @@ def test_bad_analysis_input_is_one_error_line(tmp_path, monkeypatch, capsys, arg
 )
 def test_corpus_record_with_non_string_id_is_one_error_line(tmp_path, monkeypatch, capsys, argv):
     """Every subcommand that reads corpus actions ends with one error line,
-    naming the file and line, on a full record whose ``id`` is a number."""
+    naming the file and line, on a full record whose ``id`` is a number.
+    ``eval score`` reads its gold file first, so that one is empty."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "gold.jsonl").write_text("")
     dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
     run_pipeline(PipelineConfig(input_path=dump, output_path=tmp_path / "corpus.jsonl"))
     header, first, *_ = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
