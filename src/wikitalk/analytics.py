@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from wikitalk.actions import Action, ActionType
 
-_SCORE_ATTRIBUTES = ("toxicity", "severe_toxicity")
+SCORE_ATTRIBUTES = ("toxicity", "severe_toxicity")
 _BACKOFF_S = 0.5  # wait after the first failed attempt; doubles after each later one
 
 
@@ -52,7 +52,7 @@ class StubScorer:
 
     def score(self, text: str) -> dict[str, float]:
         out = {}
-        for attr in _SCORE_ATTRIBUTES:
+        for attr in SCORE_ATTRIBUTES:
             digest = hashlib.sha256(f"{attr}:{text}".encode("utf-8")).digest()
             out[attr] = int.from_bytes(digest[:8], "big") / 2**64
         return out
@@ -119,7 +119,7 @@ class HttpScorer:
             self._last_request = time.monotonic()
             try:
                 data = self.transport(self.endpoint, payload, self.timeout)
-                return {attr: float(data[attr]) for attr in _SCORE_ATTRIBUTES}
+                return {attr: float(data[attr]) for attr in SCORE_ATTRIBUTES}
             except Exception as exc:  # noqa: BLE001 - every failure is retryable
                 last_error = exc
                 if attempt + 1 < self.max_attempts:
@@ -153,7 +153,7 @@ def scores_or_none(scorer, text: str) -> dict[str, Optional[float]]:
     try:
         return scorer.score(text)
     except ScorerError:
-        return dict.fromkeys(_SCORE_ATTRIBUTES)
+        return dict.fromkeys(SCORE_ATTRIBUTES)
 
 
 def comments_with_deletions(

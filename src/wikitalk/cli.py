@@ -214,7 +214,7 @@ def _cmd_analytics_score(args) -> int:
         )
     else:
         scorer = analytics.StubScorer()
-    unscored = {"toxicity": None, "severe_toxicity": None}
+    unscored = dict.fromkeys(analytics.SCORE_ATTRIBUTES)
     comments = failed = 0
     output = replacing(args.output, "the corpus", args.corpus)
     with output as out, open(args.corpus, encoding="utf-8") as fh:
@@ -266,7 +266,7 @@ def _cmd_analytics_deletion_rate(args) -> int:
 
     def with_scores(record):
         action = corpus.record_to_action(record)
-        scores = {name: record.get(name) for name in ("toxicity", "severe_toxicity")}
+        scores = {name: record.get(name) for name in analytics.SCORE_ATTRIBUTES}
         for name, score in scores.items():
             number = isinstance(score, (int, float)) and not isinstance(score, bool)
             if score is not None and not number:

@@ -129,52 +129,43 @@ def read_actions(source: IO[str]) -> Iterator[Action]:
 
 
 class Summary:
-    """Corpus statistics accumulated one action at a time. Actions with
+    """Corpus statistics accumulated one page at a time. Actions with
     empty cleaned content (pure formatting edits) are excluded from every
-    count. Actions come page by page, as a run writes them, and revision
-    and conversation ids are page-scoped: their sets are counted and
-    cleared when the page changes, so only the set of users grows with the
-    run."""
+    count. Revision and conversation ids are page-scoped, so each page's
+    sets live only while ``fed`` passes that page through: only the set of
+    users grows with the run."""
 
     def __init__(self):
         self.users: set[str] = set()
-        self.page: Optional[str] = None
         self.pages = 0
         self.revisions = 0
         self.conversations = 0
-        self.page_revisions: set[str] = set()
-        self.page_conversations: set[str] = set()
         self.type_counts: dict[str, int] = {t.value: 0 for t in ActionType}
         self.total = 0
 
-    def add(self, action: Action) -> None:
-        if not action.has_content:
-            return
-        self.total += 1
-        self.users.add(action.user_text)
-        if action.page_id != self.page:
-            self.revisions += len(self.page_revisions)
-            self.conversations += len(self.page_conversations)
-            self.page_revisions.clear()
-            self.page_conversations.clear()
-            self.page = action.page_id
-            self.pages += 1
-        self.page_revisions.add(action.revision_id)
-        self.page_conversations.add(action.conversation_id)
-        self.type_counts[action.type.value] += 1
-
     def fed(self, actions: Iterable[Action]) -> Iterator[Action]:
-        """Pass ``actions`` through, adding each one on the way."""
+        """Pass one page's ``actions`` through, counting each one on the way
+        and the page once they end."""
+        revisions: set[str] = set()
+        conversations: set[str] = set()
         for action in actions:
-            self.add(action)
+            if action.has_content:
+                self.total += 1
+                self.users.add(action.user_text)
+                revisions.add(action.revision_id)
+                conversations.add(action.conversation_id)
+                self.type_counts[action.type.value] += 1
             yield action
+        self.pages += bool(revisions)
+        self.revisions += len(revisions)
+        self.conversations += len(conversations)
 
     def merge(self, other: Summary) -> None:
         """Add ``other``, a summary of other pages, to this one."""
         self.users |= other.users
         self.pages += other.pages
-        self.revisions += other.revisions + len(other.page_revisions)
-        self.conversations += other.conversations + len(other.page_conversations)
+        self.revisions += other.revisions
+        self.conversations += other.conversations
         for name, count in other.type_counts.items():
             self.type_counts[name] += count
         self.total += other.total
@@ -188,9 +179,8 @@ class Summary:
         return {
             "distinct_users": len(self.users),
             "pages": self.pages,
-            "revisions": self.revisions + len(self.page_revisions),
-            "conversations": self.conversations + len(self.page_conversations),
+            "revisions": self.revisions,
+            "conversations": self.conversations,
             "actions": total,
             "type_breakdown": breakdown,
         }
-

@@ -23,7 +23,7 @@ class GoldValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoldAnnotation:
     action_id: str
     gold_type: ActionType

@@ -33,7 +33,7 @@ import xml.parsers.expat
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional
+from typing import BinaryIO, Iterator, NamedTuple, Optional
 
 DELETED_USER_SENTINEL = "[deleted]"
 
@@ -150,11 +150,8 @@ class _DumpHandler:
     reaches Python.
     """
 
-    def __init__(self, report: RunReport, wanted: Optional[Callable[[int], bool]]):
+    def __init__(self, report: RunReport):
         self.report = report
-        self.wanted = wanted
-        self.pages = 0  # runs of completed records with one page id
-        self.last_page_id = ""
         self.stack: list[str] = []
         self.page: dict[str, list[str]] = {}
         self.rev: dict[str, object] = {}  # text parts, and "<name> deleted" marks
@@ -174,10 +171,6 @@ class _DumpHandler:
         elif attrs.get("deleted") == "deleted":  # <contributor> or <text>
             self.rev[f"{name} deleted"] = True
         field = _FIELDS.get((parent, name))
-        if field == "wikitext" and self.wanted is not None:
-            page_id = _joined(self.page, "page_id")  # fixed until </revision>
-            if not self.wanted(self.pages - (page_id == self.last_page_id)):
-                return
         if field is not None:
             fields = self.page if parent == "page" else self.rev
             self.parser.CharacterDataHandler = fields.setdefault(field, []).append
@@ -224,9 +217,6 @@ class _DumpHandler:
             user_text = ip
             user_id = None
         self.report.revisions += 1
-        if page_id != self.last_page_id:
-            self.pages += 1
-            self.last_page_id = page_id
         self.completed.append(
             RevisionRecord(
                 page_id=page_id,
@@ -240,22 +230,14 @@ class _DumpHandler:
         )
 
 
-def parse_dump_stream(
-    stream: BinaryIO,
-    report: Optional[RunReport] = None,
-    wanted: Optional[Callable[[int], bool]] = None,
-) -> Iterator[RevisionRecord]:
+def parse_dump_stream(stream: BinaryIO, report: Optional[RunReport] = None) -> Iterator[RevisionRecord]:
     """Yield revision records from a decompressed dump, in document order.
 
     ``report`` (when provided) counts the revisions read and the records
-    skipped as the stream is consumed. ``wanted`` (when provided) is asked,
-    at each ``<text>``, whether its page's text is needed, given the page's
-    index: pages are the runs of consecutive records with one page id, as
-    ``itertools.groupby`` on ``page_id`` finds them, counted from 0. The
-    text of a page it refuses never reaches Python, and that page's records
-    are yielded with empty text; every count is as without ``wanted``.
+    skipped as the stream is consumed. Where one page ends and the next
+    begins is left to the caller.
     """
-    handler = _DumpHandler(report if report is not None else RunReport(), wanted)
+    handler = _DumpHandler(report if report is not None else RunReport())
     parser = handler.parser
 
     def parse(chunk: bytes, final: bool) -> None:

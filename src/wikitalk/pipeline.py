@@ -9,15 +9,16 @@ any work. The main process (rank 0) forks the others when it reaches the
 dump's second page, so a one-page dump forks nothing; each forked process
 reads the dump again from its start through a file of its own. Every
 process reads and groups the whole dump, with the same checks and
-counts, and reconstructs only the pages whose index in the dump is its
-rank modulo the number of processes; ingest builds no text for the other
-pages, but it still parses them, and a bz2 or gzip dump is decompressed
-in full by every process. No record crosses between processes: each
-writes its pages to its own part file, the main process to the corpus's
-temporary file and every other to an anonymous file beside the output,
-and hands back its per-page action counts and ``--stats`` summary
-through an anonymous result file. The summaries merge exactly, since no
-page is in two of them. A forked process holds only the thread that
+counts: ingest builds every page's text in every process, and a bz2 or
+gzip dump is decompressed in full by every process. The page loop of
+``_reconstruct_share``, the one place that decides where a page begins,
+reconstructs only the pages whose index in the dump is its process's
+rank modulo the number of processes and skips the others. No record
+crosses between processes: each writes its pages to its own part file,
+the main process to the corpus's temporary file and every other to an
+anonymous file beside the output, and hands back its per-page action
+counts and ``--stats`` summary through an anonymous result file. The
+summaries merge exactly, since no page is in two of them. A forked process holds only the thread that
 forked it, so ``run_pipeline`` must be called from a process that runs
 no other thread, as the CLI is. What a caller measures in its own
 process, such as the spans of the benchmark's ``--trace 1`` mode, covers
@@ -186,14 +187,14 @@ def _reconstruct_share(
 ) -> dict[str, int]:
     """Read the whole dump, counting into ``report``, and reconstruct into
     ``sink`` (and ``summary``) the pages whose index in the dump is ``rank``
-    modulo ``count``; the text of every other page is never built. Returns
-    every page id in dump order, mapped to the actions written here (0 for
-    another process's page). ``poll`` is called with each page's index
-    before the page, and stops the run by raising."""
+    modulo ``count``. This loop is the one place that decides where a page
+    begins and ends: a page is a run of consecutive records with one page
+    id. Returns every page id in dump order, mapped to the actions written
+    here (0 for another process's page). ``poll`` is called with each page's
+    index before the page, and stops the run by raising."""
     pages: dict[str, int] = {}
     with open_dump(config.input_path) as stream:
-        records = parse_dump_stream(stream, report, wanted=lambda index: index % count == rank)
-        groups = itertools.groupby(records, key=lambda r: r.page_id)
+        groups = itertools.groupby(parse_dump_stream(stream, report), key=lambda r: r.page_id)
         for index, (page_id, revs) in enumerate(groups):
             if page_id in pages:
                 raise DumpFormatError(f"page {page_id} reappears after another page")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import tracemalloc
@@ -94,10 +95,10 @@ def test_error_while_producing_actions_is_not_a_write_error():
 
 
 def summarize(actions):
-    """Corpus statistics of ``actions`` in one pass."""
+    """Corpus statistics of ``actions`` in one pass, fed a page at a time."""
     summary = Summary()
-    for action in actions:
-        summary.add(action)
+    for _, page in itertools.groupby(actions, key=lambda a: a.page_id):
+        list(summary.fed(page))
     return summary.stats()
 
 
@@ -143,7 +144,7 @@ def test_summarize_excludes_empty_content(rng):
 
 def test_summary_memory_flat_in_pages(rng):
     """Only the users set grows with the run: the revision and conversation
-    ids of a page are counted and dropped when the next page starts."""
+    ids of a page are counted and dropped when the page ends."""
 
     def retained(pages):
         def actions():
@@ -157,8 +158,8 @@ def test_summary_memory_flat_in_pages(rng):
         tracemalloc.start()
         try:
             summary = Summary()
-            for action in actions():
-                summary.add(action)
+            for _, page in itertools.groupby(actions(), key=lambda a: a.page_id):
+                list(summary.fed(page))
             size, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -297,30 +297,74 @@ def test_dump_order_does_not_change_output(tmp_path, monkeypatch, one_process):
     ]
 
 
+def _skipped_shapes_dump(path):
+    """A dump of the page shapes whose records ingest skips, each page with
+    talk text: a page without an id, a page whose first revision has no
+    timestamp, one page id over two consecutive ``<page>`` elements, a page
+    whose only revision has no timestamp, and a page whose first revision's
+    text an administrator hid. Pages 15 and 16 follow them."""
+
+    def page(page_id, *revisions):  # (id, minute or None, text or None if hidden)
+        parts = [f"<page><title>Talk:P{page_id}</title><ns>1</ns>"]
+        parts.append(f"<id>{page_id}</id>" if page_id else "")
+        for rev_id, minute, text in revisions:
+            when = "" if minute is None else f"<timestamp>2017-05-01T10:{minute:02d}:00Z</timestamp>"
+            body = '<text deleted="deleted" />' if text is None else f"<text>{text}</text>"
+            parts.append(
+                f"<revision><id>{rev_id}</id>{when}"
+                f"<contributor><username>u{rev_id}</username><id>{rev_id}</id></contributor>{body}</revision>"
+            )
+        return "".join(parts) + "</page>\n"
+
+    opened = "== Thread ==\nfirst comment ~~~~"
+    replied = opened + "\n:a reply ~~~~"
+    path.write_text(
+        "<mediawiki>\n"
+        + page("", (1, 0, opened), (2, 1, replied))
+        + page(11, (3, None, opened), (4, 2, replied))
+        + page(12, (5, 3, opened))
+        + page(12, (6, 4, replied), (7, 5, replied + "\n::and another ~~~~"))
+        + page(13, (8, None, opened))
+        + page(14, (9, 6, None), (10, 7, opened), (11, 8, replied))
+        + page(15, (12, 9, opened))
+        + page(16, (13, 10, replied))
+        + "</mediawiki>\n"
+    )
+    return path
+
+
 def test_number_of_processes_does_not_change_output(tmp_path, monkeypatch):
-    """One, two and three page processes give the corpus and stats bytes of
-    one process on the gold suite, in order, with its revisions shuffled,
-    with its pages reversed or shuffled, and spilled at a budget of 4."""
+    """One, two and three page processes give the corpus and stats bytes and
+    the counts of one process on the gold suite, in order, with its
+    revisions shuffled, with its pages reversed or shuffled, and spilled at
+    a budget of 4; and so they do on a dump of the page shapes whose records
+    ingest skips."""
     scripts = gold_fixture_suite()
     dumps = [
-        write_dump(scripts, tmp_path / "in-order.xml"),
-        write_dump(scripts, tmp_path / "forward.xml", shuffle_seed=5),
-        write_dump(scripts[::-1], tmp_path / "backward.xml", shuffle_seed=17),
-        write_dump(random.Random(3).sample(scripts, len(scripts)), tmp_path / "pages.xml", shuffle_seed=3),
+        ("gold", write_dump(scripts, tmp_path / "in-order.xml")),
+        ("gold", write_dump(scripts, tmp_path / "forward.xml", shuffle_seed=5)),
+        ("gold", write_dump(scripts[::-1], tmp_path / "backward.xml", shuffle_seed=17)),
+        ("gold", write_dump(random.Random(3).sample(scripts, len(scripts)), tmp_path / "pages.xml", shuffle_seed=3)),
+        ("shapes", _skipped_shapes_dump(tmp_path / "shapes.xml")),
     ]
     out, stats = tmp_path / "out" / "corpus.jsonl", tmp_path / "out" / "stats.json"
     out.parent.mkdir()
-    outputs = set()
+    outputs = {"gold": set(), "shapes": set()}
     for count in (1, 2, 3):
         monkeypatch.setattr(pipeline, "_process_count", lambda: count)
-        for dump in dumps:
+        for kind, dump in dumps:
             for budget in ({}, {"max_in_memory_revisions": 4}):
                 config = PipelineConfig(dump, out, stats_path=stats, spill_dir=tmp_path, **budget)
                 report = run_pipeline(config)
-                counts = report.pages, report.revisions, report.actions_written
-                outputs.add((out.read_bytes(), stats.read_bytes(), counts))
+                skips = tuple(sorted(report.skip_reasons.items()))
+                counts = report.pages, report.revisions, report.actions_written, skips
+                outputs[kind].add((out.read_bytes(), stats.read_bytes(), counts))
                 assert sorted(p.name for p in out.parent.iterdir()) == ["corpus.jsonl", "stats.json"]
-    assert len(outputs) == 1
+    assert [len(runs) for runs in outputs.values()] == [1, 1]
+    [(corpus_bytes, stats_bytes, counts)] = outputs["shapes"]
+    skips = ("missing_page_id", 2), ("missing_timestamp", 2), ("text_deleted", 1)
+    assert counts == (5, 8, len(corpus_bytes.splitlines()) - 1, skips)
+    assert json.loads(stats_bytes)["pages"] == 5
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
