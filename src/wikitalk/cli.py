@@ -27,6 +27,16 @@ before any work, and an output is replaced whole or left as it was.
 record ends the run after the comments before it were scored, and
 ``analytics deletion-rate`` holds one page of the scored corpus at a time,
 so a page split in two is an error.
+
+The program (``python -m wikitalk.cli`` and the ``wikitalk`` console
+script) enters through ``entry``, which runs ``main``, flushes stdout and
+stderr and leaves by ``os._exit``, skipping the interpreter's teardown, as
+the forked page processes do. Nothing is left for that teardown to do:
+every file a subcommand writes is closed by ``pipeline.replacing``, and
+every page process reaped, before ``main`` returns. A flush that fails
+(stdout is a closed pipe) ends a run that had succeeded with one
+``error:`` line and exit status 1. ``main`` returns the exit status, for
+callers in Python.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ import os
 import sys
 from contextlib import nullcontext
 from datetime import timedelta
+from typing import NoReturn
 
 from wikitalk import corpus
 from wikitalk.extsort import DEFAULT_MAX_IN_MEMORY
@@ -299,5 +310,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> NoReturn:
+    """The program: ``main``, then a flush of stdout and stderr, then
+    ``os._exit`` with ``main``'s status (see the module docstring)."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # a run that failed has said why
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

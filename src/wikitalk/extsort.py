@@ -51,10 +51,8 @@ merging) plus those of one chunk.
 
 from __future__ import annotations
 
-import heapq
 import operator
 import os
-import pickle
 import struct
 import tempfile
 from dataclasses import dataclass
@@ -112,6 +110,8 @@ class SortStats:
 
 def _write_run(records: Iterable[RevisionRecord], spill: BinaryIO) -> tuple[int, int]:
     """Append ``records`` to ``spill``; returns the run's byte range."""
+    import pickle
+
     start = spill.tell()
     for rec in records:
         # One pickle per record, here and in _read_run: a shared Pickler or
@@ -128,6 +128,8 @@ def _write_run(records: Iterable[RevisionRecord], spill: BinaryIO) -> tuple[int,
 def _read_run(fd: int, start: int, end: int) -> Iterator[RevisionRecord]:
     """The records of the run at ``[start, end)`` of ``fd``. Each ``pread``
     reads one record and the length prefix of the next."""
+    import pickle
+
     (size,) = _LENGTH.unpack(os.pread(fd, _LENGTH.size, start))
     pos = start + _LENGTH.size
     while True:
@@ -144,6 +146,8 @@ def _read_run(fd: int, start: int, end: int) -> Iterator[RevisionRecord]:
 
 
 def _merge(runs: list[tuple[int, int]], fd: int) -> Iterator[RevisionRecord]:
+    import heapq
+
     return heapq.merge(*(_read_run(fd, *run) for run in runs), key=_sort_key)
 
 

@@ -63,14 +63,10 @@ with one process, every action of the run before the failure.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import os
-import pickle
-import signal
 import tempfile
-from array import array
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,6 +224,7 @@ def _page_process(
     is gone. It leaves by ``os._exit`` on every path, so it runs no cleanup
     of the blocks it was forked inside, flushes no sink it inherited and
     never resumes the dump that its parent was reading."""
+    import pickle
 
     def poll(index: int) -> None:
         if os.getppid() != parent:
@@ -258,6 +255,8 @@ def _page_process(
 def _outcome(result: BinaryIO, status: int) -> tuple[list[int], Optional[corpus.Summary]]:
     """What a reaped page process with wait ``status`` left in ``result``;
     raises the exception that stopped it."""
+    import pickle
+
     result.seek(0)
     try:
         outcome = pickle.load(result)
@@ -283,6 +282,9 @@ def _copy_in_order(sink: TextIO, parts: list[BinaryIO], pages: dict[str, int]) -
     MediaWiki export lists them, is merged as it is; only the pages of a
     process that are not are sorted. One page's bytes are in memory at a
     time."""
+    import heapq
+    from array import array
+
     sink.flush()
     path = Path(sink.name)
     n = len(parts) + 1
@@ -358,6 +360,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             fork the other page processes; after it, raise the failure of
             any that has ended."""
             if index == 1:
+                import pickle  # loaded here once, not again in every forked process
+
                 for rank in range(1, count):
                     parts.append(anonymous())
                     results.append(anonymous())
@@ -371,6 +375,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             pages = _reconstruct_share(config, budget, report, sink, summary, 0, count, poll)
             reap(0)
         except BaseException:
+            import signal
+
             for pid in running:
                 os.kill(pid, signal.SIGKILL)
             for pid in running:

@@ -38,22 +38,25 @@ class DeletedCommentStore:
             return False
         self._entries.append(comment)
         while len(self._entries) > CAPACITY:
-            self._remove(self._entries[0])
+            del self._entries[0]
         return True
 
     def match(self, text: str) -> Optional[LiveComment]:
         """Exact-match lookup; the most recently deleted entry wins."""
-        for entry in reversed(self._entries):
-            if entry.cleaned_text == text:
-                return entry
-        return None
+        index = self._find(text)
+        return None if index is None else self._entries[index]
 
     def take(self, text: str) -> Optional[LiveComment]:
         """Match and remove, for consumption by a restoration."""
-        entry = self.match(text)
-        if entry is not None:
-            self._remove(entry)
-        return entry
+        index = self._find(text)
+        return None if index is None else self._entries.pop(index)
 
-    def _remove(self, entry: LiveComment) -> None:
-        self._entries.remove(entry)
+    def _find(self, text: str) -> Optional[int]:
+        """The index of the most recent entry with cleaned text ``text``.
+        Entries are removed by index, never by value: ``list.remove`` would
+        compare the entry with every older one."""
+        entries = self._entries
+        for index in range(len(entries) - 1, -1, -1):
+            if entries[index].cleaned_text == text:
+                return index
+        return None

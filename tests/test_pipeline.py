@@ -66,12 +66,19 @@ def test_missing_input_fails(tmp_path):
     assert rc == 1
 
 
+def _child_env(*unset: str) -> dict[str, str]:
+    """This process's environment without the variables ``unset``, for a
+    child that imports the package under test."""
+    path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {name: value for name, value in os.environ.items() if name not in unset}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_failed_run_prints_one_error_line(tmp_path):
     """A failed run reports its error once on stderr. Run as a subprocess:
     in-process, pytest's log capture would hide a second report."""
     missing = tmp_path / "nope.xml"
-    path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "wikitalk.cli", "reconstruct",
          "--input", str(missing), "--output", str(tmp_path / "o")],
@@ -81,19 +88,63 @@ def test_failed_run_prints_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == [f"error: input dump not found: {missing}"]
 
 
-def test_cli_import_does_not_load_numpy():
+def test_cli_import_loads_no_subcommand_spill_fork_or_copy_module():
     """numpy is needed only by ``analytics eer``, and the analytics and
-    evalharness modules only by their subcommands; the command's start-up
-    (and so every ``reconstruct`` run) does without them."""
-    path = [str(Path(wikitalk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    modules = ["numpy", "wikitalk.analytics", "wikitalk.evalharness"]
+    evalharness modules only by their subcommands; pickle, heapq, signal and
+    array only by a spill, a forked page process, the copy pass or the kill
+    path. The command's start-up (and so every ``reconstruct`` run) does
+    without them."""
+    env = _child_env()
+    modules = ["numpy", "wikitalk.analytics", "wikitalk.evalharness", "pickle", "heapq", "signal", "array"]
     code = f"import sys, wikitalk.cli; print([m for m in {modules} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _sample_command(tmp_path) -> list[str]:
+    """The program's ``eval sample`` of the walkthrough page's corpus, which
+    prints its six actions to stdout."""
+    dump = write_dump([figure_walkthrough_script()], tmp_path / "dump.xml")
+    corpus_path = tmp_path / "corpus.jsonl"
+    assert cli.main(["reconstruct", "--input", str(dump), "--output", str(corpus_path)]) == 0
+    return [sys.executable, "-m", "wikitalk.cli", "eval", "sample", "--corpus", str(corpus_path), "--per-type", "3"]
+
+
+def test_program_output_to_a_pipe_equals_output_to_a_file(tmp_path):
+    """The program leaves by ``os._exit``; what it printed to a stdout pipe
+    is flushed first, byte for byte what ``--output`` writes."""
+    command, sample = _sample_command(tmp_path), tmp_path / "sample.jsonl"
+    env = _child_env("PYTHONUNBUFFERED")
+    piped = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    assert piped.returncode == 0, piped.stderr
+    written = subprocess.run([*command, "--output", str(sample)], capture_output=True, env=env, timeout=60)
+    assert written.returncode == 0, written.stderr
+    assert piped.stdout == sample.read_bytes() and piped.stdout.count(b"\n") == 6
+
+
+def test_program_writing_to_a_closed_pipe_fails_with_one_error_line(tmp_path):
+    """With stdout a pipe whose reader is gone, the flush before the exit
+    fails: the program exits 1 with one ``error:`` line and no traceback.
+    Without PYTHONUNBUFFERED stdout is block-buffered, so that flush is the
+    write that fails."""
+    command = _sample_command(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            command, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_child_env("PYTHONUNBUFFERED"), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert lines[-1].startswith("error: ") and "Broken pipe" in lines[-1], proc.stderr
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:], proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
 
 
 def test_unwritable_output_fails(tmp_path, monkeypatch, capsys, one_process):

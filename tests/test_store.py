@@ -52,6 +52,31 @@ def test_fifo_eviction_beyond_capacity():
     assert store.match("stored comment number 0050") is not None
 
 
+def test_take_from_a_full_store_compares_no_entries(monkeypatch):
+    """A restored comment leaves the store by its position: no stored entry
+    is compared with another, as ``list.remove`` would compare it with every
+    older entry."""
+    calls = []
+
+    def counting_eq(self, other):
+        calls.append(1)
+        return self is other
+
+    store = DeletedCommentStore()
+    for i in range(store_mod.CAPACITY + 1):
+        store.push(entry(f"stored comment number {i:04d}"))
+    monkeypatch.setattr(LiveComment, "__eq__", counting_eq)
+    newest = f"stored comment number {store_mod.CAPACITY:04d}"
+    assert store.take(newest).cleaned_text == newest
+    assert store.take("stored comment number 0050").cleaned_text == "stored comment number 0050"
+    for i in range(3):  # past capacity: the oldest is evicted
+        store.push(entry(f"one more stored comment {i}"))
+    assert calls == []
+    assert len(store) == store_mod.CAPACITY
+    assert store.match("stored comment number 0001") is None
+    assert store.match("stored comment number 0002") is not None
+
+
 def test_most_recent_duplicate_wins():
     store = DeletedCommentStore()
     first = entry("identical deleted text", last="old")
@@ -72,7 +97,7 @@ def test_trie_membership_tracks_entries(monkeypatch):
         if alive and rng.random() < 0.4:
             text = rng.choice(alive)
             store.take(text)
-            alive.remove(text)
+            del alive[len(alive) - 1 - alive[::-1].index(text)]  # the newest with the text
         else:
             text = f"entry {rng.randrange(60)} padded to length"
             if store.push(entry(text)):
