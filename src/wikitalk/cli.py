@@ -161,10 +161,8 @@ def _cmd_reconstruct(args) -> int:
         )
     )
     if report.skipped:
-        print(
-            f"completed with {report.skipped} skipped dump records ({report.skip_reasons})",
-            file=sys.stderr,
-        )
+        reasons = dict(sorted(report.skip_reasons.items()))  # one order for any number of processes
+        print(f"completed with {report.skipped} skipped dump records ({reasons})", file=sys.stderr)
     print(
         f"pages={report.pages} revisions={report.revisions} "
         f"actions={report.actions_written}",

@@ -23,6 +23,12 @@ be told apart), and so are revisions whose text an administrator hid
 (``<text deleted="deleted">``): their text is unknown, not empty.
 Suppressed contributors are kept with a sentinel name so their deletions
 stay attributable.
+
+A caller that builds only some pages passes ``reads``, which is asked at
+each ``<page>`` element's first ``<revision>`` whether to read that page.
+Expat still tokenizes a page it refuses, but no handler runs until the
+next ``<page>`` except one that waits for it: the refused page's text
+never reaches Python, and it gives no record and no count.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import xml.parsers.expat
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Iterator, NamedTuple, Optional
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Optional
 
 DELETED_USER_SENTINEL = "[deleted]"
 
@@ -95,8 +101,16 @@ class RunReport:
     def skipped(self) -> int:
         return sum(self.skip_reasons.values())
 
-    def record_skip(self, reason: str) -> None:
-        self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + 1
+    def record_skip(self, reason: str, count: int = 1) -> None:
+        self.skip_reasons[reason] = self.skip_reasons.get(reason, 0) + count
+
+    def merge(self, other: RunReport) -> None:
+        """Add every count of ``other`` to this report's."""
+        self.pages += other.pages
+        self.revisions += other.revisions
+        self.actions_written += other.actions_written
+        for reason, count in other.skip_reasons.items():
+            self.record_skip(reason, count)
 
 
 def open_dump(path: Path) -> BinaryIO:
@@ -148,11 +162,20 @@ class _DumpHandler:
     start or end handler: each field gets exactly its own text, however
     many buffers it spans, and the whitespace between elements never
     reaches Python.
+
+    A page that ``reads`` refuses is left to expat: the end and character
+    data handlers are cleared, and one start handler waits for the next
+    ``<page>``. (Waiting for the next ``<page>``, not for the refused
+    page's ``</page>``, also skips a stray ``<revision>`` between the two,
+    which the owner of the page before reads as that page's.)
     """
 
-    def __init__(self, report: RunReport):
+    def __init__(self, report: RunReport, reads: Optional[Callable[[str], bool]]):
         self.report = report
+        self.reads = reads
+        self.unasked: Optional[Callable[[str], bool]] = None  # ``reads`` until the page's first revision
         self.stack: list[str] = []
+        self.depth = 0  # the page element's place in ``stack``
         self.page: dict[str, list[str]] = {}
         self.rev: dict[str, object] = {}  # text parts, and "<name> deleted" marks
         self.completed: list[RevisionRecord] = []
@@ -166,8 +189,15 @@ class _DumpHandler:
         self.stack.append(name)
         if name == "page":
             self.page = {}
+            self.unasked = self.reads
+            self.depth = len(self.stack) - 1
         elif name == "revision":
             self.rev = {}
+            if self.unasked is not None:
+                reads, self.unasked = self.unasked, None
+                if not reads(_joined(self.page, "page_id")):
+                    self._skip_page()
+                    return
         elif attrs.get("deleted") == "deleted":  # <contributor> or <text>
             self.rev[f"{name} deleted"] = True
         field = _FIELDS.get((parent, name))
@@ -180,6 +210,18 @@ class _DumpHandler:
         self.parser.CharacterDataHandler = None
         if name == "revision":
             self._finish_revision()
+
+    def _skip_page(self) -> None:
+        del self.stack[self.depth :]
+        self.parser.StartElementHandler = self._start_skipped
+        self.parser.CharacterDataHandler = None
+        self.parser.EndElementHandler = None
+
+    def _start_skipped(self, name: str, attrs: dict) -> None:
+        if name == "page":
+            self.parser.StartElementHandler = self.start
+            self.parser.EndElementHandler = self.end
+            self.start(name, attrs)
 
     def _finish_revision(self) -> None:
         rev = self.rev
@@ -230,14 +272,23 @@ class _DumpHandler:
         )
 
 
-def parse_dump_stream(stream: BinaryIO, report: Optional[RunReport] = None) -> Iterator[RevisionRecord]:
+def parse_dump_stream(
+    stream: BinaryIO,
+    report: Optional[RunReport] = None,
+    reads: Optional[Callable[[str], bool]] = None,
+) -> Iterator[RevisionRecord]:
     """Yield revision records from a decompressed dump, in document order.
 
     ``report`` (when provided) counts the revisions read and the records
-    skipped as the stream is consumed. Where one page ends and the next
-    begins is left to the caller.
+    skipped as the stream is consumed. ``reads`` (when provided) is called
+    with the page id (``""`` for a page without one) once per ``<page>``
+    element, at its first ``<revision>``; when it returns False, that
+    element gives no record and no count, and its text never reaches
+    Python, though expat still tokenizes it. ``reads`` may raise to stop
+    the parse. Where one page ends and the next begins is left to the
+    caller.
     """
-    handler = _DumpHandler(report if report is not None else RunReport())
+    handler = _DumpHandler(report if report is not None else RunReport(), reads)
     parser = handler.parser
 
     def parse(chunk: bytes, final: bool) -> None:

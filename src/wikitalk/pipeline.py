@@ -5,24 +5,29 @@ on every CPU it may use: ``run_pipeline`` runs one process per CPU, by
 the CPU affinity and the cgroup v2 CPU quota (one process where
 ``os.fork`` or ``os.sched_getaffinity`` is missing). The corpus and
 ``--stats`` files are opened first, so an unwritable output fails before
-any work. The main process (rank 0) forks the others when it reaches the
-dump's second page, so a one-page dump forks nothing; each forked process
-reads the dump again from its start through a file of its own. Every
-process reads and groups the whole dump, with the same checks and
-counts: ingest builds every page's text in every process, and a bz2 or
-gzip dump is decompressed in full by every process. The page loop of
-``_reconstruct_share``, the one place that decides where a page begins,
-reconstructs only the pages whose index in the dump is its process's
-rank modulo the number of processes and skips the others. No record
-crosses between processes: each writes its pages to its own part file,
-the main process to the corpus's temporary file and every other to an
-anonymous file beside the output, and hands back its per-page action
-counts and ``--stats`` summary through an anonymous result file. The
-summaries merge exactly, since no page is in two of them. A forked process holds only the thread that
-forked it, so ``run_pipeline`` must be called from a process that runs
-no other thread, as the CLI is. What a caller measures in its own
-process, such as the spans of the benchmark's ``--trace 1`` mode, covers
-the whole dump's ingest but only the main process's pages.
+any work. With N processes, page id ``p`` belongs to process
+``zlib.crc32(p.encode()) % N`` (``_owner``), whatever its place in the
+dump; a page element without an id belongs to process 0, which counts
+its records as skipped. The main process takes the rank of the dump's
+first page and forks the others when ingest reaches the dump's second
+page id, so a one-page dump forks nothing; each forked process reads the
+dump again from its start through a file of its own. Every process
+decompresses the whole dump and expat tokenizes all of it, but ingest
+builds records only for the process's own pages (the ``reads`` callback
+of ``ingest.parse_dump_stream``): another process's page gives no
+record, no text and no count. The page loop of ``_reconstruct_share``,
+the one place that decides where a page begins, reconstructs every page
+it is given. No record crosses between processes: each writes its pages
+to its own part file, the main process to the corpus's temporary file
+and every other to an anonymous file beside the output, and hands back
+its pages' ids and action counts, its ``RunReport`` and its ``--stats``
+summary through an anonymous result file. The reports and the summaries
+merge exactly, since no page is in two of them. A forked process holds
+only the thread that forked it, so ``run_pipeline`` must be called from
+a process that runs no other thread, as the CLI is. What a caller
+measures in its own process, such as the spans of the benchmark's
+``--trace 1`` mode, covers only the main process's pages, in ingest as
+in reconstruction.
 
 Within a process, pages are reconstructed one at a time, in dump order,
 and each action is serialized as its page emits it: no page's actions are
@@ -33,16 +38,18 @@ complete.
 
 The corpus is in canonical order (page_id ascending, numbers compared as
 numbers; within-page action order), so it does not depend on the order of
-pages in the dump or on the number of processes. Every process keeps each
-page's action count by page id, which rejects a page that comes back after
-another (it would be rebuilt from empty state). When only the main
-process's part holds actions and its pages are in canonical order, as
-with one process and a MediaWiki export, or a one-page dump, the file is
-renamed as it is. Otherwise one copy pass writes the header and then every
-page's byte range from its part, in canonical order, to a second temporary
-file, so the end of such a run needs room for the corpus twice. (The
-ranges are found by counting lines in that pass: asking a sink for its
-position after every page would flush it every page.)
+pages in the dump or on the number of processes. Each process keeps the
+id of each of its page elements, mapped to the page's action count; its
+ingest callback uses them to reject a page that comes back after another
+page element (it would be rebuilt from empty state), whether or not the
+element between gave records. When only the main process's part holds
+actions and its pages are in canonical order, as with one process and a
+MediaWiki export, or a one-page dump, the file is renamed as it is.
+Otherwise one copy pass writes the header and then every page's byte
+range from its part, in canonical order, to a second temporary file, so
+the end of such a run needs room for the corpus twice. (The ranges are
+found by counting lines in that pass: asking a sink for its position
+after every page would flush it every page.)
 
 The dump is read through ``ingest.open_dump``, so it may be plain XML or
 a bz2 or gzip file.
@@ -67,6 +74,7 @@ import itertools
 import json
 import os
 import tempfile
+import zlib
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,34 +179,61 @@ def _process_count() -> int:
     return count if limit is None else max(1, min(count, limit))
 
 
+def _owner(page_id: str, count: int) -> int:
+    """The rank of the process, of ``count``, that builds page ``page_id``."""
+    return zlib.crc32(page_id.encode()) % count
+
+
 def _reconstruct_share(
     config: PipelineConfig,
     budget: SortBudget,
     report: RunReport,
     sink: TextIO,
     summary: Optional[corpus.Summary],
-    rank: int,
     count: int,
-    poll: Callable[[int], None],
+    rank: Optional[int],
+    fork: Optional[Callable[[int], None]],
+    poll: Callable[[], None],
 ) -> dict[str, int]:
-    """Read the whole dump, counting into ``report``, and reconstruct into
-    ``sink`` (and ``summary``) the pages whose index in the dump is ``rank``
-    modulo ``count``. This loop is the one place that decides where a page
-    begins and ends: a page is a run of consecutive records with one page
-    id. Returns every page id in dump order, mapped to the actions written
-    here (0 for another process's page). ``poll`` is called with each page's
-    index before the page, and stops the run by raising."""
+    """Read the dump, counting into ``report``, and reconstruct into ``sink``
+    (and ``summary``) the pages of process ``rank`` of ``count``: those
+    whose id ``_owner`` gives to ``rank``. Ingest builds no record of any
+    other page. A ``rank`` of None takes the rank of the dump's first page.
+    ``fork(rank)``, when given, is called from inside ingest at the dump's
+    second page id (a page element without an id is not counted). This
+    loop is the one place that decides where a page begins and ends: a page
+    is a run of consecutive records with one page id. Returns the id of
+    each page element of this process, in dump order, mapped to the actions
+    written for it. ``poll`` is called before each page, and stops the run
+    by raising."""
     pages: dict[str, int] = {}
+    last = None
+
+    def reads(page_id: str) -> bool:
+        """Ingest's question at each page element: is it this process's?
+        Raises for a page of this process that comes back: one whose id
+        follows another page element's id and was seen before. A page
+        element without an id changes nothing."""
+        nonlocal rank, fork, last
+        owner = _owner(page_id, count)
+        if rank is None:
+            rank = owner
+        if page_id and page_id != last:
+            if last is not None and fork is not None:
+                forking, fork = fork, None
+                forking(rank)
+            if owner == rank:
+                if page_id in pages:
+                    raise DumpFormatError(f"page {page_id} reappears after another page")
+                pages[page_id] = 0
+            last = page_id
+        return owner == rank
+
     with open_dump(config.input_path) as stream:
-        groups = itertools.groupby(parse_dump_stream(stream, report), key=lambda r: r.page_id)
-        for index, (page_id, revs) in enumerate(groups):
-            if page_id in pages:
-                raise DumpFormatError(f"page {page_id} reappears after another page")
-            poll(index)
-            pages[page_id] = 0
+        groups = itertools.groupby(parse_dump_stream(stream, report, reads), key=lambda r: r.page_id)
+        for page_id, revs in groups:
+            poll()
             report.pages += 1
-            if index % count != rank:
-                continue
             try:
                 pages[page_id] = _process_page(revs, budget, sink, summary)
             except corpus.CorpusWriteError as exc:
@@ -219,14 +254,15 @@ def _page_process(
 ) -> NoReturn:
     """The body of forked process ``rank``: read the dump from its start,
     reconstruct its pages into ``part`` and pickle into ``result`` either
-    their action counts, in dump order, with their ``--stats`` summary, or
-    the exception that stopped it. It stops at its next page once ``parent``
-    is gone. It leaves by ``os._exit`` on every path, so it runs no cleanup
-    of the blocks it was forked inside, flushes no sink it inherited and
-    never resumes the dump that its parent was reading."""
+    their ids and action counts, in dump order, with its run report and
+    ``--stats`` summary, or the exception that stopped it. It stops at its
+    next page once ``parent`` is gone. It leaves by ``os._exit`` on every
+    path, so it runs no cleanup of the blocks it was forked inside, flushes
+    no sink it inherited and never resumes the dump that its parent was
+    reading."""
     import pickle
 
-    def poll(index: int) -> None:
+    def poll() -> None:
         if os.getppid() != parent:
             raise ChildProcessError("the main process is gone")
 
@@ -236,9 +272,9 @@ def _page_process(
             sink = open(part.fileno(), "w", encoding="utf-8", closefd=False)
             summary = corpus.Summary() if config.stats_path is not None else None
             report = RunReport()
-            pages = _reconstruct_share(config, budget, report, sink, summary, rank, count, poll)
+            pages = _reconstruct_share(config, budget, report, sink, summary, count, rank, None, poll)
             sink.flush()
-            outcome = list(itertools.islice(pages.values(), rank, None, count)), summary
+            outcome = pages, report, summary
         except BaseException as exc:
             outcome = exc
         try:
@@ -252,7 +288,7 @@ def _page_process(
         os._exit(status)
 
 
-def _outcome(result: BinaryIO, status: int) -> tuple[list[int], Optional[corpus.Summary]]:
+def _outcome(result: BinaryIO, status: int) -> tuple[dict[str, int], RunReport, Optional[corpus.Summary]]:
     """What a reaped page process with wait ``status`` left in ``result``;
     raises the exception that stopped it."""
     import pickle
@@ -273,45 +309,49 @@ def _ascending(ids: Iterable[str]) -> bool:
     return all(a < b for a, b in itertools.pairwise(keys))
 
 
-def _copy_in_order(sink: TextIO, parts: list[BinaryIO], pages: dict[str, int]) -> None:
+def _copy_in_order(sink: TextIO, parts: list[BinaryIO], pages: list[dict[str, int]]) -> None:
     """Replace the file behind ``sink`` with a copy that holds its header
-    and then every page of ``pages`` (page id to action count, one line per
-    action, in dump order) in canonical order. With ``n`` processes, page
-    ``i`` is in ``sink`` when ``i % n`` is 0 and in ``parts[i % n - 1]``
-    otherwise. A process whose pages are in canonical order, as a
-    MediaWiki export lists them, is merged as it is; only the pages of a
-    process that are not are sorted. One page's bytes are in memory at a
-    time."""
+    and then every page in canonical order. ``pages`` holds one dict per
+    file, ``sink``'s first and then each of ``parts``'s: the id of each
+    page in that file, in its order, mapped to its action count (one line
+    per action). A file whose pages are in canonical order, as a MediaWiki
+    export lists them, is merged as it is; only the pages of a file that
+    are not are sorted. One page's bytes are in memory at a time."""
     import heapq
     from array import array
 
     sink.flush()
     path = Path(sink.name)
-    n = len(parts) + 1
-    ids = list(pages)
     with open(path, "rb") as own, replacing(path) as ordered:
         sources = [own, *parts]
         header = own.readline()
         for part in parts:
             part.seek(0)
-        spans = array("q")  # each page's start and end in its source
-        for index, count in enumerate(pages.values()):
-            source = sources[index % n]
-            spans.append(source.tell())
-            for _ in range(count):
-                source.readline()
-            spans.append(source.tell())
+        ids, offsets = [], []  # per file: its page ids, and where each page starts and the last one ends
+        for source, counts in zip(sources, pages):
+            starts = array("q", [source.tell()])
+            for count in counts.values():
+                for _ in range(count):
+                    source.readline()
+                starts.append(source.tell())
+            ids.append(list(counts))
+            offsets.append(starts)
 
-        def key(index):
-            return id_order_key(ids[index])
+        def key(page):
+            number, index = page
+            return id_order_key(ids[number][index])
 
-        runs = [range(rank, len(ids), n) for rank in range(n)]
-        runs = [run if _ascending(ids[i] for i in run) else sorted(run, key=key) for run in runs]
+        runs = []
+        for number, file_ids in enumerate(ids):
+            run = range(len(file_ids))
+            if not _ascending(file_ids):
+                run = sorted(run, key=lambda index: key((number, index)))
+            runs.append(zip(itertools.repeat(number), run))
         ordered.buffer.write(header)
-        for index in heapq.merge(*runs, key=key):
-            source, start, end = sources[index % n], spans[2 * index], spans[2 * index + 1]
-            source.seek(start)
-            ordered.buffer.write(source.read(end - start))
+        for number, index in heapq.merge(*runs, key=key):
+            source, starts = sources[number], offsets[number]
+            source.seek(starts[index])
+            ordered.buffer.write(source.read(starts[index + 1] - starts[index]))
 
 
 def run_pipeline(config: PipelineConfig) -> RunReport:
@@ -340,8 +380,8 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         parts: list[BinaryIO] = []
         results: list[BinaryIO] = []
         parent = os.getpid()
-        running: dict[int, int] = {}  # pid to rank
-        outcomes: dict[int, tuple[list[int], Optional[corpus.Summary]]] = {}
+        running: dict[int, int] = {}  # pid to the index of its part
+        outcomes: dict[int, tuple[dict[str, int], RunReport, Optional[corpus.Summary]]] = {}
 
         def anonymous() -> BinaryIO:
             return files.enter_context(tempfile.TemporaryFile(dir=config.output_path.parent))
@@ -349,30 +389,33 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
         def reap(flags: int) -> None:
             """Reap the page processes that have ended (all of them, unless
             ``flags`` has ``os.WNOHANG``); raises the first one's failure."""
-            for pid, rank in list(running.items()):
+            for pid, number in list(running.items()):
                 done, status = os.waitpid(pid, flags)
                 if done == pid:
                     del running[pid]
-                    outcomes[rank] = _outcome(results[rank - 1], status)
+                    outcomes[number] = _outcome(results[number], status)
 
-        def poll(index: int) -> None:
-            """Before the main process's page ``index``: at the second page,
-            fork the other page processes; after it, raise the failure of
-            any that has ended."""
-            if index == 1:
-                import pickle  # loaded here once, not again in every forked process
+        def fork(rank: int) -> None:
+            """Fork a page process for every rank but the main process's
+            ``rank``."""
+            import pickle  # loaded here once, not again in every forked process
 
-                for rank in range(1, count):
+            for other in range(count):
+                if other != rank:
                     parts.append(anonymous())
                     results.append(anonymous())
                     pid = os.fork()
                     if pid == 0:
-                        _page_process(config, budget, rank, count, parts[-1], results[-1], parent)
-                    running[pid] = rank
+                        _page_process(config, budget, other, count, parts[-1], results[-1], parent)
+                    running[pid] = len(parts) - 1
+
+        def poll() -> None:
+            """Before each of the main process's pages: raise the failure of
+            any page process that has ended."""
             reap(os.WNOHANG)
 
         try:
-            pages = _reconstruct_share(config, budget, report, sink, summary, 0, count, poll)
+            pages = _reconstruct_share(config, budget, report, sink, summary, count, None, fork, poll)
             reap(0)
         except BaseException:
             import signal
@@ -382,16 +425,16 @@ def run_pipeline(config: PipelineConfig) -> RunReport:
             for pid in running:
                 os.waitpid(pid, 0)
             raise
-        spread = False
-        for rank, (counts, part_summary) in sorted(outcomes.items()):
-            for page_id, actions in zip(itertools.islice(pages, rank, None, count), counts):
-                pages[page_id] = actions
-            report.actions_written += sum(counts)
-            spread = spread or any(counts)
+        written_here = report.actions_written
+        shares = [pages]
+        for number in range(len(parts)):
+            part_pages, part_report, part_summary = outcomes[number]
+            shares.append(part_pages)
+            report.merge(part_report)
             if summary is not None:
                 summary.merge(part_summary)
-        if spread or not _ascending(itertools.islice(pages, 0, None, count)):
-            _copy_in_order(sink, parts, pages)
+        if report.actions_written > written_here or not _ascending(pages):
+            _copy_in_order(sink, parts, shares)
         if stats_sink is not None:
             json.dump(summary.stats(), stats_sink, indent=2)
             stats_sink.write("\n")

@@ -295,6 +295,42 @@ def test_matches_in_memory_reference_parser():
     assert tally.skip_reasons == {"text_deleted": 1}
 
 
+@pytest.mark.parametrize("refused", [set(), {"31"}, {"32"}, {"31", "32"}])
+def test_refused_pages_give_no_record_and_no_count(refused):
+    """``reads`` is asked once per page element, at its first revision, with
+    its page id; a page it refuses gives no record and no count, and the
+    pages after it are read as they are without ``reads``."""
+    export = _export_dump()
+    asked = []
+
+    def reads(page_id):
+        asked.append(page_id)
+        return page_id not in refused
+
+    tally = RunReport()
+    got = list(parse_dump_stream(_stream(export), tally, reads))
+    assert asked == ["31", "32"]
+    assert got == [r for r in _reference_records(export) if r.page_id not in refused]
+    assert tally.revisions == len(got)
+    assert tally.skip_reasons == ({} if "32" in refused else {"text_deleted": 1})
+    asked.clear()
+    assert list(parse_dump_stream(_stream(DUMP.replace("<id>11</id>", "")), RunReport(), reads)) == []
+    assert asked == [""]
+
+
+@pytest.mark.parametrize("refused", ["5", "6"])
+def test_refused_revision_outside_its_page_skips_to_the_next_page(refused):
+    """A ``<revision>`` after a page that has none is that page's first
+    revision: refused, it is skipped up to the next ``<page>``, which is
+    read as it would be without ``reads``, to the end of the document."""
+    rev = DUMP[DUMP.index("<revision>"):DUMP.index("</revision>") + len("</revision>")]
+    dump = f"<mediawiki><page><id>5</id></page>{rev}<page><id>6</id>{rev}</page></mediawiki>"
+    tally = RunReport()
+    got = list(parse_dump_stream(_stream(dump), tally, lambda page_id: page_id != refused))
+    assert [r.page_id for r in got] == [{"5": "6", "6": "5"}[refused]]
+    assert tally.revisions == 1
+
+
 def test_parse_timestamp_handles_offsets():
     assert parse_timestamp("2017-05-01T10:00:00Z").isoformat() == "2017-05-01T10:00:00+00:00"
     assert parse_timestamp("2017-05-01T12:00:00+02:00").isoformat() == "2017-05-01T10:00:00+00:00"

@@ -196,6 +196,63 @@ def test_page_split_across_dump_fails(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_page_after_a_page_of_skipped_records_reappears(tmp_path, monkeypatch, count):
+    """A page id that comes back after another page element fails the run,
+    also when every record of the page element between is skipped; a page
+    element without an id between two of one page's elements does not
+    split that page. Pages 1 and 4 have different owners with two and with
+    three processes, so page 1 comes back in the main process's share and
+    in another's."""
+    monkeypatch.setattr(pipeline, "_process_count", lambda: count)
+    first = _page_xml(1, 11, 0, "== Thread ==\nfirst comment ~~~~")
+    again = _page_xml(1, 12, 2, "== Thread ==\nfirst comment ~~~~\n:a reply ~~~~")
+    untimed = _page_xml(2, 21, 1, "== Other ==").replace("<timestamp>2017-05-01T10:01:00Z</timestamp>", "")
+    idless = _page_xml(3, 31, 1, "== Other ==").replace("<id>3</id>", "", 1)
+    lead = _page_xml(4, 41, 3, "== Lead ==\nlead comment ~~~~")
+    dump, out = tmp_path / "dump.xml", tmp_path / "corpus.jsonl"
+
+    def run(*pages):
+        dump.write_text("<mediawiki>\n" + "".join(pages) + "</mediawiki>\n")
+        return run_pipeline(PipelineConfig(dump, out))
+
+    for pages in ((first, untimed, again), (lead, first, untimed, again)):
+        with pytest.raises(DumpFormatError, match="^page 1 reappears after another page$"):
+            run(*pages)
+    joined = first.replace("</revision></page>", "</revision>" + again[again.index("<revision>"):])
+    run(lead, joined)
+    whole = out.read_bytes()
+    report = run(lead, first, idless, again)
+    assert out.read_bytes() == whole
+    assert (report.pages, report.revisions, report.skip_reasons) == (2, 3, {"missing_page_id": 1})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_revision_between_pages_is_read_once(tmp_path, monkeypatch):
+    """A ``<revision>`` between one page's ``</page>`` and the next ``<page>``
+    is read as a revision of the page before, by that page's process alone:
+    one, two and three processes give the same corpus and counts."""
+    reply = _page_xml(1, 12, 1, "== Thread ==\nfirst comment ~~~~\n:a reply ~~~~")
+    stray = reply[reply.index("<revision>"):reply.index("</page>")]
+    dump = tmp_path / "dump.xml"
+    dump.write_text(
+        "<mediawiki>\n"
+        + _page_xml(4, 41, 0, "== Lead ==\nlead comment ~~~~")
+        + _page_xml(1, 11, 0, "== Thread ==\nfirst comment ~~~~")
+        + stray
+        + _page_xml(5, 51, 0, "== Other ==\nother comment ~~~~")
+        + "</mediawiki>\n"
+    )
+    outputs = set()
+    for count in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_process_count", lambda: count)
+        report = run_pipeline(PipelineConfig(dump, tmp_path / "corpus.jsonl"))
+        outputs.add(((tmp_path / "corpus.jsonl").read_bytes(), report.pages, report.revisions, report.actions_written))
+    [(corpus_bytes, pages, revisions, actions)] = outputs
+    assert (pages, revisions, actions) == (3, 4, len(corpus_bytes.splitlines()) - 1)
+
+
 def test_index_memory_per_page_is_small(tmp_path):
     """The run keeps one small entry per page: from 500 to 5,000
     one-revision pages in canonical order, its tracemalloc peak grows by at
@@ -420,6 +477,63 @@ def test_number_of_processes_does_not_change_output(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_number_of_processes_does_not_change_the_summary_line(tmp_path, monkeypatch, capsys):
+    """``reconstruct`` prints the skipped records of every process in one
+    order, whichever processes counted them."""
+    dump, out = _skipped_shapes_dump(tmp_path / "shapes.xml"), tmp_path / "corpus.jsonl"
+    lines = set()
+    for count in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "_process_count", lambda: count)
+        assert cli.main(["reconstruct", "--input", str(dump), "--output", str(out)]) == 0
+        lines.add(capsys.readouterr().err)
+    [err] = lines
+    assert err.splitlines()[0] == (
+        "completed with 5 skipped dump records ({'missing_page_id': 2, 'missing_timestamp': 2, 'text_deleted': 1})"
+    )
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_each_page_is_built_and_counted_in_one_process(tmp_path, monkeypatch, count):
+    """With several processes, each process counts the revisions of its own
+    pages only: their counts add up to one process's, and no page id is in
+    two processes' parts. So it is on the gold suite and on a dump of the
+    page shapes whose records ingest skips."""
+    dumps = [
+        write_dump(gold_fixture_suite(), tmp_path / "gold.xml", shuffle_seed=5),
+        _skipped_shapes_dump(tmp_path / "shapes.xml"),
+    ]
+    out = tmp_path / "corpus.jsonl"
+    shares, outcomes = [], []
+    share, outcome = pipeline._reconstruct_share, pipeline._outcome
+
+    def main_share(config, budget, report, *args):  # in a forked process too, out of sight
+        pages = share(config, budget, report, *args)
+        shares.append((pages, report.revisions))
+        return pages
+
+    def child_outcome(*args):
+        pages, report, summary = outcome(*args)
+        outcomes.append((pages, report.revisions))
+        return pages, report, summary
+
+    monkeypatch.setattr(pipeline, "_reconstruct_share", main_share)
+    monkeypatch.setattr(pipeline, "_outcome", child_outcome)
+    for dump in dumps:
+        monkeypatch.setattr(pipeline, "_process_count", lambda: 1)
+        one = run_pipeline(PipelineConfig(dump, out))
+        [(one_pages, _)] = shares
+        monkeypatch.setattr(pipeline, "_process_count", lambda: count)
+        shares.clear()
+        run_pipeline(PipelineConfig(dump, out))
+        processes = shares + outcomes
+        assert len(processes) == count
+        assert sum(revisions for _, revisions in processes) == one.revisions
+        ids = [page_id for pages, _ in processes for page_id in pages]
+        assert sorted(ids) == sorted(one_pages)
+        shares.clear()
+        outcomes.clear()
+
+
 def _fail_on_page(page_id, fail):
     """``corpus.serialize_action``, but calling ``fail()`` on the first
     action of page ``page_id``."""
@@ -431,6 +545,14 @@ def _fail_on_page(page_id, fail):
         return original(action, *args)
 
     return serialize
+
+
+def _first_page_built(scripts, count, main):
+    """The id of the first page of ``scripts`` that the main process builds
+    (``main``) or that another process builds, of ``count``: the main
+    process builds the pages that share the first page's owner."""
+    rank = pipeline._owner(scripts[0].page_id, count)
+    return next(s.page_id for s in scripts if (pipeline._owner(s.page_id, count) == rank) == main)
 
 
 def _exit_without_result():
@@ -467,12 +589,13 @@ def test_failure_with_several_processes_is_one_error_line(tmp_path, monkeypatch,
         dump.write_text(xml, encoding="utf-8")
     else:
         dump = write_dump(scripts, tmp_path / "dump.xml")
-    # (index of the failing page, which the main process reconstructs when 0)
-    failing_pages = {"main-write": (0, _no_space), "page-process-write": (1, _no_space),
-                     "page-process-exit": (1, _exit_without_result)}
+    # (whether the main process builds the failing page, how it fails)
+    failing_pages = {"main-write": (True, _no_space), "page-process-write": (False, _no_space),
+                     "page-process-exit": (False, _exit_without_result)}
     if case in failing_pages:
-        index, fail = failing_pages[case]
-        monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(scripts[index].page_id, fail))
+        main, fail = failing_pages[case]
+        page_id = _first_page_built(scripts, count, main)
+        monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(page_id, fail))
     elif case == "main-process-gone":
         monkeypatch.setattr(os, "getppid", lambda: -1)
     monkeypatch.setattr(pipeline, "_process_count", lambda: count)
@@ -496,7 +619,7 @@ def test_main_process_stops_at_its_next_page_after_a_page_process_fails(tmp_path
     raises that failure at its own next page, not after the whole dump."""
     scripts = gold_fixture_suite()[:8]
     dump = write_dump(scripts, tmp_path / "dump.xml")
-    monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(scripts[1].page_id, _no_space))
+    monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(_first_page_built(scripts, 2, False), _no_space))
     main, calls = os.getpid(), []
     original = pipeline._process_page
 
