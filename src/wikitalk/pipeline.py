@@ -9,9 +9,10 @@ any work. With N processes, page id ``p`` belongs to process
 ``zlib.crc32(p.encode()) % N`` (``_owner``), whatever its place in the
 dump; a page element without an id belongs to process 0, which counts
 its records as skipped. The main process takes the rank of the dump's
-first page and forks the others when ingest reaches the dump's second
-page id, so a one-page dump forks nothing; each forked process reads the
-dump again from its start through a file of its own. Every process
+first page element and forks the others when ingest reaches the first
+page element that is not its own, so a one-page dump forks nothing; each
+forked process reads the dump again from its start through a file of its
+own. Every process
 decompresses the whole dump and expat tokenizes all of it, but ingest
 builds records only for the process's own pages (the ``reads`` callback
 of ``ingest.parse_dump_stream``): another process's page gives no
@@ -198,14 +199,14 @@ def _reconstruct_share(
     """Read the dump, counting into ``report``, and reconstruct into ``sink``
     (and ``summary``) the pages of process ``rank`` of ``count``: those
     whose id ``_owner`` gives to ``rank``. Ingest builds no record of any
-    other page. A ``rank`` of None takes the rank of the dump's first page.
-    ``fork(rank)``, when given, is called from inside ingest at the dump's
-    second page id (a page element without an id is not counted). This
-    loop is the one place that decides where a page begins and ends: a page
-    is a run of consecutive records with one page id. Returns the id of
-    each page element of this process, in dump order, mapped to the actions
-    written for it. ``poll`` is called before each page, and stops the run
-    by raising."""
+    other page. The main process passes no ``rank`` and a ``fork``: it
+    takes the rank of the dump's first page element, and calls
+    ``fork(rank)`` from inside ingest at the first page element that is
+    not its own. This loop is the one place that decides where a page
+    begins and ends: a page is a run of consecutive records with one page
+    id. Returns the id of each page element of this process, in dump
+    order, mapped to the actions written for it. ``poll`` is called before
+    each page, and stops the run by raising."""
     pages: dict[str, int] = {}
     last = None
 
@@ -218,10 +219,10 @@ def _reconstruct_share(
         owner = _owner(page_id, count)
         if rank is None:
             rank = owner
+        if owner != rank and fork is not None:
+            forking, fork = fork, None
+            forking(rank)
         if page_id and page_id != last:
-            if last is not None and fork is not None:
-                forking, fork = fork, None
-                forking(rank)
             if owner == rank:
                 if page_id in pages:
                     raise DumpFormatError(f"page {page_id} reappears after another page")

@@ -203,7 +203,10 @@ def test_page_after_a_page_of_skipped_records_reappears(tmp_path, monkeypatch, c
     element without an id between two of one page's elements does not
     split that page. Pages 1 and 4 have different owners with two and with
     three processes, so page 1 comes back in the main process's share and
-    in another's."""
+    in another's. Page 1 and an id-less page element, in either order, give
+    page 1's corpus and the id-less page's skip: their owners differ too,
+    so the main process forks at the second element, with or without an
+    id."""
     monkeypatch.setattr(pipeline, "_process_count", lambda: count)
     first = _page_xml(1, 11, 0, "== Thread ==\nfirst comment ~~~~")
     again = _page_xml(1, 12, 2, "== Thread ==\nfirst comment ~~~~\n:a reply ~~~~")
@@ -219,6 +222,12 @@ def test_page_after_a_page_of_skipped_records_reappears(tmp_path, monkeypatch, c
     for pages in ((first, untimed, again), (lead, first, untimed, again)):
         with pytest.raises(DumpFormatError, match="^page 1 reappears after another page$"):
             run(*pages)
+    run(first)
+    alone = out.read_bytes()
+    for pages in ((idless, first), (first, idless)):
+        report = run(*pages)
+        assert out.read_bytes() == alone
+        assert (report.pages, report.revisions, report.skip_reasons) == (1, 1, {"missing_page_id": 1})
     joined = first.replace("</revision></page>", "</revision>" + again[again.index("<revision>"):])
     run(lead, joined)
     whole = out.read_bytes()
@@ -616,32 +625,54 @@ def test_failure_with_several_processes_is_one_error_line(tmp_path, monkeypatch,
 
 def test_main_process_stops_at_its_next_page_after_a_page_process_fails(tmp_path, monkeypatch):
     """When another page process fails on its first page, the main process
-    raises that failure at its own next page, not after the whole dump."""
+    raises that failure at its own next page, not after the whole dump.
+    The page process is forked from inside ingest, which may be before the
+    main process's first page, so its failure waits on a pipe until the
+    main process has begun a page after the fork."""
     scripts = gold_fixture_suite()[:8]
     dump = write_dump(scripts, tmp_path / "dump.xml")
-    monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(_first_page_built(scripts, 2, False), _no_space))
-    main, calls = os.getpid(), []
-    original = pipeline._process_page
+    gate, release = os.pipe()
+
+    def fail():
+        os.read(gate, 1)
+        _no_space()
+
+    monkeypatch.setattr(corpus, "serialize_action", _fail_on_page(_first_page_built(scripts, 2, False), fail))
+    main, calls, forks, ended = os.getpid(), [], [], []
+    original_fork, original = os.fork, pipeline._process_page
+
+    def fork():
+        pid = original_fork()
+        forks.append(pid)
+        return pid
 
     def process_page(*args):
         if os.getpid() == main:
             calls.append(1)
-            if len(calls) == 2:  # the page process is forked before this page
+            if forks and not ended:  # the first page after the page process is forked
+                os.write(release, b"x")
                 os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)  # until it has ended
+                ended.append(len(calls))
         return original(*args)
 
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(pipeline, "_process_page", process_page)
     monkeypatch.setattr(pipeline, "_process_count", lambda: 2)
-    with pytest.raises(corpus.CorpusWriteError, match="No space left on device"):
-        run_pipeline(PipelineConfig(dump, tmp_path / "corpus.jsonl"))
-    assert len(calls) == 2  # of the main process's 4 pages
+    try:
+        with pytest.raises(corpus.CorpusWriteError, match="No space left on device"):
+            run_pipeline(PipelineConfig(dump, tmp_path / "corpus.jsonl"))
+    finally:
+        os.close(gate)
+        os.close(release)
+    assert ended == [len(calls)] and len(calls) < 4  # of the main process's 4 pages
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_page_dump_forks_nothing(tmp_path, monkeypatch):
-    """The other page processes are forked at the dump's second page, so a
-    one-page dump is reconstructed in the calling process alone."""
+    """The other page processes are forked at the first page that is not
+    the main process's, so a one-page dump is reconstructed in the calling
+    process alone."""
 
     def fork():
         raise AssertionError("forked")
