@@ -34,6 +34,9 @@ class _CleanFailure(Exception):
 
 @dataclass
 class CleanResult:
+    """Cleaned comment text, or the input as it was (``fallback``) when
+    the markup could not be parsed."""
+
     text: str
     fallback: bool = False
 

@@ -40,15 +40,17 @@ _REGION_TOKEN_CAP = 40_000
 _MAX_SEARCH_DEPTH = 4_000
 
 
-@dataclass(frozen=True)
+@dataclass
 class EqualOp:
+    """Old tokens [old_lo, old_hi) equal new tokens [new_lo, new_hi)."""
+
     old_lo: int
     old_hi: int
     new_lo: int
     new_hi: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class ChangeOp:
     """Old tokens [old_lo, old_hi) replaced by new tokens [new_lo, new_hi).
     A pure delete has new_lo == new_hi and a pure insert old_lo == old_hi."""
@@ -62,7 +64,7 @@ class ChangeOp:
 DiffOp = EqualOp | ChangeOp
 
 
-@dataclass(frozen=True)
+@dataclass
 class DiffScript:
     """Normalized edit script: EqualOps and ChangeOps alternate, and the
     ops tile both token ranges in order."""

@@ -100,6 +100,8 @@ class SortBudget:
 
 @dataclass
 class SortStats:
+    """What one sort call spilled and held at most."""
+
     runs_spilled: int = 0
     peak_in_memory_records: int = 0
 

@@ -13,7 +13,7 @@ first page element and forks the others when ingest reaches the first
 page element that is not its own, so a one-page dump forks nothing; each
 forked process reads the dump again from its start through a file of its
 own. Every process
-decompresses the whole dump and expat tokenizes all of it, but ingest
+decompresses the whole dump and expat parses every tag of it, but ingest
 builds records only for the process's own pages (the ``reads`` callback
 of ``ingest.parse_dump_stream``): another process's page gives no
 record, no text and no count. The page loop of ``_reconstruct_share``,
@@ -96,6 +96,8 @@ from wikitalk.reconstruct import reconstruct_page
 
 @dataclass
 class PipelineConfig:
+    """The paths and memory budget of one ``run_pipeline`` call."""
+
     input_path: Path
     output_path: Path
     max_in_memory_revisions: int = DEFAULT_MAX_IN_MEMORY

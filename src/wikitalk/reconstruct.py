@@ -54,6 +54,9 @@ def _line_indentation(line: str) -> int:
 
 @dataclass
 class LiveComment:
+    """A comment on the page now: its ids, its tokens and its place in the
+    conversation tree."""
+
     comment_id: str
     last_action_id: str
     # token range, relative to its block's delta while the comment is live
@@ -225,6 +228,9 @@ class LiveComments:
 
 @dataclass
 class PageState:
+    """What the reconstruction of one page carries from one revision to
+    the next."""
+
     page_id: str
     page_title: str
     tokens: TokenSequence = field(default_factory=lambda: tokenize(""))
@@ -344,6 +350,8 @@ def segment_text(seq: TokenSequence, tok_lo: int, tok_hi: int) -> list[Segment]:
 
 @dataclass
 class _CommentEdit:
+    """What one revision's edit does to one live comment."""
+
     comment: LiveComment
     block: _Block
     deleted_tokens: int = 0

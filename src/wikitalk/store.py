@@ -23,6 +23,9 @@ MAX_CHARS = 1000
 
 @dataclass
 class DeletedCommentStore:
+    """The most recently deleted comments of a page, kept so a
+    restoration can be matched to the comment it brings back."""
+
     _entries: list[LiveComment] = field(default_factory=list)
 
     def __len__(self) -> int:

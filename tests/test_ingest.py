@@ -1,7 +1,11 @@
 import io
+import re
 import xml.etree.ElementTree as ET
+import xml.parsers.expat
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wikitalk import ingest
 from wikitalk.ingest import (
@@ -245,9 +249,9 @@ def _export_dump() -> str:
 """
 
 
-def _reference_records(dump: str) -> list[RevisionRecord]:
+def _reference_records(dump: str | bytes) -> list[RevisionRecord]:
     """The records ingest should yield, read with ElementTree from the
-    whole document in memory."""
+    whole document in memory: expat reads every ``<text>`` payload."""
     ns = "{http://www.mediawiki.org/xml/export-0.10/}"
     records = []
     for page in ET.fromstring(dump).iter(f"{ns}page"):
@@ -334,3 +338,161 @@ def test_refused_revision_outside_its_page_skips_to_the_next_page(refused):
 def test_parse_timestamp_handles_offsets():
     assert parse_timestamp("2017-05-01T10:00:00Z").isoformat() == "2017-05-01T10:00:00+00:00"
     assert parse_timestamp("2017-05-01T12:00:00+02:00").isoformat() == "2017-05-01T10:00:00+00:00"
+
+
+def _offset(message: str) -> int:
+    return int(re.search(r"byte offset (\d+)", message).group(1))
+
+
+def _expat_offset(data: bytes) -> int:
+    """Where expat alone, fed the whole dump, finds it malformed."""
+    parser = xml.parsers.expat.ParserCreate()
+    with pytest.raises(xml.parsers.expat.ExpatError):
+        parser.Parse(data, True)
+    return parser.ErrorByteIndex
+
+
+@pytest.mark.parametrize("read_size", [64 << 10, 1000, 7])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("末尾</text>\n      <sha1>", "末尾</text>\n      <sha1 x>"),  # the tag after the 200 KiB payload
+        ("</revision>\n  </page>\n</mediawiki>", "</revisio>\n  </page>\n</mediawiki>"),  # after every payload
+        ("<comment>comment of 506", "<comment>comment of 506 &nbsp;"),
+    ],
+)
+def test_malformed_tag_after_cut_payloads_reports_the_dumps_offset(monkeypatch, read_size, old, new):
+    """A malformed tag after payloads that were cut out of what expat reads,
+    one of them over several reads, is reported at its offset in the dump,
+    where expat alone finds it."""
+    monkeypatch.setattr(ingest, "_READ_SIZE", read_size)
+    export = _export_dump()
+    assert export.count(old) == 1
+    data = export.replace(old, new).encode("utf-8")
+    with pytest.raises(DumpFormatError) as err:
+        list(parse_dump_stream(io.BytesIO(data)))
+    assert _offset(str(err.value)) == _expat_offset(data)
+
+
+def test_one_payload_over_many_reads(monkeypatch):
+    """A payload of about 600 KiB read 1,000 bytes at a time, with
+    multibyte characters, references and CR LF line ends cut by the reads,
+    gives ElementTree's text; so does the same dump ended one byte short of
+    its last read, which no record may survive."""
+    monkeypatch.setattr(ingest, "_READ_SIZE", 1000)
+    body = "".join(f"第{i}行 é &amp; &#x1F600; ~~~~\r\n" for i in range(20_000))
+    dump = DUMP.replace("hello ~~~~", body)
+    got = list(parse_dump_stream(_stream(dump)))
+    assert got == _reference_records(dump)
+    assert len(body.encode("utf-8")) > 600 << 10 and "\r" not in got[1].wikitext
+    cut = dump.encode("utf-8")[: dump.encode("utf-8").index(b"</text>", 1000)]
+    with pytest.raises(DumpFormatError, match=f"byte offset {len(cut)}: "):
+        list(parse_dump_stream(io.BytesIO(cut)))
+
+
+@pytest.mark.parametrize(
+    "dump",
+    [
+        DUMP.replace("hello ~~~~", "hello <![CDATA[x]]> ~~~~"),
+        DUMP.replace("hello ~~~~", "hello <!-- note --> ~~~~"),
+        DUMP.replace("hello ~~~~", "hello <?note x?> ~~~~"),
+        # "\u00c3\u00a9" in ISO-8859-1 is the UTF-8 of "\u00e9"
+        '<?xml version="1.0" encoding="ISO-8859-1"?>\n' + DUMP.replace("hello", "h\u00c3\u00a9llo"),
+        '<!DOCTYPE mediawiki [<!ENTITY sig "~~~~">]>\n' + DUMP.replace("hello ~~~~", "hello &sig;"),
+        DUMP.replace("<siteinfo>", "<!-- <text>an old text</text> --><siteinfo>"),
+        DUMP.replace('<text xml:space="preserve">', '<text note="a/>b">'),
+        DUMP.replace("hello ~~~~", "hello <b></b> ~~~~"),
+    ],
+    ids=["cdata", "comment", "instruction", "latin-1", "declared-entity", "text-in-comment", "slash-in-attribute", "element"],
+)
+def test_what_expat_reads_but_mediawiki_never_writes_is_refused(dump):
+    """CDATA sections, comments, processing instructions and elements
+    inside a ``<text>``, an encoding other than UTF-8, an entity declared in a
+    DOCTYPE, a ``<text>`` tag that expat does not read as one, and a
+    ``/>`` inside a quoted attribute of ``<text>`` are refused with a byte
+    offset. MediaWiki writes none of them; expat alone reads each."""
+    data = dump.encode("latin-1" if "ISO-8859-1" in dump else "utf-8")
+    assert _reference_records(data)
+    with pytest.raises(DumpFormatError, match="byte offset"):
+        list(parse_dump_stream(io.BytesIO(data)))
+
+
+_READ_AS_IS = [
+    *"&amp; &lt; &gt; &quot; &apos; &#13; &#10; &#x9; &#65; &#x1F600; &#0065; &#xfffd;".split(),
+    "\r\n", "\r", "\n", "\t", " ", "~~~~", "a", "]", "]]", ">", "\u00e9", "\u4e2d", "\U0001F600", "\x85", "\x7f", "\ufdd0",
+]
+_REFUSED = [
+    *"&#0; &#1; &#31; &#xD800; &#xFFFE; &#x110000; &#X41; &#; &nbsp; & &amp".split(),
+    "]]>", "\x01", "\x0b", "\ufffe", "\uffff",
+]
+_GOOD = [f.encode("utf-8") for f in _READ_AS_IS]
+_BAD = [f.encode("utf-8") for f in _REFUSED] + [b"\xff", b"\xc3", b"\xed\xa0\x80"]
+_GOOD_RUN = st.lists(st.sampled_from(_GOOD), max_size=6).map(b"".join)
+_PAYLOAD = st.one_of(_GOOD_RUN, st.tuples(_GOOD_RUN, st.sampled_from(_BAD), _GOOD_RUN).map(b"".join))
+_TEXT = st.one_of(
+    st.tuples(
+        st.sampled_from([b"<text>", b'<text xml:space="preserve">', b'<text bytes="12" xml:space="preserve">', b"<text\n bytes='3'\n>"]),
+        _PAYLOAD,
+        st.sampled_from([b"</text>", b"</text >"]),
+    ).map(b"".join),
+    st.sampled_from([b"<text/>", b"<text />", b'<text deleted="deleted"/>', b'<text deleted="deleted" />']),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(_TEXT, min_size=1, max_size=4),
+    read_size=st.one_of(st.integers(1, 48), st.just(64 << 10)),
+    shift=st.integers(0, 120),
+)
+@example(texts=["<text>\u00e9\u4e2d\U0001F600&amp;</text>".encode("utf-8")] * 2, read_size=64 << 10, shift=1)
+@example(texts=[b"<text>\r\n&#13;\r</text>", b"<text/>"], read_size=3, shift=0)
+def test_text_payloads_read_as_expat_reads_them(texts, read_size, shift):
+    """Generated ``<text>`` elements, their payloads built of references
+    (valid and not), CR LF and lone CRs, multibyte characters, control
+    characters, ``]]>``, U+FFFE and bytes that are not UTF-8, give
+    ElementTree's records, or both readers refuse the dump. The reads cut
+    the dump everywhere: a few bytes at a time, or 64 KiB at a time with
+    the first boundary ``shift`` bytes after the first ``<text``."""
+    revisions = b"".join(
+        b"<revision><id>%d</id><timestamp>2017-05-01T10:00:00Z</timestamp>"
+        b"<contributor><username>u</username></contributor>%s</revision>" % (100 + i, text)
+        for i, text in enumerate(texts)
+    )
+    head = b'<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/"><siteinfo><sitename>'
+    tail = b"</sitename></siteinfo><page><title>Talk:A</title><ns>1</ns><id>1</id>" + revisions + b"</page></mediawiki>"
+    pad = (64 << 10) - len(head) - tail.index(b"<text") - shift if read_size == 64 << 10 else 0
+    data = head + b"x" * pad + tail
+
+    def outcome(read):
+        try:
+            return read()
+        except (DumpFormatError, ET.ParseError):
+            return "refused"
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_READ_SIZE", read_size)
+        got = outcome(lambda: list(parse_dump_stream(io.BytesIO(data))))
+    assert got == outcome(lambda: _reference_records(data))
+
+
+def test_pages_in_even_namespaces_give_no_record():
+    """A page in an even namespace (an article, a user page) gives no
+    record, and each of its revisions is counted as skipped; its texts are
+    never decoded, so a reference expat would refuse in them passes. Pages
+    in odd namespaces, pages without ``<ns>`` and a page whose ``<ns>`` is
+    not a number are read."""
+    page = DUMP[DUMP.index("  <page>") : DUMP.index("</page>") + len("</page>\n")]
+    pages = [
+        page.replace("<ns>1</ns>", f"<ns>{ns}</ns>").replace("<id>11</id>", f"<id>{i}</id>")
+        for i, ns in enumerate(["0", "1", "2", "-2", "3", "10", "--2"])
+    ]
+    pages[0] = pages[0].replace("hello", "&bogus; \x01 hello")
+    pages.append(page.replace("<ns>1</ns>", "").replace("<id>11</id>", "<id>7</id>"))
+    dump = DUMP[: DUMP.index("  <page>")] + "".join(pages) + "</mediawiki>\n"
+    tally = RunReport()
+    got = list(parse_dump_stream(_stream(dump), tally))
+    assert [r.page_id for r in got] == ["1"] * 3 + ["4"] * 3 + ["6"] * 3 + ["7"] * 3
+    assert got[:3] == [r._replace(page_id="1") for r in parse_dump_stream(_stream(DUMP))]
+    assert tally.skip_reasons == {"not_talk_namespace": 12}
+    assert tally.revisions == 12

@@ -8,12 +8,15 @@ import random
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wikitalk
 from tests.test_acceptance import chinese_talk_script
@@ -262,6 +265,30 @@ def test_revision_between_pages_is_read_once(tmp_path, monkeypatch):
     assert (pages, revisions, actions) == (3, 4, len(corpus_bytes.splitlines()) - 1)
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_pages_in_even_namespaces_are_skipped_and_counted(tmp_path, monkeypatch, count):
+    """Pages in even namespaces give no action, and each of their revisions
+    is counted once, by the process that owns the page: the corpus and
+    stats are those of the talk pages alone, with one and two processes."""
+    monkeypatch.setattr(pipeline, "_process_count", lambda: count)
+    namespaces = {1: "1", 2: "0", 3: "3", 4: "2", 5: None, 6: "4", 7: "0"}
+    pages = {
+        pid: _page_xml(pid, 10 + pid, pid, f"== T{pid} ==\ncomment {pid} ~~~~").replace(
+            "<ns>1</ns>", "" if ns is None else f"<ns>{ns}</ns>"
+        )
+        for pid, ns in namespaces.items()
+    }
+    dump, out, stats = tmp_path / "dump.xml", tmp_path / "corpus.jsonl", tmp_path / "stats.json"
+    runs = []
+    for chosen in ([1, 3, 5], list(pages)):
+        dump.write_text("<mediawiki>\n" + "".join(pages[pid] for pid in chosen) + "</mediawiki>\n")
+        report = run_pipeline(PipelineConfig(dump, out, stats_path=stats))
+        runs.append((out.read_bytes(), stats.read_bytes(), report.pages, report.revisions, report.skip_reasons))
+    talk, mixed = runs
+    assert mixed[:4] == talk[:4] and talk[2:4] == (3, 3)
+    assert (talk[4], mixed[4]) == ({}, {"not_talk_namespace": 4})
+
+
 def test_index_memory_per_page_is_small(tmp_path):
     """The run keeps one small entry per page: from 500 to 5,000
     one-revision pages in canonical order, its tracemalloc peak grows by at
@@ -482,6 +509,61 @@ def test_number_of_processes_does_not_change_output(tmp_path, monkeypatch):
     skips = ("missing_page_id", 2), ("missing_timestamp", 2), ("text_deleted", 1)
     assert counts == (5, 8, len(corpus_bytes.splitlines()) - 1, skips)
     assert json.loads(stats_bytes)["pages"] == 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_PAGE_ELEMENT = st.tuples(
+    st.sampled_from(["", "1", "4", "5"]),  # page ids whose owners differ with 2, 3 and 4 processes
+    st.sampled_from(["1", "0", None]),
+    st.lists(st.sampled_from(["read", "untimed", "empty", "hidden"]), max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements=st.lists(_PAGE_ELEMENT, min_size=1, max_size=3))
+@example(elements=[("", "1", ["read"]), ("1", "1", ["read"])])
+@example(elements=[("1", "1", ["read"]), ("", "1", ["read"])])
+@example(elements=[("4", "0", ["read", "read"]), ("1", "1", ["read"]), ("5", "1", ["empty", "read"])])
+def test_dump_shapes_give_one_process_output_with_several(elements):
+    """Generated dumps of one to three page elements, among them a page
+    element without an id, a page that comes back, revisions whose records
+    are skipped, an empty ``<text/>`` and a page in an even namespace, give
+    with 2, 3 and 4 processes and at both sort budgets the corpus, stats and
+    counts of one process, or fail with its error. The first two examples
+    are the dumps that once lost their corpus with 2 processes: an id-less
+    page and page 1, in either order."""
+    parts, rev_id = ["<mediawiki>\n"], 0
+    for page_id, ns, revisions in elements:
+        parts.append(f"<page><title>Talk:P{page_id}</title>")
+        parts.append(("" if ns is None else f"<ns>{ns}</ns>") + (f"<id>{page_id}</id>" if page_id else ""))
+        for kind in revisions:
+            rev_id += 1
+            when = "" if kind == "untimed" else f"<timestamp>2017-05-01T10:{rev_id:02d}:00Z</timestamp>"
+            text = {"empty": "<text/>", "hidden": '<text deleted="deleted" />'}.get(
+                kind, f"<text>== T{page_id} ==\ncomment {rev_id} &amp; more ~~~~</text>"
+            )
+            parts.append(
+                f"<revision><id>{rev_id}</id>{when}<contributor><username>u</username></contributor>{text}</revision>"
+            )
+        parts.append("</page>\n")
+    parts.append("</mediawiki>\n")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        dump, out, stats = Path(tmp, "dump.xml"), Path(tmp, "corpus.jsonl"), Path(tmp, "stats.json")
+        dump.write_text("".join(parts))
+        outcomes = set()
+        for count in (1, 2, 3, 4):
+            patch.setattr(pipeline, "_process_count", lambda: count)
+            for budget in ({}, {"max_in_memory_revisions": 2}):
+                try:
+                    report = run_pipeline(PipelineConfig(dump, out, stats_path=stats, spill_dir=Path(tmp), **budget))
+                except DumpFormatError as exc:
+                    outcomes.add(type(exc))
+                    continue
+                skips = tuple(sorted(report.skip_reasons.items()))
+                counts = report.pages, report.revisions, report.actions_written, skips
+                outcomes.add((out.read_bytes(), stats.read_bytes(), counts))
+        assert len(outcomes) == 1, outcomes
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
